@@ -60,7 +60,7 @@ from .scorer import (
     load_external_logits,
     save_checkpoint,
 )
-from .training import KindFilter, TrainConfig, fit, write_history
+from .training import KindFilter, TrainConfig, filter_examples, fit, write_history
 from .types import SOURCES, Query, Run, Source
 from .synthetic import synth_benchmark
 
@@ -481,6 +481,13 @@ def _cmd_ablate(args, cfg: CliConfig) -> int:
         for source in _ABLATION_SOURCES
     ]
     for cell_no, (strategy, docs, kind, source) in enumerate(cells, 1):
+        cell = f"{strategy.value}\t{docs}\t{kind.value}\t{source.value if source else 'none'}"
+        # a filter that leaves no training examples skips its cell, not the grid
+        if not filter_examples(train_examples, kind, source):
+            print(f"[{cell_no}/{len(cells)}] skipped, no training examples left after "
+                  f"kind/source filtering: {cell}", file=sys.stderr)
+            rows.append(f"{cell}\tnan\tnan\n")
+            continue
         config = TrainConfig(
             batch_queries=cfg.pick(args.batch, "train.batch", 8),
             docs_per_query=docs,
@@ -496,11 +503,7 @@ def _cmd_ablate(args, cfg: CliConfig) -> int:
         score_fn = model_score_fn(params, strategy, queries, corpus)
         reranked = rerank_run(base_run, corpus, score_fn, k_in=k_in, k_out=k_in, tag="ablate")
         report = evaluate_run(reranked, qrels, k)
-        rows.append(
-            f"{strategy.value}\t{docs}\t{kind.value}\t"
-            f"{source.value if source else 'none'}\t"
-            f"{report.mean:.6f}\t{history[-1].train_loss:.6f}\n"
-        )
+        rows.append(f"{cell}\t{report.mean:.6f}\t{history[-1].train_loss:.6f}\n")
         if args.verbose:
             print(f"[{cell_no}/{len(cells)}] {rows[-1]}", end="", file=sys.stderr)
     io.save_text(args.out, "".join(rows))

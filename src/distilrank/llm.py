@@ -122,7 +122,12 @@ class LlmClient:
             self.spent_usd += amount
 
     def call(self, messages: Sequence[Message], completion_entries: int = 0) -> str:
-        """POST the messages, honoring budget and retry policy; returns the reply text."""
+        """POST the messages, honoring budget and retry policy; returns the reply text.
+
+        The estimated cost is reserved against the budget before anything is
+        sent, so concurrent calls cannot overspend it together. A successful
+        call settles the reservation to its actual cost; a failed one releases it.
+        """
         cfg = self.config
         estimate = estimate_cost(
             messages, cfg.prompt_price_per_1k, cfg.completion_price_per_1k, completion_entries
@@ -131,8 +136,21 @@ class LlmClient:
             if self.spent_usd + estimate > cfg.budget_usd:
                 raise BudgetError(
                     f"estimated call cost ${estimate:.4f} would exceed the "
-                    f"${cfg.budget_usd:.2f} budget (spent ${self.spent_usd:.4f})"
+                    f"${cfg.budget_usd:.2f} budget (spent or reserved ${self.spent_usd:.4f})"
                 )
+            self.spent_usd += estimate
+        actual = 0.0
+        try:
+            text = self._post(messages)
+            actual = estimate_cost(
+                messages, cfg.prompt_price_per_1k, 0.0
+            ) + estimate_tokens(len(text)) / 1000.0 * cfg.completion_price_per_1k
+        finally:
+            self._charge(actual - estimate)
+        return text
+
+    def _post(self, messages: Sequence[Message]) -> str:
+        cfg = self.config
         body = {"model": cfg.model, "messages": list(messages), "temperature": cfg.temperature}
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)
@@ -152,14 +170,9 @@ class LlmClient:
                 self._log({"attempt": attempt, "status": resp.status_code})
                 if resp.status_code == 200:
                     try:
-                        text = resp.json()["choices"][0]["message"]["content"]
+                        return resp.json()["choices"][0]["message"]["content"]
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         raise TransportError(f"malformed completion response: {exc}") from exc
-                    actual = estimate_cost(
-                        messages, cfg.prompt_price_per_1k, 0.0
-                    ) + estimate_tokens(len(text)) / 1000.0 * cfg.completion_price_per_1k
-                    self._charge(actual)
-                    return text
                 if resp.status_code not in _RETRYABLE_STATUS:
                     raise TransportError(f"endpoint returned HTTP {resp.status_code}")
                 last_error = f"HTTP {resp.status_code}"

@@ -3,6 +3,10 @@ two-logit head, plus the three scoring strategies that map the (z_true,
 z_false) pair to a relevance score, and an adapter for externally computed
 logits.
 
+There is one forward path, `forward_rows`: a stack of feature vectors as the
+rows of a CSR matrix X, then ``relu(X @ w1 + b1) @ w2 + b2``. `forward` is its
+one-row case.
+
 Checkpoint file layout: one JSON header line (shapes, feature config, version,
 strategy) followed by raw little-endian float32 arrays for w1, b1, w2, b2 in
 that order.
@@ -15,10 +19,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 from zlib import crc32
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import DataError
@@ -152,19 +157,46 @@ def init_params(
     )
 
 
-def hidden_preactivation(params: ScorerParams, features: SparseVector) -> np.ndarray:
-    if features.nnz == 0:
-        return params.b1.copy()
-    return params.w1[features.indices].T @ features.values + params.b1
+def _csr(values: np.ndarray, indices: np.ndarray, indptr: np.ndarray, n_cols: int) -> sp.csr_array:
+    # scipy trusts the column indices; its products read out of bounds on a bad one
+    if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
+        raise ValueError(f"feature index outside 0..{n_cols - 1}")
+    return sp.csr_array((values, indices, indptr), shape=(indptr.shape[0] - 1, n_cols))
+
+
+def stack_rows(vectors: Sequence[SparseVector], n_cols: int) -> sp.csr_array:
+    """The vectors as the rows of one (len(vectors), n_cols) CSR matrix."""
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    np.cumsum([v.nnz for v in vectors], out=indptr[1:])
+    indices = np.concatenate([np.empty(0, dtype=np.int64)] + [v.indices for v in vectors])
+    values = np.concatenate([np.empty(0)] + [v.values for v in vectors])
+    return _csr(values, indices, indptr, n_cols)
+
+
+def forward_rows(
+    params: ScorerParams, rows: sp.csr_array
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched forward over the rows of a sparse feature matrix whose columns
+    index the rows of ``params.w1``.
+
+    Returns the hidden pre-activations (n, hidden), the relu activations
+    (n, hidden) and the logits (n, 2); rejects non-finite logits.
+    """
+    h_pre = rows @ params.w1 + params.b1
+    h = np.maximum(h_pre, 0.0)
+    z = h @ params.w2 + params.b2
+    if not np.all(np.isfinite(z)):
+        raise DataError("forward pass produced non-finite logits")
+    return h_pre, h, z
 
 
 def forward(params: ScorerParams, features: SparseVector) -> LogitPair:
     """relu hidden layer then affine two-logit head; rejects non-finite output."""
-    h = np.maximum(hidden_preactivation(params, features), 0.0)
-    z = params.w2.T @ h + params.b2
-    if not np.all(np.isfinite(z)):
-        raise DataError("forward pass produced non-finite logits")
-    return LogitPair(float(z[0]), float(z[1]))
+    # built directly: rerank calls this once per pair, and stack_rows' list
+    # handling would cost as much again as the product on one row
+    row = _csr(features.values, features.indices, np.array([0, features.nnz]), params.w1.shape[0])
+    _, _, z = forward_rows(params, row)
+    return LogitPair(float(z[0, 0]), float(z[0, 1]))
 
 
 def score(logits: LogitPair, strategy: ScoreStrategy) -> float:

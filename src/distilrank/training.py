@@ -9,6 +9,16 @@ behind ``literal_sign`` for A/B inspection.
 
 Per example the loss is summed over pairs; per batch it is averaged over
 queries, so histories are comparable only within one docs-per-query setting.
+
+Active rows: `fit` trains only the rows of w1 that some prepared train or
+validation document touches, as one compacted block with its own AdamW state,
+and writes the block back at the end. This is exact because AdamW decouples
+weight decay: a row no example touches gets a zero gradient at every step, so
+its moments stay zero and each step only scales it by (1 - lr * weight_decay).
+`fit` applies those steps once, as (1 - lr * weight_decay) ** t after t steps,
+and leaves the rows bit-identical when weight_decay is 0 or no step was taken.
+Each batch is one stacked CSR feature matrix X: the forward is ``X @ w1``
+and the w1 gradient ``X.T @ dH``.
 """
 
 from __future__ import annotations
@@ -19,10 +29,20 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import DataError
-from .scorer import ScorerParams, ScoreStrategy, SparseVector, featurize, score_batch, score_batch_grad
+from .scorer import (
+    ScorerParams,
+    ScoreStrategy,
+    SparseVector,
+    featurize,
+    forward_rows,
+    score_batch,
+    score_batch_grad,
+    stack_rows,
+)
 from .types import DistilledExample, QueryKind, Source
 
 
@@ -57,12 +77,22 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
 
 
-def _check_ranking(scores: np.ndarray, ranking: np.ndarray) -> None:
-    m = scores.shape[0]
+def _check_permutation(ranking: np.ndarray, m: int) -> None:
     if ranking.shape != (m,) or sorted(ranking.tolist()) != list(range(1, m + 1)):
         raise ValueError(f"ranking is not a permutation of 1..{m}")
+
+
+def _check_finite(scores: np.ndarray) -> None:
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores contain non-finite values")
+
+
+def _checked(scores: Sequence[float], ranking: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    s = np.asarray(scores, dtype=np.float64)
+    r = np.asarray(ranking, dtype=np.int64)
+    _check_permutation(r, s.shape[0])
+    _check_finite(s)
+    return s, r
 
 
 def _pair_diffs(scores: np.ndarray, ranking: np.ndarray, literal_sign: bool):
@@ -74,17 +104,26 @@ def _pair_diffs(scores: np.ndarray, ranking: np.ndarray, literal_sign: bool):
     return mask, diff
 
 
+def _ranknet_loss(scores: np.ndarray, ranking: np.ndarray, literal_sign: bool) -> float:
+    mask, diff = _pair_diffs(scores, ranking, literal_sign)
+    return float(np.logaddexp(0.0, diff[mask]).sum())
+
+
+def _ranknet_grad(scores: np.ndarray, ranking: np.ndarray, literal_sign: bool) -> np.ndarray:
+    mask, diff = _pair_diffs(scores, ranking, literal_sign)
+    g = expit(diff) * mask
+    if literal_sign:
+        return g.sum(axis=1) - g.sum(axis=0)
+    return g.sum(axis=0) - g.sum(axis=1)
+
+
 def ranknet_loss(
     scores: Sequence[float],
     ranking: Sequence[int],
     literal_sign: bool = False,
 ) -> float:
     """Sum of softplus pair penalties over all ordered pairs of the ranking."""
-    s = np.asarray(scores, dtype=np.float64)
-    r = np.asarray(ranking, dtype=np.int64)
-    _check_ranking(s, r)
-    mask, diff = _pair_diffs(s, r, literal_sign)
-    return float(np.logaddexp(0.0, diff[mask]).sum())
+    return _ranknet_loss(*_checked(scores, ranking), literal_sign)
 
 
 def ranknet_grad(
@@ -93,14 +132,7 @@ def ranknet_grad(
     literal_sign: bool = False,
 ) -> np.ndarray:
     """Analytic dL/ds_k; the entries sum to zero since each pair contributes +g and -g."""
-    s = np.asarray(scores, dtype=np.float64)
-    r = np.asarray(ranking, dtype=np.int64)
-    _check_ranking(s, r)
-    mask, diff = _pair_diffs(s, r, literal_sign)
-    g = expit(diff) * mask
-    if literal_sign:
-        return g.sum(axis=1) - g.sum(axis=0)
-    return g.sum(axis=0) - g.sum(axis=1)
+    return _ranknet_grad(*_checked(scores, ranking), literal_sign)
 
 
 @dataclass
@@ -168,10 +200,14 @@ def subsample_docs(example: DistilledExample, m_prime: int, seed: int) -> Distil
 
 @dataclass
 class PreparedExample:
-    """A distilled example resolved to feature vectors, ready for the loop."""
+    """A distilled example resolved to features, ready for the loop.
+
+    ``rows`` holds one CSR row per document; its columns index the rows of the
+    w1 it is multiplied with. ``ranking`` is a checked permutation of 1..m.
+    """
 
     query_id: str
-    features: list[SparseVector]
+    rows: sp.csr_array
     ranking: np.ndarray
 
 
@@ -205,20 +241,17 @@ def prepare_example(
             if cache is not None:
                 cache[key] = vec
         features.append(vec)
-    return PreparedExample(example.query_id, features, np.asarray(example.llm_ranking))
+    ranking = np.asarray(example.llm_ranking, dtype=np.int64)
+    _check_permutation(ranking, len(features))
+    return PreparedExample(
+        example.query_id, stack_rows(features, params.feature.hash_dim), ranking
+    )
 
 
-def _forward_all(params: ScorerParams, features: list[SparseVector]):
-    n = len(features)
-    h_pre = np.empty((n, params.hidden))
-    for i, vec in enumerate(features):
-        if vec.nnz:
-            h_pre[i] = params.w1[vec.indices].T @ vec.values + params.b1
-        else:
-            h_pre[i] = params.b1
-    h = np.maximum(h_pre, 0.0)
-    z = h @ params.w2 + params.b2
-    return h_pre, h, z
+def _stack(batch: Sequence[PreparedExample]) -> tuple[sp.csr_array, np.ndarray]:
+    """The batch's rows as one CSR matrix, and each example's row bounds."""
+    bounds = np.cumsum([0] + [ex.rows.shape[0] for ex in batch])
+    return sp.vstack([ex.rows for ex in batch], format="csr"), bounds
 
 
 def batch_loss(
@@ -228,10 +261,14 @@ def batch_loss(
     literal_sign: bool = False,
 ) -> float:
     """Mean over queries of the per-example pair-summed RankNet loss."""
-    total = 0.0
-    for ex in batch:
-        _, _, z = _forward_all(params, ex.features)
-        total += ranknet_loss(score_batch(z, strategy), ex.ranking, literal_sign)
+    rows, bounds = _stack(batch)
+    _, _, z = forward_rows(params, rows)
+    scores = score_batch(z, strategy)
+    _check_finite(scores)
+    total = sum(
+        _ranknet_loss(scores[lo:hi], ex.ranking, literal_sign)
+        for ex, lo, hi in zip(batch, bounds[:-1], bounds[1:])
+    )
     return total / len(batch)
 
 
@@ -240,32 +277,22 @@ def batch_loss_and_grads(
     batch: Sequence[PreparedExample],
     strategy: ScoreStrategy,
     literal_sign: bool = False,
-    grad_buffers: list[np.ndarray] | None = None,
 ) -> tuple[float, list[np.ndarray]]:
-    """Loss plus analytic parameter gradients, backpropagated through the scorer."""
-    if grad_buffers is None:
-        grads = [np.zeros_like(a) for a in params.arrays()]
-    else:
-        grads = grad_buffers
-        for g in grads:
-            g.fill(0.0)
-    gw1, gb1, gw2, gb2 = grads
+    """Loss plus analytic parameter gradients [gw1, gb1, gw2, gb2],
+    backpropagated through the scorer in one batched sparse forward and backward."""
+    rows, bounds = _stack(batch)
+    h_pre, h, z = forward_rows(params, rows)
+    scores = score_batch(z, strategy)
+    _check_finite(scores)
     scale = 1.0 / len(batch)
     total = 0.0
-    for ex in batch:
-        h_pre, h, z = _forward_all(params, ex.features)
-        scores = score_batch(z, strategy)
-        total += ranknet_loss(scores, ex.ranking, literal_sign)
-        ds = ranknet_grad(scores, ex.ranking, literal_sign) * scale
-        dz = ds[:, None] * score_batch_grad(z, strategy)  # (n, 2)
-        gw2 += h.T @ dz
-        gb2 += dz.sum(axis=0)
-        dh = dz @ params.w2.T
-        dh_pre = dh * (h_pre > 0.0)
-        gb1 += dh_pre.sum(axis=0)
-        for i, vec in enumerate(ex.features):
-            if vec.nnz:
-                gw1[vec.indices] += np.outer(vec.values, dh_pre[i])
+    ds = np.empty_like(scores)
+    for ex, lo, hi in zip(batch, bounds[:-1], bounds[1:]):
+        total += _ranknet_loss(scores[lo:hi], ex.ranking, literal_sign)
+        ds[lo:hi] = _ranknet_grad(scores[lo:hi], ex.ranking, literal_sign) * scale
+    dz = ds[:, None] * score_batch_grad(z, strategy)  # (n, 2)
+    dh_pre = (dz @ params.w2.T) * (h_pre > 0.0)
+    grads = [rows.T @ dh_pre, dh_pre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
     return total * scale, grads
 
 
@@ -321,6 +348,17 @@ def fit(
     train_prep = [prepare_example(ex, corpus, params, cache) for ex in train_reduced]
     val_prep = [prepare_example(ex, corpus, params, cache) for ex in val_reduced]
 
+    # the loop runs on the active rows of w1 only; see the module docstring
+    touched = np.zeros(params.feature.hash_dim, dtype=bool)
+    for ex in train_prep + val_prep:
+        touched[ex.rows.indices] = True
+    active = np.flatnonzero(touched)
+    position = np.cumsum(touched) - 1  # row of w1 -> its row in the active block
+    train_prep = [_compact(ex, position, active.size) for ex in train_prep]
+    val_prep = [_compact(ex, position, active.size) for ex in val_prep]
+    full_w1 = params.w1
+    params.w1 = full_w1[active]
+
     def eval_losses() -> tuple[float, float]:
         train_loss = batch_loss(params, train_prep, config.strategy, config.literal_sign)
         val_loss = (
@@ -329,23 +367,37 @@ def fit(
         )
         return train_loss, val_loss
 
-    history = [HistoryRow(0, *eval_losses())]
     state = init_adam_state(params.arrays())
-    grad_buffers = [np.zeros_like(a) for a in params.arrays()]
-
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(train_prep))
-        for batch_no, start in enumerate(range(0, len(order), config.batch_queries)):
-            batch = [train_prep[i] for i in order[start: start + config.batch_queries]]
-            try:
-                loss, grads = batch_loss_and_grads(
-                    params, batch, config.strategy, config.literal_sign, grad_buffers
-                )
-            except ValueError as exc:
-                raise DataError(f"training diverged at epoch {epoch}, batch {batch_no}: {exc}") from exc
-            if not np.isfinite(loss):
-                raise DataError(f"training diverged at epoch {epoch}, batch {batch_no}")
-            adamw_step(params.arrays(), grads, state, config)
-        history.append(HistoryRow(epoch, *eval_losses()))
-
+    try:
+        history = [HistoryRow(0, *eval_losses())]
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(len(train_prep))
+            for batch_no, start in enumerate(range(0, len(order), config.batch_queries)):
+                batch = [train_prep[i] for i in order[start: start + config.batch_queries]]
+                try:
+                    loss, grads = batch_loss_and_grads(
+                        params, batch, config.strategy, config.literal_sign
+                    )
+                except (ValueError, DataError) as exc:
+                    raise DataError(
+                        f"training diverged at epoch {epoch}, batch {batch_no}: {exc}"
+                    ) from exc
+                if not np.isfinite(loss):
+                    raise DataError(f"training diverged at epoch {epoch}, batch {batch_no}")
+                adamw_step(params.arrays(), grads, state, config)
+            history.append(HistoryRow(epoch, *eval_losses()))
+    finally:
+        block, params.w1 = params.w1, full_w1
+        if config.weight_decay != 0.0 and state.t:
+            full_w1 *= (1.0 - config.learning_rate * config.weight_decay) ** state.t
+        full_w1[active] = block
     return params, history
+
+
+def _compact(ex: PreparedExample, position: np.ndarray, n_active: int) -> PreparedExample:
+    """``ex`` with its feature columns renumbered to rows of the active block."""
+    rows = ex.rows
+    compacted = sp.csr_array(
+        (rows.data, position[rows.indices], rows.indptr), shape=(rows.shape[0], n_active)
+    )
+    return replace(ex, rows=compacted)

@@ -6,6 +6,7 @@ from distilrank import io
 from distilrank.cli import dispatch
 from distilrank.config import CliConfig
 from distilrank.errors import DataError
+from distilrank.types import Source
 
 
 @pytest.fixture(scope="module")
@@ -333,3 +334,42 @@ class TestPipelineThroughCli(object):
         ]) == 0
         run = io.load_run(out)
         assert all(len(entries) <= 3 for entries in run.values())
+
+    def test_ablate_skips_cells_without_training_examples(self, workdir, tmp_path, capsys):
+        # a BM25-only distilled set leaves no examples once BM25 is excluded
+        distilled = tmp_path / "bm25-only.jsonl"
+        assert dispatch([
+            "distill",
+            "--queries", str(workdir / "queries-train.tsv"),
+            "--corpus", str(workdir / "corpus.jsonl"),
+            "--bm25-index", str(workdir / "index.json"),
+            "--mock-qrels", str(workdir / "qrels-train.txt"),
+            "--k", "10", "--out", str(distilled),
+        ]) == 0
+        assert {ex.source_retriever for ex in io.load_distilled(distilled)} == {Source.BM25}
+        base_run = tmp_path / "eval.trec"
+        assert dispatch([
+            "retrieve", "--method", "bm25", "--index", str(workdir / "index.json"),
+            "--queries", str(workdir / "queries-eval.tsv"), "--k", "10", "--out", str(base_run),
+        ]) == 0
+        grid = tmp_path / "grid.tsv"
+        capsys.readouterr()
+        assert dispatch([
+            "ablate", "--train", str(distilled), "--corpus", str(workdir / "corpus.jsonl"),
+            "--queries", str(workdir / "queries-eval.tsv"),
+            "--qrels", str(workdir / "qrels-eval.txt"), "--base-run", str(base_run),
+            "--epochs", "1", "--batch", "8", "--hash-dim", "1024", "--hidden", "8",
+            "--k-in", "10", "--out", str(grid),
+        ]) == 0
+        rows = [line.split("\t") for line in grid.read_text().splitlines()[1:]]
+        assert len(rows) == 90
+        assert len({tuple(r[:4]) for r in rows}) == 90
+        skipped = [r for r in rows if r[4] == "nan"]
+        assert all(r[5] == "nan" for r in skipped)
+        excluded = {tuple(r[:4]) for r in rows if r[3] == Source.BM25.value}
+        assert {tuple(r[:4]) for r in skipped} == excluded
+        assert all(0.0 <= float(r[4]) <= 1.0 and float(r[5]) >= 0.0
+                   for r in rows if r[4] != "nan")
+        err = capsys.readouterr().err
+        assert err.count("skipped") == len(skipped)
+        assert f"mixed\t{Source.BM25.value}" in err

@@ -1,8 +1,10 @@
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from distilrank.errors import BudgetError, TransportError
 from distilrank.llm import LlmClient, LlmConfig, RetryPolicy, estimate_cost, estimate_run_cost
@@ -167,3 +169,73 @@ class TestCall:
         )
         with pytest.raises(TransportError):
             client.call(MESSAGES)
+
+
+class _FakeResponse:
+    status_code = 200
+
+    def __init__(self, text):
+        self._text = text
+
+    def json(self):
+        return {"choices": [{"message": {"role": "assistant", "content": self._text}}]}
+
+
+def test_concurrent_calls_cannot_overspend_budget(monkeypatch):
+    # every POST stays in flight until all four callers have checked the budget
+    posts = []
+    all_checked = threading.Event()
+
+    def slow_post(url, json, headers, timeout):
+        posts.append(json)
+        all_checked.wait(timeout=5.0)
+        return _FakeResponse("ok")
+
+    monkeypatch.setattr("distilrank.llm.requests.post", slow_post)
+    one_call = estimate_cost(MESSAGES, 0.003, 0.004)
+    client = LlmClient(LlmConfig(endpoint="http://mock.invalid/v1", budget_usd=one_call * 1.5,
+                                 retry=FAST_RETRY))
+    start = threading.Barrier(4)
+    outcomes = []
+    outcomes_lock = threading.Lock()
+
+    def caller():
+        start.wait(timeout=5.0)
+        try:
+            client.call(MESSAGES)
+            result = "sent"
+        except BudgetError:
+            result = "refused"
+        with outcomes_lock:
+            outcomes.append(result)
+            if len(outcomes) == 3:
+                all_checked.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(posts) == 1
+    assert sorted(outcomes) == ["refused", "refused", "refused", "sent"]
+    assert 0.0 < client.spent_usd <= client.config.budget_usd
+
+
+def test_failed_call_releases_its_reservation(monkeypatch):
+    def refused_post(url, json, headers, timeout):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr("distilrank.llm.requests.post", refused_post)
+    client = LlmClient(LlmConfig(endpoint="http://mock.invalid/v1", retry=FAST_RETRY,
+                                 budget_usd=estimate_cost(MESSAGES, 0.003, 0.004) * 1.5))
+    with pytest.raises(TransportError):
+        client.call(MESSAGES)
+    assert client.spent_usd == 0.0
+    monkeypatch.setattr("distilrank.llm.requests.post", lambda *a, **k: _FakeResponse("ok"))
+    assert client.call(MESSAGES) == "ok"

@@ -11,12 +11,14 @@ from distilrank.scorer import (
     SparseVector,
     featurize,
     forward,
+    forward_rows,
     init_params,
     load_checkpoint,
     load_external_logits,
     save_checkpoint,
     score,
     score_batch,
+    stack_rows,
 )
 
 SMALL = FeatureConfig(hash_dim=1 << 12)
@@ -96,6 +98,29 @@ class TestForward:
         vec = SparseVector(np.array([0]), np.array([1.0]))
         with pytest.raises(DataError):
             forward(params, vec)
+
+    def test_out_of_range_index_rejected(self):
+        params = tiny_params()
+        with pytest.raises(ValueError):
+            forward(params, SparseVector(np.array([1, 4]), np.array([1.0, 1.0])))
+        with pytest.raises(ValueError):
+            stack_rows([SparseVector(np.array([-1]), np.array([1.0]))], 4)
+
+    @pytest.mark.parametrize("strategy", list(ScoreStrategy))
+    def test_matches_row_of_batched_forward(self, strategy):
+        params = init_params(FeatureConfig(hash_dim=1 << 8), hidden=8, seed=3)
+        rng = np.random.default_rng(4)
+        params.b1 = rng.normal(0.0, 0.1, size=8)
+        params.b2 = rng.normal(0.0, 0.1, size=2)
+        vectors = [
+            featurize("alpha beta", "beta gamma delta", params.feature),
+            featurize("", "", params.feature),
+            featurize("gamma", "alpha alpha gamma epsilon zeta", params.feature),
+        ]
+        _, _, z = forward_rows(params, stack_rows(vectors, params.feature.hash_dim))
+        batched = score_batch(z, strategy)
+        for i, vec in enumerate(vectors):
+            assert score(forward(params, vec), strategy) == pytest.approx(batched[i], rel=1e-12)
 
     def test_positive_homogeneity_with_zero_biases(self):
         # scaling features by c > 0 cannot flip relu signs, so logits scale by c

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from distilrank.errors import DataError
-from distilrank.scorer import FeatureConfig, ScoreStrategy, init_params
+from distilrank.scorer import (
+    FeatureConfig,
+    ScoreStrategy,
+    featurize,
+    init_params,
+    score_batch,
+    score_batch_grad,
+)
 from distilrank.training import (
     AdamState,
     HistoryRow,
@@ -172,7 +179,7 @@ def tiny_feature():
 
 
 def prepared_batch(params, rng, n_examples=3, m=5):
-    from distilrank.scorer import featurize
+    from distilrank.scorer import stack_rows
 
     batch = []
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
@@ -183,7 +190,7 @@ def prepared_batch(params, rng, n_examples=3, m=5):
             for _ in range(m)
         ]
         ranking = np.asarray(rng.permutation(m) + 1)
-        batch.append(PreparedExample(f"q{e}", features, ranking))
+        batch.append(PreparedExample(f"q{e}", stack_rows(features, params.feature.hash_dim), ranking))
     return batch
 
 
@@ -315,6 +322,102 @@ class TestFit:
         params = init_params(tiny_feature(), hidden=8, seed=0)
         with pytest.raises(DataError, match=examples[0].doc_ids[0]):
             fit(TrainConfig(epochs=1, docs_per_query=4), examples, [], corpus, params)
+
+
+def dense_reference_fit(config, train_examples, val_examples, corpus, params):
+    """fit without active rows or CSR: a per-document forward, an np.outer
+    backward and a full-size adamw_step. Takes every example whole, so it
+    matches fit when docs_per_query >= m and no filter applies."""
+
+    def prepared(examples):
+        return [
+            ([featurize(ex.query_text, corpus[d], params.feature) for d in ex.doc_ids],
+             np.asarray(ex.llm_ranking))
+            for ex in examples
+        ]
+
+    def forward_all(features):
+        h_pre = np.array([params.w1[v.indices].T @ v.values + params.b1 for v in features])
+        h = np.maximum(h_pre, 0.0)
+        return h_pre, h, h @ params.w2 + params.b2
+
+    def mean_loss(data):
+        if not data:
+            return float("nan")
+        return sum(
+            ranknet_loss(score_batch(forward_all(f)[2], config.strategy), r) for f, r in data
+        ) / len(data)
+
+    train, val = prepared(train_examples), prepared(val_examples)
+    history = [HistoryRow(0, mean_loss(train), mean_loss(val))]
+    state = init_adam_state(params.arrays())
+    rng = np.random.default_rng([config.seed, 2])
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(train))
+        for start in range(0, len(order), config.batch_queries):
+            batch = [train[i] for i in order[start: start + config.batch_queries]]
+            grads = [np.zeros_like(a) for a in params.arrays()]
+            gw1, gb1, gw2, gb2 = grads
+            for features, ranking in batch:
+                h_pre, h, z = forward_all(features)
+                ds = ranknet_grad(score_batch(z, config.strategy), ranking) / len(batch)
+                dz = ds[:, None] * score_batch_grad(z, config.strategy)
+                gw2 += h.T @ dz
+                gb2 += dz.sum(axis=0)
+                dh_pre = (dz @ params.w2.T) * (h_pre > 0.0)
+                gb1 += dh_pre.sum(axis=0)
+                for vec, row in zip(features, dh_pre):
+                    gw1[vec.indices] += np.outer(vec.values, row)
+            adamw_step(params.arrays(), grads, state, config)
+        history.append(HistoryRow(epoch, mean_loss(train), mean_loss(val)))
+    return params, history, state.t
+
+
+class TestActiveRowFit:
+    # Under softmax-true-false every parameter gets a gradient that is nonzero
+    # in exact arithmetic, so the two summation orders agree to 1e-12. Under
+    # logit-difference, b2 and the rows of features shared by all documents of
+    # an example get an exactly zero gradient (RankNet is shift-invariant and
+    # its score gradient sums to zero per example); both paths step them by
+    # Adam-normalised rounding noise, at most lr * |noise| / eps per step.
+    @pytest.mark.parametrize(
+        "weight_decay, strategy, noise_atol",
+        [
+            (0.0, ScoreStrategy.SOFTMAX_TRUE_FALSE, 0.0),
+            (0.3, ScoreStrategy.SOFTMAX_TRUE_FALSE, 0.0),
+            (0.01, ScoreStrategy.LOGIT_DIFFERENCE, 9 * 0.01 * 1e-15 / 1e-8),
+        ],
+    )
+    def test_matches_dense_reference(self, weight_decay, strategy, noise_atol):
+        corpus, examples = tiny_corpus_and_examples()
+        train, val = examples[:9], examples[9:]
+        config = TrainConfig(epochs=3, batch_queries=4, docs_per_query=4, seed=9,
+                             learning_rate=0.01, weight_decay=weight_decay, strategy=strategy)
+        theta0 = init_params(tiny_feature(), hidden=8, seed=0).w1.copy()
+
+        ref, ref_history, steps = dense_reference_fit(
+            config, train, val, corpus, init_params(tiny_feature(), hidden=8, seed=0))
+        got, history = fit(config, train, val, corpus, init_params(tiny_feature(), hidden=8, seed=0))
+
+        assert steps == 9
+        for a, b in zip(got.arrays(), ref.arrays()):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=noise_atol)
+        for row, ref_row in zip(history, ref_history):
+            assert row.train_loss == pytest.approx(ref_row.train_loss, rel=1e-12, abs=noise_atol)
+            assert row.val_loss == pytest.approx(ref_row.val_loss, rel=1e-12, abs=noise_atol)
+
+        touched = np.zeros(tiny_feature().hash_dim, dtype=bool)
+        for ex in examples:
+            for doc_id in ex.doc_ids:
+                touched[featurize(ex.query_text, corpus[doc_id], tiny_feature()).indices] = True
+        untouched = ~touched
+        assert 0 < untouched.sum() < untouched.size
+        decayed = theta0[untouched] * (1.0 - config.learning_rate * weight_decay) ** steps
+        np.testing.assert_allclose(got.w1[untouched], decayed, rtol=1e-12, atol=0.0)
+        if weight_decay == 0.0:
+            np.testing.assert_array_equal(got.w1[untouched], theta0[untouched])
+        else:
+            assert not np.array_equal(got.w1[untouched], theta0[untouched])
 
 
 def test_history_tsv_format():
