@@ -39,6 +39,7 @@ from .retrieval import (
 )
 from .scorer import (
     FeatureConfig,
+    FeatureStore,
     LogitPair,
     ScorerParams,
     ScoreStrategy,

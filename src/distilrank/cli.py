@@ -54,6 +54,7 @@ from .retrieval import (
 )
 from .scorer import (
     FeatureConfig,
+    FeatureStore,
     ScoreStrategy,
     init_params,
     load_checkpoint,
@@ -471,6 +472,8 @@ def _cmd_ablate(args, cfg: CliConfig) -> int:
         interaction_cap=cfg.pick(args.interaction_cap, "feature.interaction_cap", 16),
     )
     hidden = cfg.pick(args.hidden, "feature.hidden", 32)
+    # every cell trains and reranks on the same pairs: featurize each once
+    store = FeatureStore(feature)
 
     rows = ["strategy\tdocs\tkind\texcluded_source\tndcg\tfinal_train_loss\n"]
     cells = [
@@ -499,8 +502,8 @@ def _cmd_ablate(args, cfg: CliConfig) -> int:
             excluded_source=source,
         )
         params = init_params(feature, hidden=hidden, seed=args.init_seed)
-        params, history = fit(config, train_examples, [], corpus, params)
-        score_fn = model_score_fn(params, strategy, queries, corpus)
+        params, history = fit(config, train_examples, [], corpus, params, store)
+        score_fn = model_score_fn(params, strategy, queries, corpus, store)
         reranked = rerank_run(base_run, corpus, score_fn, k_in=k_in, k_out=k_in, tag="ablate")
         report = evaluate_run(reranked, qrels, k)
         rows.append(f"{cell}\t{report.mean:.6f}\t{history[-1].train_loss:.6f}\n")

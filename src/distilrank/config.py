@@ -21,7 +21,6 @@ KNOWN_KEYS: dict[str, type] = {
     "crop.min_tokens": int,
     "crop.max_tokens": int,
     "compose.k_pool": int,
-    "compose.k_out": int,
     "llm.endpoint": str,
     "llm.model": str,
     "llm.temperature": float,

@@ -19,7 +19,15 @@ from scipy import stats
 
 from .errors import DataError
 from .io import run_from_ranked
-from .scorer import LogitPair, ScorerParams, ScoreStrategy, featurize, forward, score
+from .scorer import (
+    FeatureStore,
+    LogitPair,
+    ScorerParams,
+    ScoreStrategy,
+    forward_rows,
+    score,
+    score_batch,
+)
 from .types import Qrels, Run
 
 logger = logging.getLogger(__name__)
@@ -145,7 +153,8 @@ def paired_t_test(per_query_a: Mapping[str, float], per_query_b: Mapping[str, fl
     return float(2.0 * stats.t.sf(abs(t), df=len(d) - 1))
 
 
-ScoreFn = Callable[[str, str], float]
+# scores a query's candidates in one call: (query_id, doc_ids) -> one score per doc_id
+ScoreFn = Callable[[str, Sequence[str]], Sequence[float]]
 
 
 def rerank_run(
@@ -156,15 +165,17 @@ def rerank_run(
     k_out: int | None = None,
     tag: str = "reranked",
 ) -> Run:
-    """Re-score the top-k_in of each query with ``score_fn(query_id, doc_id)``
-    and emit the top-k_out, ties broken by ascending doc_id."""
+    """Re-score the top-k_in of each query with one ``score_fn(query_id, doc_ids)``
+    call and emit the top-k_out, ties broken by ascending doc_id."""
     if k_out is None:
         k_out = k_in
     if k_out > k_in:
         raise ValueError(f"k_out={k_out} must not exceed k_in={k_in}")
     ranked: dict[str, list[tuple[str, float]]] = {}
     for qid, entries in run.items():
-        rescored = [(e.doc_id, score_fn(qid, e.doc_id)) for e in entries[:k_in]]
+        doc_ids = [e.doc_id for e in entries[:k_in]]
+        scores = score_fn(qid, doc_ids)
+        rescored = [(doc_id, float(s)) for doc_id, s in zip(doc_ids, scores, strict=True)]
         rescored.sort(key=lambda d: (-d[1], d[0]))
         ranked[qid] = rescored[:k_out]
     return run_from_ranked(ranked, tag)
@@ -175,16 +186,24 @@ def model_score_fn(
     strategy: ScoreStrategy,
     queries: Mapping[str, str],
     corpus: Mapping[str, str],
+    store: FeatureStore | None = None,
 ) -> ScoreFn:
-    """Score function that featurizes and forwards through the trained scorer."""
+    """Score function that featurizes a query's documents and forwards them
+    through the trained scorer as one batch.
 
-    def fn(query_id: str, doc_id: str) -> float:
+    ``store`` must use ``params.feature``; pass one to reuse features across
+    score functions. Without one, each call featurizes its pairs afresh and
+    keeps none of them.
+    """
+    if store is not None and store.config != params.feature:
+        raise ValueError("the feature store and the scorer use different feature configs")
+
+    def fn(query_id: str, doc_ids: Sequence[str]) -> np.ndarray:
         if query_id not in queries:
             raise DataError(f"query {query_id!r} has no text available for scoring")
-        if doc_id not in corpus:
-            raise DataError(f"document {doc_id!r} missing from corpus")
-        logits = forward(params, featurize(queries[query_id], corpus[doc_id], params.feature))
-        return score(logits, strategy)
+        pairs = store if store is not None else FeatureStore(params.feature)
+        _, _, z = forward_rows(params, pairs.rows(queries[query_id], doc_ids, corpus))
+        return score_batch(z, strategy)
 
     return fn
 
@@ -195,10 +214,13 @@ def external_logit_score_fn(
 ) -> ScoreFn:
     """Score function over externally computed (z_true, z_false) pairs."""
 
-    def fn(query_id: str, doc_id: str) -> float:
-        key = (query_id, doc_id)
-        if key not in logit_map:
-            raise DataError(f"external logits missing pair {key}")
-        return score(logit_map[key], strategy)
+    def fn(query_id: str, doc_ids: Sequence[str]) -> list[float]:
+        scores = []
+        for doc_id in doc_ids:
+            key = (query_id, doc_id)
+            if key not in logit_map:
+                raise DataError(f"external logits missing pair {key}")
+            scores.append(score(logit_map[key], strategy))
+        return scores
 
     return fn

@@ -5,7 +5,8 @@ logits.
 
 There is one forward path, `forward_rows`: a stack of feature vectors as the
 rows of a CSR matrix X, then ``relu(X @ w1 + b1) @ w2 + b2``. `forward` is its
-one-row case.
+one-row case. A `FeatureStore` featurizes each (query, document) pair once and
+hands a query's documents to it as those rows.
 
 Checkpoint file layout: one JSON header line (shapes, feature config, version,
 strategy) followed by raw little-endian float32 arrays for w1, b1, w2, b2 in
@@ -15,11 +16,12 @@ that order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 from zlib import crc32
 
 import numpy as np
@@ -157,20 +159,16 @@ def init_params(
     )
 
 
-def _csr(values: np.ndarray, indices: np.ndarray, indptr: np.ndarray, n_cols: int) -> sp.csr_array:
-    # scipy trusts the column indices; its products read out of bounds on a bad one
-    if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
-        raise ValueError(f"feature index outside 0..{n_cols - 1}")
-    return sp.csr_array((values, indices, indptr), shape=(indptr.shape[0] - 1, n_cols))
-
-
 def stack_rows(vectors: Sequence[SparseVector], n_cols: int) -> sp.csr_array:
     """The vectors as the rows of one (len(vectors), n_cols) CSR matrix."""
     indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
     np.cumsum([v.nnz for v in vectors], out=indptr[1:])
     indices = np.concatenate([np.empty(0, dtype=np.int64)] + [v.indices for v in vectors])
     values = np.concatenate([np.empty(0)] + [v.values for v in vectors])
-    return _csr(values, indices, indptr, n_cols)
+    # scipy trusts the column indices; its products read out of bounds on a bad one
+    if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
+        raise ValueError(f"feature index outside 0..{n_cols - 1}")
+    return sp.csr_array((values, indices, indptr), shape=(len(vectors), n_cols))
 
 
 def forward_rows(
@@ -192,11 +190,35 @@ def forward_rows(
 
 def forward(params: ScorerParams, features: SparseVector) -> LogitPair:
     """relu hidden layer then affine two-logit head; rejects non-finite output."""
-    # built directly: rerank calls this once per pair, and stack_rows' list
-    # handling would cost as much again as the product on one row
-    row = _csr(features.values, features.indices, np.array([0, features.nnz]), params.w1.shape[0])
-    _, _, z = forward_rows(params, row)
+    _, _, z = forward_rows(params, stack_rows([features], params.w1.shape[0]))
     return LogitPair(float(z[0, 0]), float(z[0, 1]))
+
+
+class FeatureStore:
+    """The features of (query text, doc_id) pairs under one `FeatureConfig`,
+    each pair featurized once, on its first request.
+
+    One store serves one corpus: a doc_id stands for its text there. It keeps
+    every vector it has made for as long as it lives, so share one only
+    between callers that request the same pairs again.
+    """
+
+    def __init__(self, config: FeatureConfig) -> None:
+        self.config = config
+        self._vectors: dict[tuple[str, str], SparseVector] = {}
+
+    def rows(self, query: str, doc_ids: Sequence[str], corpus: Mapping[str, str]) -> sp.csr_array:
+        """The features of ``query`` with each document, as the rows of one CSR matrix."""
+        vectors = []
+        for doc_id in doc_ids:
+            vec = self._vectors.get((query, doc_id))
+            if vec is None:
+                if doc_id not in corpus:
+                    raise DataError(f"document {doc_id!r} missing from corpus")
+                vec = featurize(query, corpus[doc_id], self.config)
+                self._vectors[query, doc_id] = vec
+            vectors.append(vec)
+        return stack_rows(vectors, self.config.hash_dim)
 
 
 def score(logits: LogitPair, strategy: ScoreStrategy) -> float:
@@ -302,7 +324,10 @@ def load_external_logits(lines: Iterable[str]) -> dict[tuple[str, str], LogitPai
         if key in logits:
             raise DataError(f"logits line {lineno}: duplicate pair {key}")
         try:
-            logits[key] = LogitPair(float(parts[2]), float(parts[3]))
+            pair = LogitPair(float(parts[2]), float(parts[3]))
         except ValueError:
             raise DataError(f"logits line {lineno}: non-numeric logit") from None
+        if not (math.isfinite(pair.z_true) and math.isfinite(pair.z_false)):
+            raise DataError(f"logits line {lineno}: non-finite logit")
+        logits[key] = pair
     return logits

@@ -34,10 +34,9 @@ from scipy.special import expit
 
 from .errors import DataError
 from .scorer import (
+    FeatureStore,
     ScorerParams,
     ScoreStrategy,
-    SparseVector,
-    featurize,
     forward_rows,
     score_batch,
     score_batch_grad,
@@ -227,25 +226,12 @@ def write_history(history: Sequence[HistoryRow]) -> str:
 def prepare_example(
     example: DistilledExample,
     corpus: Mapping[str, str],
-    params: ScorerParams,
-    cache: dict[tuple[str, str], SparseVector] | None = None,
+    store: FeatureStore,
 ) -> PreparedExample:
-    features = []
-    for doc_id in example.doc_ids:
-        key = (example.query_id, doc_id)
-        vec = cache.get(key) if cache is not None else None
-        if vec is None:
-            if doc_id not in corpus:
-                raise DataError(f"document {doc_id!r} missing from corpus")
-            vec = featurize(example.query_text, corpus[doc_id], params.feature)
-            if cache is not None:
-                cache[key] = vec
-        features.append(vec)
+    rows = store.rows(example.query_text, example.doc_ids, corpus)
     ranking = np.asarray(example.llm_ranking, dtype=np.int64)
-    _check_permutation(ranking, len(features))
-    return PreparedExample(
-        example.query_id, stack_rows(features, params.feature.hash_dim), ranking
-    )
+    _check_permutation(ranking, rows.shape[0])
+    return PreparedExample(example.query_id, rows, ranking)
 
 
 def _stack(batch: Sequence[PreparedExample]) -> tuple[sp.csr_array, np.ndarray]:
@@ -317,6 +303,7 @@ def fit(
     val_examples: Sequence[DistilledExample],
     corpus: Mapping[str, str],
     params: ScorerParams,
+    store: FeatureStore | None = None,
 ) -> tuple[ScorerParams, list[HistoryRow]]:
     """Train the scorer with RankNet + AdamW; deterministic given the seed.
 
@@ -325,6 +312,10 @@ def fit(
     seed derived from the config seed. History row 0 holds the pre-training
     losses; row e holds the losses after epoch e, all evaluated on the reduced
     examples.
+
+    ``store`` supplies the features and must use ``params.feature``. Pass one
+    to share features across fits; without one, a store local to this call
+    featurizes each pair once and is freed before the first epoch.
     """
     train_filtered = filter_examples(train_examples, config.kind_filter, config.excluded_source)
     if not train_filtered:
@@ -344,9 +335,13 @@ def fit(
     train_reduced = reduce_all(train_filtered, rng_train)
     val_reduced = reduce_all(val_examples, rng_val)
 
-    cache: dict[tuple[str, str], SparseVector] = {}
-    train_prep = [prepare_example(ex, corpus, params, cache) for ex in train_reduced]
-    val_prep = [prepare_example(ex, corpus, params, cache) for ex in val_reduced]
+    if store is None:
+        store = FeatureStore(params.feature)
+    elif store.config != params.feature:
+        raise ValueError("the feature store and the scorer use different feature configs")
+    train_prep = [prepare_example(ex, corpus, store) for ex in train_reduced]
+    val_prep = [prepare_example(ex, corpus, store) for ex in val_reduced]
+    del store  # the loop reads only the rows; a store made here is freed now
 
     # the loop runs on the active rows of w1 only; see the module docstring
     touched = np.zeros(params.feature.hash_dim, dtype=bool)

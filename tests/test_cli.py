@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from distilrank import io
+from distilrank import io, scorer
 from distilrank.cli import dispatch
 from distilrank.config import CliConfig
 from distilrank.errors import DataError
@@ -34,6 +34,10 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(DataError, match="unknown key"):
             CliConfig.parse(["no.such.key = 1\n"])
+
+    def test_unread_compose_k_out_rejected(self):
+        with pytest.raises(DataError, match="unknown key"):
+            CliConfig.parse(["compose.k_out = 10\n"])
 
     def test_bad_value_rejected(self):
         with pytest.raises(DataError, match="expected int"):
@@ -205,6 +209,19 @@ class TestPipelineThroughCli(object):
         ]) == 0
         assert io.load_run(out)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_rerank_rejects_non_finite_external_logits(self, workdir, tmp_path, bad):
+        run = tmp_path / "run.trec"
+        run.write_text("q1 Q0 d1 1 2.0 bm25\nq1 Q0 d2 2 1.0 bm25\n")
+        logits = tmp_path / "logits.tsv"
+        logits.write_text(f"q1\td1\t{bad}\t0.0\nq1\td2\t0.5\t0.0\n")
+        out = tmp_path / "ext.trec"
+        assert dispatch([
+            "rerank", "--run", str(run), "--corpus", str(workdir / "corpus.jsonl"),
+            "--external-logits", str(logits), "--k-in", "2", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
     def test_retrieve_dense_and_runfile(self, workdir, tmp_path):
         # dense: one-hot vectors make scores predictable
         store = tmp_path / "store.jsonl"
@@ -373,3 +390,41 @@ class TestPipelineThroughCli(object):
         err = capsys.readouterr().err
         assert err.count("skipped") == len(skipped)
         assert f"mixed\t{Source.BM25.value}" in err
+
+    def test_ablate_featurizes_each_pair_once(self, workdir, tmp_path, monkeypatch):
+        distilled = tmp_path / "distilled.jsonl"
+        assert dispatch([
+            "distill",
+            "--queries", str(workdir / "queries-train.tsv"),
+            "--corpus", str(workdir / "corpus.jsonl"),
+            "--bm25-index", str(workdir / "index.json"),
+            "--mock-qrels", str(workdir / "qrels-train.txt"),
+            "--k", "10", "--out", str(distilled),
+        ]) == 0
+        base_run = tmp_path / "eval.trec"
+        assert dispatch([
+            "retrieve", "--method", "bm25", "--index", str(workdir / "index.json"),
+            "--queries", str(workdir / "queries-eval.tsv"), "--k", "10", "--out", str(base_run),
+        ]) == 0
+        calls = []
+
+        def counted(query, document, config):
+            calls.append((query, document))
+            return featurize(query, document, config)
+
+        featurize = scorer.featurize
+        monkeypatch.setattr(scorer, "featurize", counted)
+        assert dispatch([
+            "ablate", "--train", str(distilled), "--corpus", str(workdir / "corpus.jsonl"),
+            "--queries", str(workdir / "queries-eval.tsv"),
+            "--qrels", str(workdir / "qrels-eval.txt"), "--base-run", str(base_run),
+            "--epochs", "1", "--batch", "8", "--hash-dim", "1024", "--hidden", "8",
+            "--k-in", "10", "--out", str(tmp_path / "grid.tsv"),
+        ]) == 0
+        corpus = {d.doc_id: d.text for d in io.load_corpus(workdir / "corpus.jsonl")}
+        texts = {q.query_id: q.text for q in io.load_queries(workdir / "queries-eval.tsv")}
+        pairs = {(ex.query_text, d) for ex in io.load_distilled(distilled) for d in ex.doc_ids}
+        pairs |= {(texts[qid], e.doc_id) for qid, entries in io.load_run(base_run).items()
+                  for e in entries}
+        assert len(calls) == len(pairs)
+        assert set(calls) == {(text, corpus[d]) for text, d in pairs}

@@ -17,7 +17,16 @@ from distilrank.evaluation import (
     write_per_query,
 )
 from distilrank.io import run_from_ranked
-from distilrank.scorer import FeatureConfig, LogitPair, ScoreStrategy, init_params
+from distilrank.scorer import (
+    FeatureConfig,
+    FeatureStore,
+    LogitPair,
+    ScoreStrategy,
+    featurize,
+    forward,
+    init_params,
+    score,
+)
 
 
 class TestNdcg:
@@ -184,7 +193,7 @@ class TestRerankRun:
 
     def test_equal_scores_fall_back_to_doc_id_order(self):
         run = run_of({"q1": ["d3", "d0", "d4", "d1"]})
-        out = rerank_run(run, self.corpus(), lambda q, d: 1.0, k_in=4, k_out=4)
+        out = rerank_run(run, self.corpus(), lambda q, ds: [1.0] * len(ds), k_in=4, k_out=4)
         assert [e.doc_id for e in out["q1"]] == ["d0", "d1", "d3", "d4"]
 
     def test_oracle_logits_give_perfect_ndcg(self):
@@ -208,6 +217,26 @@ class TestRerankRun:
             outs.append([e.doc_id for e in out["q1"]])
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("strategy", list(ScoreStrategy))
+    def test_batched_scores_match_per_pair_forward(self, strategy):
+        params = init_params(FeatureConfig(hash_dim=1 << 10), hidden=8, seed=2)
+        rng = np.random.default_rng(6)
+        params.b1 = rng.normal(0.0, 0.1, size=8)
+        params.b2 = rng.normal(0.0, 0.1, size=2)
+        corpus = self.corpus() | {"empty": ""}
+        queries = {"q1": "document body 3", "q2": "body"}
+        doc_ids = ["d3", "empty", "d0", "d4", "d1", "d2"]
+        store = FeatureStore(params.feature)
+        for fn in (model_score_fn(params, strategy, queries, corpus),
+                   model_score_fn(params, strategy, queries, corpus, store)):
+            for qid, text in queries.items():
+                batched = fn(qid, doc_ids)
+                per_pair = [score(forward(params, featurize(text, corpus[d], params.feature)),
+                                  strategy) for d in doc_ids]
+                # equal up to BLAS rounding: the head's dense product sums in
+                # an order that depends on the number of rows
+                np.testing.assert_allclose(batched, per_pair, rtol=1e-12, atol=1e-15)
+
     def test_missing_document_named(self):
         run = run_of({"q1": ["d0", "nope"]})
         fn = model_score_fn(
@@ -221,6 +250,8 @@ class TestRerankRun:
 
     def test_k_out_truncates(self):
         run = run_of({"q1": [f"d{i}" for i in range(5)]})
-        out = rerank_run(run, self.corpus(), lambda q, d: float(d[-1]), k_in=5, k_out=2)
+        out = rerank_run(
+            run, self.corpus(), lambda q, ds: [float(d[-1]) for d in ds], k_in=5, k_out=2
+        )
         assert len(out["q1"]) == 2
         assert out["q1"][0].doc_id == "d4"

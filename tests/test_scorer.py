@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from distilrank import scorer
 from distilrank.errors import DataError
 from distilrank.scorer import (
     FeatureConfig,
+    FeatureStore,
     LogitPair,
     ScorerParams,
     ScoreStrategy,
@@ -189,6 +191,34 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+class TestFeatureStore:
+    def test_featurizes_each_pair_once(self, monkeypatch):
+        calls = []
+
+        def counted(query, document, config):
+            calls.append((query, document))
+            return featurize(query, document, config)
+
+        monkeypatch.setattr(scorer, "featurize", counted)
+        corpus = {"d1": "beta gamma", "d2": "gamma delta epsilon", "d3": ""}
+        store = FeatureStore(SMALL)
+        first = store.rows("alpha gamma", ["d1", "d2", "d1"], corpus)
+        again = store.rows("alpha gamma", ["d3", "d2"], corpus)
+        store.rows("other query", ["d1"], corpus)
+        assert calls == [("alpha gamma", "beta gamma"), ("alpha gamma", "gamma delta epsilon"),
+                         ("alpha gamma", ""), ("other query", "beta gamma")]
+        expected = stack_rows(
+            [featurize("alpha gamma", corpus[d], SMALL) for d in ("d1", "d2", "d1")],
+            SMALL.hash_dim,
+        )
+        assert first.shape == (3, SMALL.hash_dim) and again.shape == (2, SMALL.hash_dim)
+        np.testing.assert_array_equal(first.toarray(), expected.toarray())
+
+    def test_missing_document_named(self):
+        with pytest.raises(DataError, match="nope"):
+            FeatureStore(SMALL).rows("q", ["nope"], {})
+
+
 class TestExternalLogits:
     def test_single_line(self):
         logits = load_external_logits(["q1\td1\t2.5\t-1.0\n"])
@@ -201,3 +231,8 @@ class TestExternalLogits:
     def test_difference_scoring_of_loaded_logits(self):
         logits = load_external_logits(["q1\td1\t2.5\t-1.5\n"])
         assert score(logits[("q1", "d1")], ScoreStrategy.LOGIT_DIFFERENCE) == 4.0
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DataError, match="line 2.*non-finite"):
+            load_external_logits(["q1\td1\t1\t0\n", f"q1\td2\t0\t{bad}\n"])

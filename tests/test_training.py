@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from distilrank.errors import DataError
 from distilrank.scorer import (
     FeatureConfig,
+    FeatureStore,
     ScoreStrategy,
     featurize,
     init_params,
@@ -315,6 +317,29 @@ class TestFit:
                 TrainConfig(kind_filter=KindFilter.GENERATED_ONLY),
                 only_cropped, [], corpus, params,
             )
+
+    def test_store_filled_by_an_earlier_fit_changes_nothing(self):
+        corpus, examples = tiny_corpus_and_examples()
+        config = TrainConfig(epochs=2, batch_queries=4, docs_per_query=3, seed=9)
+        shared = FeatureStore(tiny_feature())
+        # an earlier fit on other settings fills the shared store
+        fit(replace(config, docs_per_query=4, seed=1), examples, examples[:4], corpus,
+            init_params(tiny_feature(), hidden=8, seed=5), shared)
+        trained = []
+        for store in (FeatureStore(tiny_feature()), shared):
+            params = init_params(tiny_feature(), hidden=8, seed=0)
+            trained.append(fit(config, examples, examples[:4], corpus, params, store))
+        (fresh, fresh_history), (reused, reused_history) = trained
+        for a, b in zip(fresh.arrays(), reused.arrays()):
+            np.testing.assert_array_equal(a, b)
+        assert fresh_history == reused_history  # bitwise-identical floats
+
+    def test_store_with_other_feature_config_rejected(self):
+        corpus, examples = tiny_corpus_and_examples()
+        params = init_params(tiny_feature(), hidden=8, seed=0)
+        with pytest.raises(ValueError, match="feature config"):
+            fit(TrainConfig(epochs=1, docs_per_query=4), examples, [], corpus, params,
+                FeatureStore(FeatureConfig(hash_dim=1 << 11)))
 
     def test_missing_document_named(self):
         corpus, examples = tiny_corpus_and_examples()
