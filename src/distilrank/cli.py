@@ -7,6 +7,7 @@ error. Stages hand files to each other; all randomness is seeded from --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .augment import (
     split_dataset,
     write_assignment,
 )
-from .config import CliConfig
+from .config import OPTIONS, CliConfig, resolve
 from .distill import (
     DEFAULT_TEMPLATE,
     WindowPlan,
@@ -88,21 +89,13 @@ def _corpus_map(path: str) -> dict[str, str]:
     return {d.doc_id: d.text for d in io.load_corpus(path)}
 
 
-def _strategy(name: str) -> ScoreStrategy:
+def _choice(enum, name: str):
     try:
-        return ScoreStrategy(name)
+        return enum(name)
     except ValueError:
         raise DataError(
-            f"unknown strategy {name!r}; choose from "
-            + ", ".join(s.value for s in ScoreStrategy)
+            f"unknown {enum.__name__} {name!r}; choose from " + ", ".join(e.value for e in enum)
         ) from None
-
-
-def _kind_filter(name: str) -> KindFilter:
-    try:
-        return KindFilter(name)
-    except ValueError:
-        raise DataError(f"unknown kind filter {name!r}") from None
 
 
 def _source_or_none(name: str) -> Source | None:
@@ -125,14 +118,23 @@ def _load_per_query_tsv(path: str) -> dict[str, float]:
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 2:
             raise DataError(f"{path} line {lineno}: expected 2 columns")
-        values[parts[0]] = float(parts[1])
+        query_id, raw = parts
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise DataError(f"{path} line {lineno}: expected a finite number, got {raw!r}")
+        if query_id in values:
+            raise DataError(f"{path} line {lineno}: query {query_id!r} appears twice")
+        values[query_id] = value
     return values
 
 
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_synth(args, cfg: CliConfig) -> int:
+def _cmd_synth(args, opts: dict) -> int:
     bench = synth_benchmark(
         n_topics=args.topics,
         n_docs=args.docs,
@@ -159,17 +161,16 @@ def _cmd_synth(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_index_build(args, cfg: CliConfig) -> int:
-    k1 = cfg.pick(args.k1, "bm25.k1", 0.9)
-    b = cfg.pick(args.b, "bm25.b", 0.4)
+def _cmd_index_build(args, opts: dict) -> int:
+    k1, b = opts["bm25.k1"], opts["bm25.b"]
     index = build_index(io.load_corpus(args.corpus), k1=k1, b=b)
     save_index(index, args.out)
     print(f"index: {index.n_docs} docs, {len(index.postings)} terms, k1={k1} b={b} -> {args.out}")
     return 0
 
 
-def _cmd_retrieve(args, cfg: CliConfig) -> int:
-    k = cfg.pick(args.k, "retrieve.k", 30)
+def _cmd_retrieve(args, opts: dict) -> int:
+    k = opts["retrieve.k"]
     queries = io.load_queries(args.queries)
     ranked: dict[str, list[tuple[str, float]]] = {}
     if args.method == "bm25":
@@ -210,11 +211,11 @@ def _cmd_retrieve(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_augment_crop(args, cfg: CliConfig) -> int:
+def _cmd_augment_crop(args, opts: dict) -> int:
     config = CropConfig(
         n=args.n,
-        min_tokens=cfg.pick(args.min_tokens, "crop.min_tokens", 5),
-        max_tokens=cfg.pick(args.max_tokens, "crop.max_tokens", 40),
+        min_tokens=opts["crop.min_tokens"],
+        max_tokens=opts["crop.max_tokens"],
         seed=args.seed,
     )
     queries = crop_sentences(io.load_corpus(args.corpus), config)
@@ -223,14 +224,14 @@ def _cmd_augment_crop(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_augment_load_generated(args, cfg: CliConfig) -> int:
+def _cmd_augment_load_generated(args, opts: dict) -> int:
     queries = load_generated(_read_lines(args.pool), n=args.n, seed=args.seed)
     io.save_text(args.out, io.write_queries(queries))
     print(f"augment load-generated: {len(queries)} queries -> {args.out}")
     return 0
 
 
-def _cmd_assign_sources(args, cfg: CliConfig) -> int:
+def _cmd_assign_sources(args, opts: dict) -> int:
     queries = io.load_queries(args.queries)
     assignment = assign_sources(queries, seed=args.seed)
     io.save_text(args.out, write_assignment(assignment))
@@ -242,7 +243,7 @@ def _cmd_assign_sources(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_split(args, cfg: CliConfig) -> int:
+def _cmd_split(args, opts: dict) -> int:
     examples = io.load_distilled(args.distilled)
     train, val = split_dataset(examples, n_val=args.n_val, seed=args.seed)
     io.save_text(args.out_train, io.write_distilled(train))
@@ -251,11 +252,11 @@ def _cmd_split(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_distill(args, cfg: CliConfig) -> int:
+def _cmd_distill(args, opts: dict) -> int:
     queries = io.load_queries(args.queries)
     corpus = _corpus_map(args.corpus)
     assignment = parse_assignment(_read_lines(args.assignment)) if args.assignment else {}
-    k = cfg.pick(args.k, "retrieve.k", 30)
+    k = opts["retrieve.k"]
 
     index = load_index(args.bm25_index) if args.bm25_index else None
     searchers: dict[Source, RunfileSearcher] = {}
@@ -269,7 +270,7 @@ def _cmd_distill(args, cfg: CliConfig) -> int:
     if args.monot5_scores:
         if index is None:
             raise _UsageError("--monot5-scores needs --bm25-index to build the base run")
-        k_pool = cfg.pick(args.k_pool, "compose.k_pool", 100)
+        k_pool = opts["compose.k_pool"]
         score_map = load_score_map(_read_lines(args.monot5_scores))
         base: dict[str, list[tuple[str, float]]] = {}
         for q in queries:
@@ -303,41 +304,33 @@ def _cmd_distill(args, cfg: CliConfig) -> int:
 
     if args.mock_qrels:
         llm = mock_llm(io.load_qrels(args.mock_qrels))
-        max_in_flight = cfg.pick(args.max_in_flight, "llm.max_in_flight", 4)
     else:
-        endpoint = cfg.pick(args.endpoint, "llm.endpoint", None)
-        if not endpoint:
+        if not opts["llm.endpoint"]:
             raise _UsageError("either --mock-qrels or --endpoint is required")
         llm_config = LlmConfig(
-            endpoint=endpoint,
-            model=cfg.pick(args.model, "llm.model", "gpt-3.5-turbo-16k-0613"),
-            temperature=cfg.pick(args.temperature, "llm.temperature", 0.0),
-            max_in_flight=cfg.pick(args.max_in_flight, "llm.max_in_flight", 4),
+            endpoint=opts["llm.endpoint"],
+            model=opts["llm.model"],
+            temperature=opts["llm.temperature"],
+            max_in_flight=opts["llm.max_in_flight"],
             retry=RetryPolicy(
-                max_attempts=cfg.pick(None, "llm.retry_max_attempts", 5),
-                backoff_base=cfg.pick(None, "llm.backoff_base", 1.0),
-                backoff_factor=cfg.pick(None, "llm.backoff_factor", 2.0),
+                max_attempts=opts["llm.retry_max_attempts"],
+                backoff_base=opts["llm.backoff_base"],
+                backoff_factor=opts["llm.backoff_factor"],
             ),
-            budget_usd=cfg.pick(args.budget_usd, "llm.budget_usd", float("inf")),
-            prompt_price_per_1k=cfg.pick(None, "llm.prompt_price_per_1k", 0.003),
-            completion_price_per_1k=cfg.pick(None, "llm.completion_price_per_1k", 0.004),
-            timeout_s=cfg.pick(None, "llm.timeout_s", 60.0),
+            budget_usd=opts["llm.budget_usd"],
+            prompt_price_per_1k=opts["llm.prompt_price_per_1k"],
+            completion_price_per_1k=opts["llm.completion_price_per_1k"],
+            timeout_s=opts["llm.timeout_s"],
         )
         client = LlmClient(llm_config, log_path=args.llm_log)
         template = load_template(args.prompt_template) if args.prompt_template else DEFAULT_TEMPLATE
-        budget_word_cap = cfg.pick(args.passage_words, "prompt.passage_word_budget", 120)
-        llm = api_llm(client, template, budget_word_cap)
-        max_in_flight = llm_config.max_in_flight
+        llm = api_llm(client, template, opts["prompt.passage_word_budget"])
 
-    plan = WindowPlan(
-        window=cfg.pick(args.window, "window.size", 30),
-        step=cfg.pick(args.step, "window.step", 30),
-    )
     result = distill(
         queries, retrieve, llm,
         journal_path=args.journal,
-        plan=plan,
-        max_in_flight=max_in_flight,
+        plan=WindowPlan(window=opts["window.size"], step=opts["window.step"]),
+        max_in_flight=opts["llm.max_in_flight"],
     )
     io.save_text(args.out, io.write_distilled(result.examples))
     print(
@@ -349,31 +342,28 @@ def _cmd_distill(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_train(args, cfg: CliConfig) -> int:
+def _cmd_train(args, opts: dict) -> int:
     train_examples = io.load_distilled(args.train)
     val_examples = io.load_distilled(args.val) if args.val else []
     corpus = _corpus_map(args.corpus)
-    feature = FeatureConfig(
-        hash_dim=cfg.pick(args.hash_dim, "feature.hash_dim", 1 << 18),
-        interaction_cap=cfg.pick(args.interaction_cap, "feature.interaction_cap", 16),
-    )
+    feature = FeatureConfig(hash_dim=opts["feature.hash_dim"],
+                            interaction_cap=opts["feature.interaction_cap"])
     config = TrainConfig(
-        batch_queries=cfg.pick(args.batch, "train.batch", 32),
-        docs_per_query=cfg.pick(args.docs, "train.docs", 30),
-        learning_rate=cfg.pick(args.lr, "train.lr", 1e-3),
-        beta1=cfg.pick(None, "train.beta1", 0.9),
-        beta2=cfg.pick(None, "train.beta2", 0.999),
-        eps=cfg.pick(None, "train.eps", 1e-8),
-        weight_decay=cfg.pick(args.weight_decay, "train.weight_decay", 0.01),
-        epochs=cfg.pick(args.epochs, "train.epochs", 10),
+        batch_queries=opts["train.batch"],
+        docs_per_query=opts["train.docs"],
+        learning_rate=opts["train.lr"],
+        beta1=opts["train.beta1"],
+        beta2=opts["train.beta2"],
+        eps=opts["train.eps"],
+        weight_decay=opts["train.weight_decay"],
+        epochs=opts["train.epochs"],
         seed=args.seed,
-        strategy=_strategy(cfg.pick(args.strategy, "train.strategy", "logit-difference")),
-        kind_filter=_kind_filter(cfg.pick(args.kind, "train.kind", "mixed")),
-        excluded_source=_source_or_none(cfg.pick(args.exclude_source, "train.exclude_source", "none")),
-        literal_sign=bool(cfg.pick(args.literal_sign or None, "train.literal_sign", False)),
+        strategy=_choice(ScoreStrategy, opts["train.strategy"]),
+        kind_filter=_choice(KindFilter, opts["train.kind"]),
+        excluded_source=_source_or_none(opts["train.exclude_source"]),
+        literal_sign=opts["train.literal_sign"],
     )
-    params = init_params(feature, hidden=cfg.pick(args.hidden, "feature.hidden", 64),
-                         seed=args.init_seed)
+    params = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
     params, history = fit(config, train_examples, val_examples, corpus, params)
     save_checkpoint(params, config.strategy, args.checkpoint)
     if args.history:
@@ -385,20 +375,21 @@ def _cmd_train(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_rerank(args, cfg: CliConfig) -> int:
+def _cmd_rerank(args, opts: dict) -> int:
     run = io.load_run(args.run)
     corpus = _corpus_map(args.corpus)
-    k_in = cfg.pick(args.k_in, "rerank.k_in", 100)
-    k_out = cfg.pick(args.k_out, "rerank.k_out", k_in)
+    k_in = opts["rerank.k_in"]
+    k_out = k_in if opts["rerank.k_out"] is None else opts["rerank.k_out"]
     if args.checkpoint:
         params, ckpt_strategy = load_checkpoint(args.checkpoint)
-        strategy = _strategy(args.strategy) if args.strategy else ckpt_strategy
+        strategy = _choice(ScoreStrategy, args.strategy) if args.strategy else ckpt_strategy
         if not args.queries:
             raise _UsageError("reranking with a checkpoint requires --queries for query texts")
         queries = {q.query_id: q.text for q in io.load_queries(args.queries)}
         score_fn = model_score_fn(params, strategy, queries, corpus)
     elif args.external_logits:
-        strategy = _strategy(args.strategy) if args.strategy else ScoreStrategy.LOGIT_DIFFERENCE
+        strategy = (_choice(ScoreStrategy, args.strategy) if args.strategy
+                    else ScoreStrategy.LOGIT_DIFFERENCE)
         logits = load_external_logits(_read_lines(args.external_logits))
         score_fn = external_logit_score_fn(logits, strategy)
     else:
@@ -409,8 +400,8 @@ def _cmd_rerank(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_eval_ndcg(args, cfg: CliConfig) -> int:
-    k = cfg.pick(args.k, "eval.k", 10)
+def _cmd_eval_ndcg(args, opts: dict) -> int:
+    k = opts["eval.k"]
     report = evaluate_run(io.load_run(args.run), io.load_qrels(args.qrels), k)
     if args.per_query:
         io.save_text(args.per_query, write_per_query(report))
@@ -424,12 +415,14 @@ def _parse_labeled_runs(pairs: list[str]) -> dict[str, Run]:
         label, sep, path = pair.partition("=")
         if not sep:
             raise _UsageError(f"expected label=path, got {pair!r}")
+        if label in runs:
+            raise _UsageError(f"run label {label!r} given twice")
         runs[label] = io.load_run(path)
     return runs
 
 
-def _cmd_eval_intersection(args, cfg: CliConfig) -> int:
-    n = cfg.pick(args.n, "eval.n", 30)
+def _cmd_eval_intersection(args, opts: dict) -> int:
+    n = opts["eval.n"]
     runs = _parse_labeled_runs(args.run)
     labels, upper = intersection_matrix(runs, n)
     lower = None
@@ -445,7 +438,7 @@ def _cmd_eval_intersection(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_eval_ttest(args, cfg: CliConfig) -> int:
+def _cmd_eval_ttest(args, opts: dict) -> int:
     a = _load_per_query_tsv(args.a)
     b = _load_per_query_tsv(args.b)
     p = paired_t_test(a, b)
@@ -459,19 +452,15 @@ _ABLATION_KINDS = (KindFilter.MIXED, KindFilter.CROPPED_ONLY, KindFilter.GENERAT
 _ABLATION_SOURCES = (None,) + SOURCES
 
 
-def _cmd_ablate(args, cfg: CliConfig) -> int:
+def _cmd_ablate(args, opts: dict) -> int:
     train_examples = io.load_distilled(args.train)
     corpus = _corpus_map(args.corpus)
     queries = {q.query_id: q.text for q in io.load_queries(args.queries)}
     qrels = io.load_qrels(args.qrels)
     base_run = io.load_run(args.base_run)
-    k = cfg.pick(args.k, "eval.k", 10)
-    k_in = cfg.pick(args.k_in, "rerank.k_in", 30)
-    feature = FeatureConfig(
-        hash_dim=cfg.pick(args.hash_dim, "feature.hash_dim", 1 << 14),
-        interaction_cap=cfg.pick(args.interaction_cap, "feature.interaction_cap", 16),
-    )
-    hidden = cfg.pick(args.hidden, "feature.hidden", 32)
+    k_in = opts["rerank.k_in"]
+    feature = FeatureConfig(hash_dim=opts["feature.hash_dim"],
+                            interaction_cap=opts["feature.interaction_cap"])
     # every cell trains and reranks on the same pairs: featurize each once
     store = FeatureStore(feature)
 
@@ -492,20 +481,20 @@ def _cmd_ablate(args, cfg: CliConfig) -> int:
             rows.append(f"{cell}\tnan\tnan\n")
             continue
         config = TrainConfig(
-            batch_queries=cfg.pick(args.batch, "train.batch", 8),
+            batch_queries=opts["train.batch"],
             docs_per_query=docs,
-            learning_rate=cfg.pick(args.lr, "train.lr", 1e-3),
-            epochs=cfg.pick(args.epochs, "train.epochs", 5),
+            learning_rate=opts["train.lr"],
+            epochs=opts["train.epochs"],
             seed=args.seed,
             strategy=strategy,
             kind_filter=kind,
             excluded_source=source,
         )
-        params = init_params(feature, hidden=hidden, seed=args.init_seed)
+        params = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
         params, history = fit(config, train_examples, [], corpus, params, store)
         score_fn = model_score_fn(params, strategy, queries, corpus, store)
         reranked = rerank_run(base_run, corpus, score_fn, k_in=k_in, k_out=k_in, tag="ablate")
-        report = evaluate_run(reranked, qrels, k)
+        report = evaluate_run(reranked, qrels, opts["eval.k"])
         rows.append(f"{cell}\t{report.mean:.6f}\t{history[-1].train_loss:.6f}\n")
         if args.verbose:
             print(f"[{cell_no}/{len(cells)}] {rows[-1]}", end="", file=sys.stderr)
@@ -515,6 +504,26 @@ def _cmd_ablate(args, cfg: CliConfig) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _add_options(p: argparse.ArgumentParser, keys: list[str], overrides: dict | None = None) -> None:
+    """Attach option-table keys, with ``overrides`` of their defaults, to a subcommand."""
+    defaults = {key: OPTIONS[key].default for key in keys} | (overrides or {})
+    file_only = []
+    for key, default in defaults.items():
+        option = OPTIONS[key]
+        flag = "--" + key.rpartition(".")[2].replace("_", "-") if option.flag == "" else option.flag
+        shown = f"{option.help} [{key}] (default: {default})"
+        if flag is None:
+            file_only.append(shown)
+            continue
+        kind = ({"action": "store_true"} if option.type is bool else
+                {"type": option.type, "metavar": flag[2:].upper().replace("-", "_")})
+        # a flag not given sets no attribute, so resolve() falls through to the file
+        p.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=shown, **kind)
+    if file_only:
+        p.epilog = "set only in the --config file: " + "; ".join(file_only)
+    p.set_defaults(options=defaults)
 
 
 def build_parser() -> _Parser:
@@ -536,20 +545,19 @@ def build_parser() -> _Parser:
     p = sub_index.add_parser("build", help="build and save a BM25 index")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k1", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
+    _add_options(p, ["bm25.k1", "bm25.b"])
     p.set_defaults(func=_cmd_index_build)
 
     p = sub.add_parser("retrieve", help="run a first-stage retriever over queries")
     p.add_argument("--method", choices=["bm25", "dense", "runfile"], required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--tag", default=None)
     p.add_argument("--index", help="bm25: saved index file")
     p.add_argument("--store", help="dense: document vectors jsonl")
     p.add_argument("--query-vectors", help="dense: query vectors jsonl (doc_id field holds the query_id)")
     p.add_argument("--run", help="runfile: precomputed TREC run")
+    _add_options(p, ["retrieve.k"])
     p.set_defaults(func=_cmd_retrieve)
 
     p_augment = sub.add_parser("augment", help="build training queries")
@@ -557,10 +565,9 @@ def build_parser() -> _Parser:
     p = sub_augment.add_parser("crop", help="crop sentences from the corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--min-tokens", type=int, default=None)
-    p.add_argument("--max-tokens", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    _add_options(p, ["crop.min_tokens", "crop.max_tokens"])
     p.set_defaults(func=_cmd_augment_crop)
     p = sub_augment.add_parser("load-generated", help="sample from a generated-query pool")
     p.add_argument("--pool", required=True, help="TSV doc_id<TAB>query_text")
@@ -579,26 +586,18 @@ def build_parser() -> _Parser:
     p.add_argument("--queries", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--assignment", help="TSV query_id<TAB>source; default assigns BM25")
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--bm25-index")
     p.add_argument("--run-splade")
     p.add_argument("--run-dragon")
     p.add_argument("--run-monot5")
     p.add_argument("--monot5-scores", help="TSV qid/docid/score to compose BM25+scorer on the fly")
-    p.add_argument("--k-pool", type=int, default=None, help="BM25 pool for --monot5-scores")
     p.add_argument("--mock-qrels", help="use the deterministic oracle teacher over these qrels")
-    p.add_argument("--endpoint", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--max-in-flight", type=int, default=None)
-    p.add_argument("--budget-usd", type=float, default=None)
     p.add_argument("--prompt-template", help="JSON template file")
-    p.add_argument("--passage-words", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--step", type=int, default=None)
     p.add_argument("--journal", help="resumable completion journal")
     p.add_argument("--llm-log", help="request/response log file")
     p.add_argument("--out", required=True)
+    _add_options(p, ["retrieve.k", "compose.k_pool", "prompt.passage_word_budget",
+                     "window.size", "window.step", *(k for k in OPTIONS if k.startswith("llm."))])
     p.set_defaults(func=_cmd_distill)
 
     p = sub.add_parser("split", help="stratified train/validation split")
@@ -613,22 +612,11 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--val")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--docs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--kind", default=None)
-    p.add_argument("--exclude-source", default=None)
-    p.add_argument("--literal-sign", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init-seed", type=int, default=0)
-    p.add_argument("--hash-dim", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--interaction-cap", type=int, default=None)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--history")
+    _add_options(p, [k for k in OPTIONS if k.startswith(("train.", "feature."))])
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("rerank", help="rerank a run with a checkpoint or external logits")
@@ -638,10 +626,9 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint")
     p.add_argument("--external-logits")
     p.add_argument("--strategy", default=None)
-    p.add_argument("--k-in", type=int, default=None)
-    p.add_argument("--k-out", type=int, default=None)
     p.add_argument("--tag", default="reranked")
     p.add_argument("--out", required=True)
+    _add_options(p, ["rerank.k_in", "rerank.k_out"])
     p.set_defaults(func=_cmd_rerank)
 
     p_eval = sub.add_parser("eval", help="evaluation statistics")
@@ -649,15 +636,15 @@ def build_parser() -> _Parser:
     p = sub_eval.add_parser("ndcg", help="nDCG@k of a run against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--per-query", help="write per-query TSV here")
+    _add_options(p, ["eval.k"])
     p.set_defaults(func=_cmd_eval_ndcg)
     p = sub_eval.add_parser("intersection", help="pairwise top-n intersection rates")
     p.add_argument("--run", action="append", required=True, metavar="LABEL=PATH")
     p.add_argument("--run-lower", action="append", metavar="LABEL=PATH",
                    help="second query kind for the lower triangle")
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--out")
+    _add_options(p, ["eval.n"])
     p.set_defaults(func=_cmd_eval_intersection)
     p = sub_eval.add_parser("ttest", help="two-sided paired t-test over per-query TSVs")
     p.add_argument("--a", required=True)
@@ -670,18 +657,15 @@ def build_parser() -> _Parser:
     p.add_argument("--queries", required=True, help="evaluation queries")
     p.add_argument("--qrels", required=True)
     p.add_argument("--base-run", required=True, help="first-stage run to rerank")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--k-in", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--hash-dim", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--interaction-cap", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init-seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", required=True)
+    # smaller defaults than train and rerank: the grid runs 90 fits
+    _add_options(p, ["eval.k", "rerank.k_in", "train.batch", "train.lr", "train.epochs",
+                     "feature.hash_dim", "feature.hidden", "feature.interaction_cap"],
+                 {"train.batch": 8, "train.epochs": 5, "feature.hash_dim": 1 << 14,
+                  "feature.hidden": 32, "rerank.k_in": 30})
     p.set_defaults(func=_cmd_ablate)
 
     return parser
@@ -699,8 +683,8 @@ def dispatch(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
     try:
-        cfg = CliConfig.load(args.config)
-        return args.func(args, cfg)
+        opts = resolve(getattr(args, "options", {}), vars(args), CliConfig.load(args.config))
+        return args.func(args, opts)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 from distilrank import io, scorer
-from distilrank.cli import dispatch
-from distilrank.config import CliConfig
+from distilrank.cli import build_parser, dispatch
+from distilrank.config import OPTIONS, CliConfig, resolve
 from distilrank.errors import DataError
 from distilrank.types import Source
 
@@ -27,9 +28,10 @@ def workdir(tmp_path_factory):
 class TestConfigFile:
     def test_parse_and_pick(self):
         cfg = CliConfig.parse(["# comment\n", "bm25.k1 = 1.2\n", "train.epochs = 3\n"])
-        assert cfg.pick(None, "bm25.k1", 0.9) == 1.2
-        assert cfg.pick(2.0, "bm25.k1", 0.9) == 2.0  # flag wins
-        assert cfg.pick(None, "train.epochs", 10) == 3
+        defaults = {"bm25.k1": 0.9, "bm25.b": 0.4, "train.epochs": 10}
+        assert resolve(defaults, {}, cfg) == {"bm25.k1": 1.2, "bm25.b": 0.4, "train.epochs": 3}
+        assert resolve(defaults, {"bm25.k1": 2.0}, cfg)["bm25.k1"] == 2.0  # flag wins
+        assert resolve(defaults, {}, CliConfig())["train.epochs"] == 10
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DataError, match="unknown key"):
@@ -42,6 +44,17 @@ class TestConfigFile:
     def test_bad_value_rejected(self):
         with pytest.raises(DataError, match="expected int"):
             CliConfig.parse(["train.epochs = soon\n"])
+
+    def test_repeated_key_rejected(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "distilrank.cfg"
+        cfg.write_text("retrieve.k = 2\n# a comment\nretrieve.k = 4\n")
+        assert dispatch([
+            "--config", str(cfg),
+            "retrieve", "--method", "bm25", "--index", str(workdir / "index.json"),
+            "--queries", str(workdir / "queries-eval.tsv"), "--out", str(tmp_path / "r.trec"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "line 1" in err and "retrieve.k" in err
 
 
 class TestDispatchBasics:
@@ -74,6 +87,31 @@ class TestDispatchBasics:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--method" in out and "default" in out
+
+    @pytest.mark.parametrize("rows", [
+        "q1\t0.5\nq2\tabc\n",  # not a number
+        "q1\t0.5\nq1\t0.7\n",  # repeated query id
+        "q1\t0.5\nq2\tnan\n",  # not finite
+    ], ids=["non-numeric", "repeated-query", "nan"])
+    def test_ttest_rejects_bad_per_query_rows(self, tmp_path, capsys, rows):
+        good = tmp_path / "a.tsv"
+        good.write_text("q1\t0.5\nq2\t0.6\n")
+        bad = tmp_path / "b.tsv"
+        bad.write_text(rows)
+        assert dispatch(["eval", "ttest", "--a", str(good), "--b", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "line 2" in err
+
+    def test_intersection_rejects_repeated_label(self, tmp_path, capsys):
+        run_a = tmp_path / "a.trec"
+        run_b = tmp_path / "b.trec"
+        run_a.write_text("q1 Q0 d1 1 2.0 a\n")
+        run_b.write_text("q1 Q0 d2 1 2.0 b\n")
+        assert dispatch([
+            "eval", "intersection",
+            "--run", f"x={run_a}", "--run", f"x={run_b}", "--run", f"y={run_b}",
+        ]) == 1
+        assert "'x'" in capsys.readouterr().err
 
     def test_budget_zero_distill_exits_3(self, workdir, tmp_path, capsys):
         # live endpoint configured but a zero budget: nothing may be sent
@@ -428,3 +466,42 @@ class TestPipelineThroughCli(object):
                   for e in entries}
         assert len(calls) == len(pairs)
         assert set(calls) == {(text, corpus[d]) for text, d in pairs}
+
+
+def _subcommands(parser, path=()):
+    """(argv prefix, parser) of every subcommand, groups such as ``eval`` included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield path + (name,), sub
+                yield from _subcommands(sub, path + (name,))
+
+
+class TestHelpAndTable:
+    def test_every_subcommand_help_exits_0(self, capsys):
+        paths = [path for path, _ in _subcommands(build_parser())]
+        assert len(paths) == 17  # 14 runnable, 3 groups
+        for path in paths:
+            with pytest.raises(SystemExit) as exc:
+                dispatch([*path, "--help"])
+            assert exc.value.code == 0, path
+            assert "usage: distilrank " + " ".join(path) in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,default", [("train", 10), ("ablate", 5)])
+    def test_help_shows_key_and_subcommand_default(self, capsys, command, default):
+        with pytest.raises(SystemExit):
+            dispatch([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"--epochs EPOCHS training epochs [train.epochs] (default: {default})" in out
+
+    def test_help_lists_file_only_keys(self, capsys):
+        with pytest.raises(SystemExit):
+            dispatch(["distill", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "[llm.timeout_s] (default: 60.0)" in out
+
+    def test_every_key_is_attached_to_a_subcommand(self):
+        attached = set()
+        for _, parser in _subcommands(build_parser()):
+            attached |= set(parser.get_default("options") or {})
+        assert attached == set(OPTIONS)
