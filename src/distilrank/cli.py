@@ -187,11 +187,12 @@ def _cmd_retrieve(args, opts: dict) -> int:
             raise _UsageError("--method dense requires --store and --query-vectors")
         store = load_dense_store(_read_lines(args.store))
         qvecs = load_dense_store(_read_lines(args.query_vectors))
+        qrow = {query_id: row for row, query_id in enumerate(qvecs.doc_ids)}
         tag = args.tag or "dense"
         for q in queries:
-            if q.query_id not in qvecs.vectors:
+            if q.query_id not in qrow:
                 raise DataError(f"no vector for query {q.query_id!r}")
-            hits = search_dense(store, qvecs.vectors[q.query_id], k)
+            hits = search_dense(store, qvecs.matrix[qrow[q.query_id]], k)
             if hits:
                 ranked[q.query_id] = [(h.doc_id, h.score) for h in hits]
     else:  # runfile

@@ -3,13 +3,16 @@ its type, default, flag and help. A subcommand attaches the keys it reads, and
 each resolves to its flag if given, else its ``--config`` file value, else the
 subcommand's default.
 
-File syntax: one ``key = value`` per line, ``#`` starts a comment, blank
-lines are ignored. Unknown and repeated keys are rejected.
+File syntax: one ``key = value`` per line; blank lines are ignored. A ``#``
+starts a comment at the start of a line or after whitespace, so a value may
+contain one (``llm.endpoint = http://host/v1#x`` keeps its fragment). Unknown
+and repeated keys are rejected.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -66,6 +69,7 @@ OPTIONS: dict[str, Option] = {
 }
 
 
+_COMMENT_RE = re.compile(r"(?:^|\s)#")
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -89,7 +93,8 @@ class CliConfig(dict):
         cfg = cls()
         line_of: dict[str, int] = {}
         for lineno, line in enumerate(lines, 1):
-            stripped = line.split("#", 1)[0].strip()
+            comment = _COMMENT_RE.search(line)
+            stripped = (line[:comment.start()] if comment else line).strip()
             if not stripped:
                 continue
             if "=" not in stripped:

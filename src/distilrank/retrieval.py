@@ -8,6 +8,11 @@ BM25 uses the Lucene idf variant with Anserini's MS MARCO defaults
             ln(1 + (N - df + 0.5) / (df + 0.5))
             * tf * (k1 + 1) / (tf + k1 * (1 - b + b * |d| / avgdl))
 
+The index keeps its postings as CSR arrays and precomputes each posting's
+term (its impact) at build time, so a search is one scatter-add of the query
+tokens' impacts (eager sparse scoring, as in BM25S, arXiv:2407.03618). The
+dense store is one (N, d) matrix, so a search is one matrix-vector product.
+
 Ties are broken by ascending doc_id so all searches are reproducible.
 """
 
@@ -16,10 +21,10 @@ from __future__ import annotations
 import json
 import math
 import threading
-from bisect import bisect_left
+import zipfile
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,28 +40,120 @@ class ScoredDoc:
     score: float
 
 
-@dataclass
+class Postings(Mapping):
+    """Postings lists in CSR form.
+
+    The documents containing the term of row ``r`` are
+    ``ordinals[offsets[r]:offsets[r + 1]]`` in ascending order, with their
+    term frequencies at the same positions of ``tfs``. As a mapping it gives
+    each token its ordinals (a view), so ``len(postings[t])`` is t's
+    document frequency.
+    """
+
+    def __init__(self, rows: dict[str, int], offsets: np.ndarray, ordinals: np.ndarray,
+                 tfs: np.ndarray):
+        offsets = np.asarray(offsets, dtype=np.int64)
+        ordinals = np.asarray(ordinals, dtype=np.int32)
+        tfs = np.asarray(tfs, dtype=np.int32)
+        if (offsets.shape != (len(rows) + 1,) or offsets[0] != 0
+                or np.any(np.diff(offsets) < 0) or ordinals.ndim != 1
+                or tfs.shape != ordinals.shape or offsets[-1] != len(ordinals)):
+            raise DataError("postings offsets, ordinals and tfs disagree in shape")
+        if np.any(tfs < 1):
+            raise DataError("postings hold a term frequency below 1")
+        self.rows = rows
+        self.offsets = offsets
+        self.ordinals = ordinals
+        self.tfs = tfs
+
+    def span(self, token: str) -> tuple[int, int] | None:
+        """The [start, end) positions of the token's postings, or None if absent."""
+        row = self.rows.get(token)
+        if row is None:
+            return None
+        return int(self.offsets[row]), int(self.offsets[row + 1])
+
+    def __getitem__(self, token: str) -> np.ndarray:
+        span = self.span(token)
+        if span is None:
+            raise KeyError(token)
+        return self.ordinals[span[0]:span[1]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Postings):
+            return NotImplemented
+        return (self.rows == other.rows and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.ordinals, other.ordinals)
+                and np.array_equal(self.tfs, other.tfs))
+
+
+@dataclass(eq=False)
 class InvertedIndex:
-    postings: dict[str, list[tuple[int, int]]]  # token -> [(doc ordinal, tf)], sorted
-    doc_lengths: list[int]
+    """BM25 index: CSR postings, document lengths and ids, and the BM25 parameters.
+
+    ``avgdl``, the per-posting ``impacts`` and each document's rank in doc_id
+    order are derived once on construction.
+    """
+
+    postings: Postings
+    doc_lengths: np.ndarray
     doc_ids: list[str]
     k1: float = 0.9
     b: float = 0.4
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
+    avgdl: float = field(init=False)
+    impacts: np.ndarray = field(init=False, repr=False)
+    doc_rank: np.ndarray = field(init=False, repr=False)
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-    @property
-    def avgdl(self) -> float:
-        return sum(self.doc_lengths) / len(self.doc_lengths) if self.doc_lengths else 0.0
-
     def __post_init__(self) -> None:
-        if self.k1 <= 0 or not 0.0 <= self.b <= 1.0:
+        if not 0.0 < self.k1 < math.inf or not 0.0 <= self.b <= 1.0:
             raise DataError(f"BM25 parameters out of range: k1={self.k1}, b={self.b}")
-        if len(self.doc_lengths) != len(self.doc_ids):
+        self.doc_lengths = np.asarray(self.doc_lengths, dtype=np.int64)
+        if self.doc_lengths.shape != (len(self.doc_ids),):
             raise DataError("index doc_lengths and doc_ids disagree in length")
+        ordinals = self.postings.ordinals
+        if ordinals.size and (ordinals.min() < 0 or ordinals.max() >= self.n_docs):
+            raise DataError(f"postings name a document ordinal outside 0..{self.n_docs - 1}")
+        if np.any(self.doc_lengths[ordinals] < self.postings.tfs):
+            raise DataError("postings hold a term frequency above its document's length")
+        n = self.n_docs
+        self.avgdl = int(self.doc_lengths.sum()) / n if n else 0.0
+        # the same float operations, in the same order, as _idf * _tf_weight
+        dfs = np.diff(self.postings.offsets)
+        idf = np.array([math.log(1.0 + (n - df + 0.5) / (df + 0.5)) for df in dfs.tolist()])
+        tf = self.postings.tfs.astype(np.float64)
+        norm = 1.0 - self.b + self.b * self.doc_lengths[ordinals].astype(np.float64) / self.avgdl
+        self.impacts = np.repeat(idf, dfs) * (tf * (self.k1 + 1.0) / (tf + self.k1 * norm))
+        self.doc_rank = _ranks(self.doc_ids)
+
+
+def _ranks(doc_ids: list[str]) -> np.ndarray:
+    """Each document's position in ascending doc_id order: the tie-break key."""
+    rank = np.empty(len(doc_ids), dtype=np.int64)
+    rank[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = np.arange(len(doc_ids))
+    return rank
+
+
+def _top_k(doc_ids: list[str], rank: np.ndarray, ordinals: np.ndarray, scores: np.ndarray,
+           k: int) -> list[ScoredDoc]:
+    """The k best of the candidates by descending score, then ascending doc_id."""
+    if len(scores) > k:
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        keep = scores >= kth  # every candidate tied at the k-th score
+        ordinals, scores = ordinals[keep], scores[keep]
+    order = np.lexsort((rank[ordinals], -scores))[:k]
+    return [ScoredDoc(doc_ids[o], s)
+            for o, s in zip(ordinals[order].tolist(), scores[order].tolist())]
 
 
 def build_index(
@@ -66,7 +163,10 @@ def build_index(
     b: float = 0.4,
 ) -> InvertedIndex:
     """Build an inverted index over the corpus; deterministic for fixed input order."""
-    postings: dict[str, list[tuple[int, int]]] = {}
+    rows: dict[str, int] = {}
+    term_rows: list[int] = []
+    ordinals: list[int] = []
+    tfs: list[int] = []
     doc_lengths: list[int] = []
     doc_ids: list[str] = []
     for ordinal, doc in enumerate(corpus):
@@ -77,7 +177,16 @@ def build_index(
         for t in tokens:
             counts[t] = counts.get(t, 0) + 1
         for token, tf in counts.items():
-            postings.setdefault(token, []).append((ordinal, tf))
+            term_rows.append(rows.setdefault(token, len(rows)))
+            ordinals.append(ordinal)
+            tfs.append(tf)
+    # a stable sort by term row keeps each row's ordinals ascending
+    term_rows_arr = np.array(term_rows, dtype=np.int64)
+    by_row = np.argsort(term_rows_arr, kind="stable")
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(term_rows_arr, minlength=len(rows)), out=offsets[1:])
+    postings = Postings(rows, offsets, np.array(ordinals, dtype=np.int32)[by_row],
+                        np.array(tfs, dtype=np.int32)[by_row])
     return InvertedIndex(postings=postings, doc_lengths=doc_lengths, doc_ids=doc_ids,
                          k1=k1, b=b, tokenizer=tokenizer)
 
@@ -95,18 +204,24 @@ def _tf_weight(index: InvertedIndex, tf: int, doc_len: int) -> float:
 
 
 def bm25_score(index: InvertedIndex, query_tokens: Sequence[str], ordinal: int) -> float:
-    """Score one document against query tokens, summing per token occurrence."""
+    """Score one document against query tokens, summing per token occurrence.
+
+    Reads tf, df and the document length directly, never the precomputed
+    impacts, so it is an independent check of ``search_bm25``.
+    """
     if not 0 <= ordinal < index.n_docs:
         raise DataError(f"document ordinal {ordinal} out of range 0..{index.n_docs - 1}")
     score = 0.0
-    doc_len = index.doc_lengths[ordinal]
+    doc_len = int(index.doc_lengths[ordinal])
+    postings = index.postings
     for token in query_tokens:
-        plist = index.postings.get(token)
-        if not plist:
+        span = postings.span(token)
+        if span is None:
             continue
-        pos = bisect_left(plist, (ordinal,))
-        if pos < len(plist) and plist[pos][0] == ordinal:
-            score += _idf(index, token) * _tf_weight(index, plist[pos][1], doc_len)
+        start, end = span
+        pos = start + int(np.searchsorted(postings.ordinals[start:end], ordinal))
+        if pos < end and postings.ordinals[pos] == ordinal:
+            score += _idf(index, token) * _tf_weight(index, int(postings.tfs[pos]), doc_len)
     return score
 
 
@@ -114,63 +229,90 @@ def search_bm25(index: InvertedIndex, query_text: str, k: int = 30) -> list[Scor
     """Top-k documents by BM25, descending score; only docs scoring > 0 are returned."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query_tokens = tokenize(query_text, index.tokenizer)
-    acc: dict[int, float] = {}
-    for token in query_tokens:
-        plist = index.postings.get(token)
-        if not plist:
-            continue
-        idf = _idf(index, token)
-        for ordinal, tf in plist:
-            acc[ordinal] = acc.get(ordinal, 0.0) + idf * _tf_weight(
-                index, tf, index.doc_lengths[ordinal]
-            )
-    scored = [
-        ScoredDoc(index.doc_ids[ordinal], score)
-        for ordinal, score in acc.items()
-        if score > 0.0
-    ]
-    scored.sort(key=lambda d: (-d.score, d.doc_id))
-    return scored[:k]
+    postings = index.postings
+    spans = [s for s in map(postings.span, tokenize(query_text, index.tokenizer)) if s]
+    if not spans:
+        return []
+    # bincount adds each document's impacts in query-token order, as a
+    # per-posting accumulator would, so the scores are the same bits
+    ordinals = np.concatenate([postings.ordinals[a:b] for a, b in spans])
+    impacts = np.concatenate([index.impacts[a:b] for a, b in spans])
+    scores = np.bincount(ordinals, weights=impacts, minlength=index.n_docs)
+    hits = np.flatnonzero(scores > 0.0)
+    return _top_k(index.doc_ids, index.doc_rank, hits, scores[hits], k)
+
+
+_NPZ_MAGIC = b"PK\x03\x04"
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    obj = {
-        "k1": index.k1,
-        "b": index.b,
-        "lowercase": index.tokenizer.lowercase,
-        "min_token_len": index.tokenizer.min_token_len,
-        "doc_ids": index.doc_ids,
-        "doc_lengths": index.doc_lengths,
-        "postings": {t: [list(p) for p in plist] for t, plist in index.postings.items()},
-    }
-    Path(path).write_text(json.dumps(obj), encoding="utf-8")
+    """Write the index as an uncompressed ``.npz`` archive at exactly ``path``."""
+    postings = index.postings
+    with open(path, "wb") as f:  # a file handle, because np.savez(path) appends ".npz"
+        np.savez(
+            f,
+            k1=np.float64(index.k1),
+            b=np.float64(index.b),
+            lowercase=np.bool_(index.tokenizer.lowercase),
+            min_token_len=np.int64(index.tokenizer.min_token_len),
+            doc_ids=np.array(index.doc_ids, dtype=str),
+            doc_lengths=index.doc_lengths,
+            terms=np.array(list(postings.rows), dtype=str),
+            offsets=postings.offsets,
+            ordinals=postings.ordinals,
+            tfs=postings.tfs,
+        )
 
 
 def load_index(path: str | Path) -> InvertedIndex:
+    """Read an index written by ``save_index``; a JSON index of older versions is refused."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return InvertedIndex(
-            postings={t: [tuple(p) for p in plist] for t, plist in obj["postings"].items()},
-            doc_lengths=obj["doc_lengths"],
-            doc_ids=obj["doc_ids"],
-            k1=obj["k1"],
-            b=obj["b"],
-            tokenizer=TokenizerConfig(obj["lowercase"], obj["min_token_len"]),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise DataError(f"cannot load index from {path}: {exc}") from exc
+        with open(path, "rb") as f:
+            if f.read(len(_NPZ_MAGIC)) != _NPZ_MAGIC:
+                raise DataError("not an .npz archive (JSON indexes of older versions are "
+                                "no longer read)")
+            f.seek(0)
+            with np.load(f, allow_pickle=False) as z:
+                terms = z["terms"].tolist()
+                postings = Postings({t: r for r, t in enumerate(terms)}, z["offsets"],
+                                    z["ordinals"], z["tfs"])
+                return InvertedIndex(
+                    postings=postings,
+                    doc_lengths=z["doc_lengths"],
+                    doc_ids=z["doc_ids"].tolist(),
+                    k1=float(z["k1"]),
+                    b=float(z["b"]),
+                    tokenizer=TokenizerConfig(bool(z["lowercase"]), int(z["min_token_len"])),
+                )
+    except (DataError, zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"cannot load index from {path}: {exc}; "
+                        "rerun `distilrank index build` to rebuild it") from exc
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseStore:
-    dimension: int
-    vectors: dict[str, np.ndarray]
+    """Document vectors as one (N, d) matrix; row i belongs to ``doc_ids[i]``."""
+
+    doc_ids: list[str]
+    matrix: np.ndarray
+    doc_rank: np.ndarray = field(init=False, repr=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
+
+    def __post_init__(self) -> None:
+        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.doc_ids):
+            raise DataError(f"dense matrix of shape {self.matrix.shape} does not hold one row "
+                            f"for each of {len(self.doc_ids)} documents")
+        self.doc_rank = _ranks(self.doc_ids)
 
 
 def load_dense_store(lines: Iterable[str]) -> DenseStore:
     """Parse line-delimited JSON {"doc_id": ..., "vector": [...]} into a DenseStore."""
-    vectors: dict[str, np.ndarray] = {}
+    rows: list[np.ndarray] = []
+    line_of: dict[str, int] = {}  # doc_id -> its line, in file order
     dimension = -1
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
@@ -178,6 +320,8 @@ def load_dense_store(lines: Iterable[str]) -> DenseStore:
         try:
             obj = json.loads(line)
             doc_id = obj["doc_id"]
+            if not isinstance(doc_id, str):
+                raise TypeError(f"doc_id {doc_id!r} is not a string")
             vec = np.asarray(obj["vector"], dtype=np.float64)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"dense store line {lineno}: malformed record ({exc})") from exc
@@ -189,8 +333,15 @@ def load_dense_store(lines: Iterable[str]) -> DenseStore:
             raise DataError(
                 f"dense store line {lineno}: dimension {vec.shape[0]} != {dimension}"
             )
-        vectors[doc_id] = vec
-    return DenseStore(dimension=max(dimension, 0), vectors=vectors)
+        if not np.isfinite(vec).all():
+            raise DataError(f"dense store line {lineno}: vector has a non-finite component")
+        if doc_id in line_of:
+            raise DataError(f"dense store line {lineno}: doc_id {doc_id!r} already given on "
+                            f"line {line_of[doc_id]}")
+        line_of[doc_id] = lineno
+        rows.append(vec)
+    matrix = np.stack(rows) if rows else np.zeros((0, 0))
+    return DenseStore(doc_ids=list(line_of), matrix=matrix)
 
 
 def search_dense(store: DenseStore, query_vector: Sequence[float], k: int = 30) -> list[ScoredDoc]:
@@ -200,9 +351,10 @@ def search_dense(store: DenseStore, query_vector: Sequence[float], k: int = 30) 
     q = np.asarray(query_vector, dtype=np.float64)
     if q.shape != (store.dimension,):
         raise DataError(f"query vector dimension {q.shape} != store dimension {store.dimension}")
-    scored = [ScoredDoc(doc_id, float(vec @ q)) for doc_id, vec in store.vectors.items()]
-    scored.sort(key=lambda d: (-d.score, d.doc_id))
-    return scored[:k]
+    # einsum reduces every row in the same order, so identical vectors score
+    # identically and tie on doc_id; BLAS gemv's row blocking can split them by an ulp
+    scores = np.einsum("ij,j->i", store.matrix, q)
+    return _top_k(store.doc_ids, store.doc_rank, np.arange(len(scores)), scores, k)
 
 
 class RunfileSearcher:

@@ -33,6 +33,17 @@ class TestConfigFile:
         assert resolve(defaults, {"bm25.k1": 2.0}, cfg)["bm25.k1"] == 2.0  # flag wins
         assert resolve(defaults, {}, CliConfig())["train.epochs"] == 10
 
+    def test_hash_inside_a_value_is_kept(self):
+        cfg = CliConfig.parse([
+            "llm.model = gpt#4\n",
+            "llm.endpoint = http://host:8000/v1#x  # trailing comment\n",
+            "train.epochs = 3  # note\n",
+            "  # an indented comment line\n",
+            "\t#bm25.k1 = 5\n",
+        ])
+        assert cfg == {"llm.model": "gpt#4", "llm.endpoint": "http://host:8000/v1#x",
+                       "train.epochs": 3}
+
     def test_unknown_key_rejected(self):
         with pytest.raises(DataError, match="unknown key"):
             CliConfig.parse(["no.such.key = 1\n"])
@@ -112,6 +123,42 @@ class TestDispatchBasics:
             "--run", f"x={run_a}", "--run", f"x={run_b}", "--run", f"y={run_b}",
         ]) == 1
         assert "'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["legacy-json", "truncated"])
+    def test_unreadable_index_exits_2(self, workdir, tmp_path, capsys, damage):
+        index = tmp_path / "index.json"
+        if damage == "legacy-json":
+            index.write_text(json.dumps({"k1": 0.9, "b": 0.4, "doc_ids": [], "postings": {}}))
+        else:
+            data = (workdir / "index.json").read_bytes()
+            index.write_bytes(data[: len(data) // 2])
+        queries = str(workdir / "queries-train.tsv")
+        assert dispatch(["retrieve", "--method", "bm25", "--index", str(index),
+                         "--queries", queries, "--out", str(tmp_path / "r.trec")]) == 2
+        assert dispatch(["distill", "--queries", queries,
+                         "--corpus", str(workdir / "corpus.jsonl"), "--bm25-index", str(index),
+                         "--mock-qrels", str(workdir / "qrels-train.txt"),
+                         "--out", str(tmp_path / "d.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(str(index)) == 2 and err.count("index build") == 2
+
+    @pytest.mark.parametrize("records", [
+        [("d1", "[1.0, 0.0]"), ("d2", "[0.0, 1.0]"), ("d1", "[0.5, 0.5]")],
+        [("d1", "[1.0, 0.0]"), ("d2", "[NaN, 1.0]")],
+    ], ids=["repeated-doc-id", "nan"])
+    def test_retrieve_dense_rejects_bad_store(self, tmp_path, capsys, records):
+        store = tmp_path / "store.jsonl"
+        store.write_text("".join(f'{{"doc_id": "{d}", "vector": {v}}}\n' for d, v in records))
+        qvecs = tmp_path / "qvecs.jsonl"
+        qvecs.write_text('{"doc_id": "qa", "vector": [1.0, 0.0]}\n')
+        queries = tmp_path / "q.tsv"
+        queries.write_text("qa\tsome text\tcropped\n")
+        out = tmp_path / "dense.trec"
+        assert dispatch(["retrieve", "--method", "dense", "--store", str(store),
+                         "--query-vectors", str(qvecs), "--queries", str(queries),
+                         "--out", str(out)]) == 2
+        assert f"line {len(records)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_budget_zero_distill_exits_3(self, workdir, tmp_path, capsys):
         # live endpoint configured but a zero budget: nothing may be sent

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from distilrank.errors import DataError
@@ -8,6 +10,7 @@ from distilrank.io import run_from_ranked
 from distilrank.retrieval import (
     DenseStore,
     RunfileSearcher,
+    ScoredDoc,
     bm25_score,
     build_index,
     compose_rerank,
@@ -44,6 +47,9 @@ class TestBuildIndex:
     def test_bad_params_rejected(self):
         with pytest.raises(DataError):
             build_index(docs("a"), k1=-1.0)
+        for k1 in (math.nan, math.inf):  # would score every document nan or drop it
+            with pytest.raises(DataError):
+                build_index(docs("a"), k1=k1)
 
 
 class TestBm25Score:
@@ -118,6 +124,117 @@ class TestSearchBm25:
                 assert gs == pytest.approx(os_, rel=1e-12)
 
 
+def reference_bm25(corpus, query, k, k1, b):
+    """The per-posting dict accumulator, computed from the corpus text alone."""
+    counts = [{} for _ in corpus]
+    for c, doc in zip(counts, corpus):
+        for t in tokenize(doc.text):
+            c[t] = c.get(t, 0) + 1
+    lengths = [sum(c.values()) for c in counts]
+    avgdl = sum(lengths) / len(lengths) if lengths else 0.0
+    n = len(corpus)
+    acc = {}
+    for token in tokenize(query):
+        plist = [(o, c[token]) for o, c in enumerate(counts) if token in c]
+        if not plist:
+            continue
+        df = len(plist)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for o, tf in plist:
+            norm = 1.0 - b + b * lengths[o] / avgdl
+            acc[o] = acc.get(o, 0.0) + idf * (tf * (k1 + 1.0) / (tf + k1 * norm))
+    hits = [ScoredDoc(corpus[o].doc_id, s) for o, s in acc.items() if s > 0.0]
+    hits.sort(key=lambda h: (-h.score, h.doc_id))
+    return hits[:k]
+
+
+# the default and the three settings ablate-grid indexes with
+BM25_SETTINGS = [(0.9, 0.4), (1.5, 0.75), (0.4, 0.1), (1.2, 0.2)]
+
+
+class TestImpactSearch:
+    @staticmethod
+    def corpus():
+        rng = random.Random(7)
+        vocab = [f"w{i}" for i in range(50)]
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 30))) for _ in range(120)]
+        texts += texts[:12]  # identical documents tie at every score
+        ids = rng.sample(range(10_000), len(texts))  # doc_id order differs from corpus order
+        return [Document(f"d{i:05d}", t) for i, t in zip(ids, texts)], vocab, rng
+
+    @pytest.mark.parametrize("k1,b", BM25_SETTINGS)
+    def test_bit_identical_to_accumulator(self, k1, b):
+        corpus, vocab, rng = self.corpus()
+        index = build_index(corpus, k1=k1, b=b)
+        for _ in range(40):
+            words = rng.choices(vocab, k=rng.randint(1, 6))
+            query = " ".join(words + words[:2])  # repeated query tokens
+            for k in (1, 3, 10, 1000):  # cuts through ties; more than the hits
+                assert search_bm25(index, query, k) == reference_bm25(corpus, query, k, k1, b)
+
+    def test_ties_at_kth_score_keep_doc_id_order(self):
+        corpus = [Document(d, "apple pie") for d in ("d5", "d2", "d9", "d1")]
+        corpus.append(Document("d0", "apple apple pie"))
+        hits = search_bm25(build_index(corpus), "apple", 3)
+        assert [h.doc_id for h in hits] == ["d0", "d1", "d2"]
+        assert hits[1].score == hits[2].score
+
+    def test_empty_corpus_and_unknown_tokens(self):
+        assert search_bm25(build_index([]), "apple apple", 5) == []
+        index = build_index(docs("apple"))
+        assert search_bm25(index, "zebra zebra", 5) == reference_bm25(docs("apple"), "zebra", 5,
+                                                                       0.9, 0.4) == []
+
+
+class TestIndexFile:
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        save_index(build_index(docs("apple pie")), tmp_path / "index.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json"]
+
+    def test_document_frequency_survives_round_trip(self, tmp_path):
+        corpus, vocab, _ = TestImpactSearch.corpus()
+        save_index(build_index(corpus), tmp_path / "index.npz")
+        loaded = load_index(tmp_path / "index.npz")
+        for token in vocab + ["absent"]:
+            df = sum(token in tokenize(d.text) for d in corpus)
+            assert len(loaded.postings.get(token, ())) == df
+
+    def test_legacy_json_index_refused(self, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps({"k1": 0.9, "b": 0.4, "lowercase": True, "min_token_len": 1,
+                                    "doc_ids": ["d0"], "doc_lengths": [1],
+                                    "postings": {"apple": [[0, 1]]}}))
+        with pytest.raises(DataError, match=r"index\.json.*index build"):
+            load_index(path)
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped", "empty", "member-missing"])
+    def test_corrupt_npz_refused(self, tmp_path, damage):
+        path = tmp_path / "index.npz"
+        save_index(build_index(docs("apple pie", "banana split", "apple banana")), path)
+        data = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(data[: len(data) // 2])
+        elif damage == "flipped":
+            mid = len(data) // 2
+            path.write_bytes(data[:mid] + bytes(b ^ 0xFF for b in data[mid:mid + 64])
+                             + data[mid + 64:])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        else:
+            with open(path, "wb") as f:
+                np.savez(f, k1=np.float64(0.9))
+        with pytest.raises(DataError, match=r"index\.npz.*index build"):
+            load_index(path)
+
+    def test_inconsistent_arrays_refused(self, tmp_path):
+        path = tmp_path / "index.npz"
+        index = build_index(docs("apple pie", "banana split"))
+        index.postings.ordinals[0] = 7  # a document that does not exist
+        save_index(index, path)
+        with pytest.raises(DataError, match="ordinal"):
+            load_index(path)
+
+
 class TestIndexPersistence:
     def test_save_load_round_trip(self, tmp_path):
         index = build_index(docs("apple pie", "banana split", "apple banana"))
@@ -133,7 +250,7 @@ class TestDense:
     def store(self):
         import numpy as np
 
-        return DenseStore(2, {"d1": np.array([1.0, 0.0]), "d2": np.array([0.0, 1.0])})
+        return DenseStore(["d1", "d2"], np.array([[1.0, 0.0], [0.0, 1.0]]))
 
     def test_dot_product_order(self):
         hits = search_dense(self.store(), [1.0, 0.0], 2)
@@ -156,7 +273,40 @@ class TestDense:
             '{"doc_id": "d1", "vector": [1.0, 2.0]}\n',
             '{"doc_id": "d2", "vector": [0.5, 0.5]}\n',
         ])
-        assert store.dimension == 2 and set(store.vectors) == {"d1", "d2"}
+        assert store.dimension == 2 and set(store.doc_ids) == {"d1", "d2"}
+
+    def test_matches_per_row_brute_force(self):
+        rng = np.random.default_rng(11)
+        for n, d in ((1001, 33), (850, 16), (6, 3)):
+            # nonnegative entries keep the sums well conditioned for rtol 1e-12
+            matrix = rng.random((n, d)).round(4)
+            matrix[n // 2:n // 2 * 2] = matrix[:n // 2]  # identical rows at other positions
+            ids = [f"d{i:05d}" for i in rng.permutation(n)]
+            store = DenseStore(ids, matrix)
+            for _ in range(5):
+                q = rng.random(d).round(3)
+                brute = sorted(((doc_id, float(vec @ q)) for doc_id, vec in zip(ids, matrix)),
+                               key=lambda t: (-t[1], t[0]))
+                for k in (1, 7, n + 5):
+                    got = search_dense(store, q, k)
+                    assert [h.doc_id for h in got] == [doc_id for doc_id, _ in brute[:k]]
+                    np.testing.assert_allclose([h.score for h in got],
+                                               [s for _, s in brute[:k]], rtol=1e-12)
+
+    def test_load_store_repeated_doc_id(self):
+        with pytest.raises(DataError, match=r"line 3.*'a'.*line 1"):
+            load_dense_store(['{"doc_id": "a", "vector": [1]}\n', '{"doc_id": "b", "vector": [2]}\n',
+                              '{"doc_id": "a", "vector": [3]}\n'])
+
+    def test_load_store_non_string_doc_id(self):
+        with pytest.raises(DataError, match="line 1.*not a string"):
+            load_dense_store(['{"doc_id": ["a"], "vector": [1]}\n'])
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_load_store_non_finite(self, bad):
+        with pytest.raises(DataError, match="line 2.*non-finite"):
+            load_dense_store(['{"doc_id": "a", "vector": [1, 2]}\n',
+                              f'{{"doc_id": "b", "vector": [1, {bad}]}}\n'])
 
     def test_load_store_dimension_mismatch(self):
         with pytest.raises(DataError, match="line 2"):
