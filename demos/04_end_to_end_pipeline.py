@@ -60,8 +60,7 @@ for q in bench.eval_queries:
 bm25_run = run_from_ranked(ranked, "bm25")
 
 eval_texts = {q.query_id: q.text for q in bench.eval_queries}
-student_run = rerank_run(bm25_run, corpus,
-                         model_score_fn(params, config.strategy, eval_texts, corpus),
+student_run = rerank_run(bm25_run, model_score_fn(params, config.strategy, eval_texts, corpus),
                          k_in=30, k_out=30)
 
 base = evaluate_run(bm25_run, bench.eval_qrels, k=10)

@@ -35,7 +35,6 @@ from .retrieval import (
     compose_rerank,
     search_bm25,
     search_dense,
-    search_runfile,
 )
 from .scorer import (
     FeatureConfig,

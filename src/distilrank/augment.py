@@ -122,7 +122,9 @@ def write_assignment(assignment: dict[str, Source]) -> str:
 
 
 def parse_assignment(lines: Iterable[str]) -> dict[str, Source]:
+    """Parse query_id<TAB>source lines; each query may be assigned once."""
     assignment: dict[str, Source] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -130,9 +132,14 @@ def parse_assignment(lines: Iterable[str]) -> dict[str, Source]:
         if len(parts) != 2:
             raise DataError(f"assignment line {lineno}: expected 2 columns, got {len(parts)}")
         try:
-            assignment[parts[0]] = Source(parts[1])
+            source = Source(parts[1])
         except ValueError:
             raise DataError(f"assignment line {lineno}: unknown source {parts[1]!r}") from None
+        if parts[0] in line_of:
+            raise DataError(f"assignment line {lineno}: query {parts[0]!r} already assigned on "
+                            f"line {line_of[parts[0]]}")
+        line_of[parts[0]] = lineno
+        assignment[parts[0]] = source
     return assignment
 
 

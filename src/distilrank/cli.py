@@ -169,44 +169,50 @@ def _cmd_index_build(args, opts: dict) -> int:
     return 0
 
 
-def _cmd_retrieve(args, opts: dict) -> int:
-    k = opts["retrieve.k"]
-    queries = io.load_queries(args.queries)
+def _bm25_search(index):
+    return lambda query, k: search_bm25(index, query.text, k)
+
+
+def _runfile_search(searcher):
+    return lambda query, k: searcher.search(query.query_id, k)
+
+
+def _search_run(search, queries, k: int, tag: str) -> Run:
+    """The run of a source's ``search(query, k)`` over the queries, less those without hits."""
     ranked: dict[str, list[tuple[str, float]]] = {}
+    for q in queries:
+        hits = search(q, k)
+        if hits:
+            ranked[q.query_id] = [(h.doc_id, h.score) for h in hits]
+    return io.run_from_ranked(ranked, tag)
+
+
+def _cmd_retrieve(args, opts: dict) -> int:
+    queries = io.load_queries(args.queries)
+    searcher = None
     if args.method == "bm25":
         if not args.index:
             raise _UsageError("--method bm25 requires --index")
-        index = load_index(args.index)
-        tag = args.tag or "bm25"
-        for q in queries:
-            hits = search_bm25(index, q.text, k)
-            if hits:
-                ranked[q.query_id] = [(h.doc_id, h.score) for h in hits]
+        search = _bm25_search(load_index(args.index))
     elif args.method == "dense":
         if not args.store or not args.query_vectors:
             raise _UsageError("--method dense requires --store and --query-vectors")
         store = load_dense_store(_read_lines(args.store))
         qvecs = load_dense_store(_read_lines(args.query_vectors))
         qrow = {query_id: row for row, query_id in enumerate(qvecs.doc_ids)}
-        tag = args.tag or "dense"
-        for q in queries:
-            if q.query_id not in qrow:
-                raise DataError(f"no vector for query {q.query_id!r}")
-            hits = search_dense(store, qvecs.matrix[qrow[q.query_id]], k)
-            if hits:
-                ranked[q.query_id] = [(h.doc_id, h.score) for h in hits]
+
+        def search(query, k):
+            if query.query_id not in qrow:
+                raise DataError(f"no vector for query {query.query_id!r}")
+            return search_dense(store, qvecs.matrix[qrow[query.query_id]], k)
     else:  # runfile
         if not args.run:
             raise _UsageError("--method runfile requires --run")
         searcher = RunfileSearcher(io.load_run(args.run))
-        tag = args.tag or "runfile"
-        for q in queries:
-            hits = searcher.search(q.query_id, k)
-            if hits:
-                ranked[q.query_id] = [(h.doc_id, h.score) for h in hits]
-        if searcher.misses:
-            print(f"warning: {searcher.misses} queries missing from {args.run}", file=sys.stderr)
-    run = io.run_from_ranked(ranked, tag)
+        search = _runfile_search(searcher)
+    run = _search_run(search, queries, opts["retrieve.k"], args.tag or args.method)
+    if searcher and searcher.misses:
+        print(f"warning: {searcher.misses} queries missing from {args.run}", file=sys.stderr)
     io.save_text(args.out, io.write_run(run))
     print(f"retrieve: {len(run)} queries with results -> {args.out}")
     return 0
@@ -259,49 +265,37 @@ def _cmd_distill(args, opts: dict) -> int:
     assignment = parse_assignment(_read_lines(args.assignment)) if args.assignment else {}
     k = opts["retrieve.k"]
 
-    index = load_index(args.bm25_index) if args.bm25_index else None
-    searchers: dict[Source, RunfileSearcher] = {}
+    searches = {}  # Source -> search(query, k)
+    if args.bm25_index:
+        searches[Source.BM25] = _bm25_search(load_index(args.bm25_index))
     for source, path in [
         (Source.SPLADE, args.run_splade),
         (Source.DRAGON, args.run_dragon),
         (Source.MONOT5, args.run_monot5),
     ]:
         if path:
-            searchers[source] = RunfileSearcher(io.load_run(path))
+            searches[source] = _runfile_search(RunfileSearcher(io.load_run(path)))
     if args.monot5_scores:
-        if index is None:
+        if Source.BM25 not in searches:
             raise _UsageError("--monot5-scores needs --bm25-index to build the base run")
         k_pool = opts["compose.k_pool"]
         score_map = load_score_map(_read_lines(args.monot5_scores))
-        base: dict[str, list[tuple[str, float]]] = {}
-        for q in queries:
-            if assignment.get(q.query_id, Source.BM25) is Source.MONOT5:
-                hits = search_bm25(index, q.text, k_pool)
-                if hits:
-                    base[q.query_id] = [(h.doc_id, h.score) for h in hits]
-        composed = compose_rerank(io.run_from_ranked(base, "bm25"), score_map, k_pool, k)
-        searchers[Source.MONOT5] = RunfileSearcher(composed)
-
-    def lookup_texts(doc_ids: list[str]) -> list[tuple[str, str]]:
-        docs = []
-        for doc_id in doc_ids:
-            if doc_id not in corpus:
-                raise DataError(f"document {doc_id!r} missing from corpus")
-            docs.append((doc_id, corpus[doc_id]))
-        return docs
+        monot5 = [q for q in queries if assignment.get(q.query_id, Source.BM25) is Source.MONOT5]
+        base = _search_run(searches[Source.BM25], monot5, k_pool, "bm25")
+        searches[Source.MONOT5] = _runfile_search(
+            RunfileSearcher(compose_rerank(base, score_map, k_pool, k)))
 
     def retrieve(query: Query) -> tuple[Source, list[tuple[str, str]]]:
         source = assignment.get(query.query_id, Source.BM25)
-        if source is Source.BM25:
-            if index is None:
-                raise DataError("a query is assigned to BM25 but no --bm25-index was given")
-            hits = search_bm25(index, query.text, k)
-        else:
-            searcher = searchers.get(source)
-            if searcher is None:
-                raise DataError(f"a query is assigned to {source.value} but no run was given")
-            hits = searcher.search(query.query_id, k)
-        return source, lookup_texts([h.doc_id for h in hits])
+        if source not in searches:
+            missing = {Source.BM25: "--bm25-index"}.get(source, "run")
+            raise DataError(f"a query is assigned to {source.value} but no {missing} was given")
+        docs = []
+        for hit in searches[source](query, k):
+            if hit.doc_id not in corpus:
+                raise DataError(f"document {hit.doc_id!r} missing from corpus")
+            docs.append((hit.doc_id, corpus[hit.doc_id]))
+        return source, docs
 
     if args.mock_qrels:
         llm = mock_llm(io.load_qrels(args.mock_qrels))
@@ -395,7 +389,7 @@ def _cmd_rerank(args, opts: dict) -> int:
         score_fn = external_logit_score_fn(logits, strategy)
     else:
         raise _UsageError("rerank needs --checkpoint or --external-logits")
-    reranked = rerank_run(run, corpus, score_fn, k_in=k_in, k_out=k_out, tag=args.tag)
+    reranked = rerank_run(run, score_fn, k_in=k_in, k_out=k_out, tag=args.tag)
     io.save_text(args.out, io.write_run(reranked))
     print(f"rerank: {len(reranked)} queries, top {k_in} -> top {k_out} -> {args.out}")
     return 0
@@ -494,7 +488,7 @@ def _cmd_ablate(args, opts: dict) -> int:
         params = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
         params, history = fit(config, train_examples, [], corpus, params, store)
         score_fn = model_score_fn(params, strategy, queries, corpus, store)
-        reranked = rerank_run(base_run, corpus, score_fn, k_in=k_in, k_out=k_in, tag="ablate")
+        reranked = rerank_run(base_run, score_fn, k_in=k_in, k_out=k_in, tag="ablate")
         report = evaluate_run(reranked, qrels, opts["eval.k"])
         rows.append(f"{cell}\t{report.mean:.6f}\t{history[-1].train_loss:.6f}\n")
         if args.verbose:

@@ -376,13 +376,13 @@ class RunfileSearcher:
         return [ScoredDoc(e.doc_id, e.score) for e in entries[:k]]
 
 
-def search_runfile(run: Run, query_id: str, k: int = 30) -> list[ScoredDoc]:
-    return RunfileSearcher(run).search(query_id, k)
-
-
 def load_score_map(lines: Iterable[str]) -> dict[tuple[str, str], float]:
-    """Parse a TSV score map qid<TAB>docid<TAB>score for compose_rerank."""
+    """Parse a TSV score map qid<TAB>docid<TAB>score for compose_rerank.
+
+    Each (qid, docid) pair may appear once, with a finite score.
+    """
     scores: dict[tuple[str, str], float] = {}
+    line_of: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -390,9 +390,17 @@ def load_score_map(lines: Iterable[str]) -> dict[tuple[str, str], float]:
         if len(parts) != 3:
             raise DataError(f"score map line {lineno}: expected 3 columns, got {len(parts)}")
         try:
-            scores[(parts[0], parts[1])] = float(parts[2])
+            value = float(parts[2])
         except ValueError:
             raise DataError(f"score map line {lineno}: non-numeric score {parts[2]!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"score map line {lineno}: non-finite score {parts[2]!r}")
+        key = (parts[0], parts[1])
+        if key in line_of:
+            raise DataError(f"score map line {lineno}: pair {key} already given on "
+                            f"line {line_of[key]}")
+        line_of[key] = lineno
+        scores[key] = value
     return scores
 
 

@@ -123,6 +123,14 @@ class TestAssignSources:
         text = write_assignment(assignment)
         assert parse_assignment(text.splitlines(keepends=True)) == assignment
 
+    def test_repeated_query_names_both_lines(self):
+        with pytest.raises(DataError, match=r"line 3: query 'q1' already assigned on line 1"):
+            parse_assignment(["q1\tBM25\n", "q2\tSPLADE\n", "q1\tDRAGON\n"])
+
+    def test_unknown_source_names_line(self):
+        with pytest.raises(DataError, match="line 1: unknown source 'ColBERT'"):
+            parse_assignment(["q1\tColBERT\n"])
+
 
 def make_examples(n_cropped, n_generated):
     out = []

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,162 @@ class TestDispatchBasics:
             "--out", str(tmp_path / "d.jsonl"),
         ])
         assert code == 3
+
+
+class TestRetrievalGlue:
+    """The error paths of the first-stage sources behind `retrieve` and `distill`."""
+
+    @pytest.fixture
+    def one_query(self, workdir, tmp_path):
+        query = io.load_queries(workdir / "queries-train.tsv")[0]
+        path = tmp_path / "one.tsv"
+        io.save_text(path, io.write_queries([query]))
+        return query, path
+
+    def _distill(self, workdir, tmp_path, queries, *flags):
+        out = tmp_path / "d.jsonl"
+        code = dispatch(["distill", "--queries", str(queries),
+                         "--corpus", str(workdir / "corpus.jsonl"),
+                         "--mock-qrels", str(workdir / "qrels-train.txt"),
+                         "--out", str(out), *flags])
+        return code, out
+
+    @pytest.mark.parametrize("method, given, needs", [
+        ("bm25", [], "--index"),
+        ("dense", [], "--store and --query-vectors"),
+        ("dense", ["--store", "store.jsonl"], "--store and --query-vectors"),
+        ("runfile", [], "--run"),
+    ])
+    def test_retrieve_without_inputs_exits_1(self, workdir, tmp_path, capsys,
+                                             method, given, needs):
+        out = tmp_path / "r.trec"
+        assert dispatch(["retrieve", "--method", method, *given,
+                         "--queries", str(workdir / "queries-train.tsv"),
+                         "--out", str(out)]) == 1
+        assert f"--method {method} requires {needs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_retrieve_dense_query_without_vector_exits_2(self, tmp_path, capsys):
+        store = tmp_path / "store.jsonl"
+        store.write_text('{"doc_id": "d1", "vector": [1.0, 0.0]}\n')
+        qvecs = tmp_path / "qvecs.jsonl"
+        qvecs.write_text('{"doc_id": "qa", "vector": [1.0, 0.0]}\n')
+        queries = tmp_path / "q.tsv"
+        queries.write_text("qa\tsome text\tcropped\nqb\tmore text\tcropped\n")
+        out = tmp_path / "dense.trec"
+        assert dispatch(["retrieve", "--method", "dense", "--store", str(store),
+                         "--query-vectors", str(qvecs), "--queries", str(queries),
+                         "--out", str(out)]) == 2
+        assert "no vector for query 'qb'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_retrieve_runfile_warns_of_missing_queries(self, tmp_path, capsys):
+        run = tmp_path / "ext.trec"
+        run.write_text("qb Q0 d1 1 2.0 ext\nqb Q0 d2 2 1.0 ext\nqz Q0 d3 1 1.0 ext\n")
+        queries = tmp_path / "q.tsv"
+        queries.write_text("qa\ta\tcropped\nqb\tb\tcropped\nqc\tc\tgenerated\n")
+        out = tmp_path / "r.trec"
+        assert dispatch(["retrieve", "--method", "runfile", "--run", str(run),
+                         "--queries", str(queries), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert f"warning: 2 queries missing from {run}" in captured.err
+        assert "retrieve: 1 queries with results" in captured.out
+        assert [(e.doc_id, e.rank, e.tag) for e in io.load_run(out)["qb"]] == [
+            ("d1", 1, "runfile"), ("d2", 2, "runfile")]
+
+    @pytest.mark.parametrize("source, message", [
+        ("SPLADE", "a query is assigned to SPLADE but no run was given"),
+        ("BM25", "a query is assigned to BM25 but no --bm25-index was given"),
+    ])
+    def test_distill_source_without_input_is_a_failure(self, workdir, tmp_path, capsys,
+                                                       one_query, source, message):
+        query, queries = one_query
+        assignment = tmp_path / "sources.tsv"
+        assignment.write_text(f"{query.query_id}\t{source}\n")
+        # a SPLADE-assigned query fails even with a BM25 index at hand
+        index = ["--bm25-index", str(workdir / "index.json")] if source == "SPLADE" else []
+        code, out = self._distill(workdir, tmp_path, queries,
+                                  "--assignment", str(assignment), *index)
+        assert code == 0
+        assert io.load_distilled(out) == []
+        assert f"failed {query.query_id}: {message}" in capsys.readouterr().err
+
+    def test_monot5_scores_without_bm25_index_exits_1(self, workdir, tmp_path, capsys,
+                                                      one_query):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("q\td\t1.0\n")
+        code, out = self._distill(workdir, tmp_path, one_query[1],
+                                  "--monot5-scores", str(scores))
+        assert code == 1
+        assert "--monot5-scores needs --bm25-index" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, line", [
+        ("{q}\t{d}\t0.5\n{q}\t{d}\t0.7\n", "line 2"),
+        ("{q}\t{d}\tnan\n", "line 1"),
+        ("{q}\t{d}\tinf\n", "line 1"),
+    ], ids=["repeated-pair", "nan", "inf"])
+    def test_distill_rejects_bad_monot5_scores(self, workdir, tmp_path, capsys, one_query,
+                                               rows, line):
+        query, queries = one_query
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(rows.format(q=query.query_id, d="doc-x"))
+        code, out = self._distill(workdir, tmp_path, queries,
+                                  "--bm25-index", str(workdir / "index.json"),
+                                  "--monot5-scores", str(scores))
+        assert code == 2
+        assert f"score map {line}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_distill_rejects_repeated_assignment(self, workdir, tmp_path, capsys, one_query):
+        query, queries = one_query
+        assignment = tmp_path / "sources.tsv"
+        assignment.write_text(f"{query.query_id}\tBM25\n{query.query_id}\tSPLADE\n")
+        code, out = self._distill(workdir, tmp_path, queries,
+                                  "--bm25-index", str(workdir / "index.json"),
+                                  "--assignment", str(assignment))
+        assert code == 2
+        assert "assignment line 2" in (err := capsys.readouterr().err) and "line 1" in err
+        assert not out.exists()
+
+    def test_composed_monot5_run_overrides_run_monot5(self, workdir, tmp_path, one_query):
+        from distilrank.retrieval import load_index, search_bm25
+
+        query, queries = one_query
+        pool = [h.doc_id for h in search_bm25(load_index(workdir / "index.json"), query.text, 5)]
+        assert len(pool) == 5
+        # the score map reverses the BM25 pool; the run file names none of it
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("".join(f"{query.query_id}\t{d}\t{i}\n" for i, d in enumerate(pool)))
+        others = [d.doc_id for d in io.load_corpus(workdir / "corpus.jsonl")
+                  if d.doc_id not in pool][:3]
+        run = tmp_path / "monot5.trec"
+        run.write_text("".join(f"{query.query_id} Q0 {d} {r} {10 - r} ext\n"
+                               for r, d in enumerate(others, 1)))
+        assignment = tmp_path / "sources.tsv"
+        assignment.write_text(f"{query.query_id}\tMonoT5\n")
+        code, out = self._distill(workdir, tmp_path, queries,
+                                  "--assignment", str(assignment),
+                                  "--bm25-index", str(workdir / "index.json"),
+                                  "--run-monot5", str(run), "--monot5-scores", str(scores),
+                                  "--k-pool", "5", "--k", "3")
+        assert code == 0
+        [example] = io.load_distilled(out)
+        assert example.source_retriever is Source.MONOT5
+        assert set(example.doc_ids) == set(pool[:-4:-1])
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of the CLI's start-up time and is not needed
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, distilrank.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 class TestPipelineThroughCli(object):

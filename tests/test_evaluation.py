@@ -186,6 +186,18 @@ class TestPairedTTest:
         b = {"q1": 0.0, "q2": 1.0}
         assert paired_t_test(a, b) == 0.0
 
+    def test_equals_scipy_stats_formula(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(11)
+        for n in [2, 3, 5, 8, 30, 200]:
+            for _ in range(25):
+                a = {f"q{i}": v for i, v in enumerate(rng.random(n))}
+                b = {f"q{i}": v for i, v in enumerate(rng.random(n) * rng.uniform(0.2, 2.0))}
+                d = np.array([a[k] - b[k] for k in sorted(a)])
+                t = d.mean() / (d.std(ddof=1) / math.sqrt(n))
+                assert paired_t_test(a, b) == float(2.0 * stats.t.sf(abs(t), df=n - 1))
+
 
 class TestRerankRun:
     def corpus(self):
@@ -193,7 +205,7 @@ class TestRerankRun:
 
     def test_equal_scores_fall_back_to_doc_id_order(self):
         run = run_of({"q1": ["d3", "d0", "d4", "d1"]})
-        out = rerank_run(run, self.corpus(), lambda q, ds: [1.0] * len(ds), k_in=4, k_out=4)
+        out = rerank_run(run, lambda q, ds: [1.0] * len(ds), k_in=4, k_out=4)
         assert [e.doc_id for e in out["q1"]] == ["d0", "d1", "d3", "d4"]
 
     def test_oracle_logits_give_perfect_ndcg(self):
@@ -201,7 +213,7 @@ class TestRerankRun:
         qrels = {("q1", "d0"): 0, ("q1", "d1"): 3, ("q1", "d2"): 1}
         logits = {key: LogitPair(float(rel), 0.0) for key, rel in qrels.items()}
         out = rerank_run(
-            run, self.corpus(), external_logit_score_fn(logits, ScoreStrategy.LOGIT_DIFFERENCE),
+            run, external_logit_score_fn(logits, ScoreStrategy.LOGIT_DIFFERENCE),
             k_in=3, k_out=3,
         )
         assert evaluate_run(out, qrels, 10).mean == pytest.approx(1.0)
@@ -213,7 +225,7 @@ class TestRerankRun:
         outs = []
         for strategy in (ScoreStrategy.SOFTMAX_TRUE_FALSE, ScoreStrategy.LOGIT_DIFFERENCE):
             fn = model_score_fn(params, strategy, queries, self.corpus())
-            out = rerank_run(run, self.corpus(), fn, k_in=5, k_out=5)
+            out = rerank_run(run, fn, k_in=5, k_out=5)
             outs.append([e.doc_id for e in out["q1"]])
         assert outs[0] == outs[1]
 
@@ -246,12 +258,12 @@ class TestRerankRun:
             self.corpus(),
         )
         with pytest.raises(DataError, match="nope"):
-            rerank_run(run, self.corpus(), fn, k_in=2, k_out=2)
+            rerank_run(run, fn, k_in=2, k_out=2)
 
     def test_k_out_truncates(self):
         run = run_of({"q1": [f"d{i}" for i in range(5)]})
         out = rerank_run(
-            run, self.corpus(), lambda q, ds: [float(d[-1]) for d in ds], k_in=5, k_out=2
+            run, lambda q, ds: [float(d[-1]) for d in ds], k_in=5, k_out=2
         )
         assert len(out["q1"]) == 2
         assert out["q1"][0].doc_id == "d4"

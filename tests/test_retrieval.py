@@ -16,10 +16,10 @@ from distilrank.retrieval import (
     compose_rerank,
     load_dense_store,
     load_index,
+    load_score_map,
     save_index,
     search_bm25,
     search_dense,
-    search_runfile,
 )
 from distilrank.tokenization import tokenize
 from distilrank.types import Document
@@ -319,7 +319,7 @@ class TestRunfile:
         return run_from_ranked({"q1": [(f"d{i:03d}", float(n - i)) for i in range(n)]}, "ext")
 
     def test_truncates_at_k(self):
-        hits = search_runfile(self.run(100), "q1", 30)
+        hits = RunfileSearcher(self.run(100)).search("q1", 30)
         assert len(hits) == 30 and hits[0].doc_id == "d000"
 
     def test_unknown_query_counts_miss(self):
@@ -329,7 +329,26 @@ class TestRunfile:
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            search_runfile(self.run(), "q1", 0)
+            RunfileSearcher(self.run()).search("q1", 0)
+
+
+class TestLoadScoreMap:
+    def test_parses_pairs(self):
+        assert load_score_map(["q1\td1\t0.5\n", "\n", "q1\td2\t-1\n"]) == {
+            ("q1", "d1"): 0.5, ("q1", "d2"): -1.0}
+
+    def test_repeated_pair_names_both_lines(self):
+        with pytest.raises(DataError, match=r"line 3.*'q1', 'd1'.*line 1"):
+            load_score_map(["q1\td1\t0.5\n", "q1\td2\t0.4\n", "q1\td1\t0.7\n"])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score_names_line(self, bad):
+        with pytest.raises(DataError, match=f"line 2: non-finite score '{bad}'"):
+            load_score_map(["q1\td1\t0.5\n", f"q1\td2\t{bad}\n"])
+
+    def test_non_numeric_score_names_line(self):
+        with pytest.raises(DataError, match="line 1: non-numeric"):
+            load_score_map(["q1\td1\thigh\n"])
 
 
 class TestComposeRerank:
