@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DataError
+from .io import records, require_new
 from .tokenization import TokenizerConfig, tokenize
 from .types import SOURCES, DistilledExample, Document, Query, QueryKind, Source
 
@@ -77,15 +78,7 @@ def crop_sentences(
 
 def parse_generated_pool(lines: Iterable[str]) -> list[tuple[str, str]]:
     """Parse a generated-query pool: TSV doc_id<TAB>query_text, one query per line."""
-    pool: list[tuple[str, str]] = []
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 2:
-            raise DataError(f"generated pool line {lineno}: expected 2 columns, got {len(parts)}")
-        pool.append((parts[0], parts[1]))
-    return pool
+    return [(doc_id, text) for _, (doc_id, text) in records(lines, "generated pool", 2)]
 
 
 def load_generated(lines: Iterable[str], n: int = 10_000, seed: int = 0) -> list[Query]:
@@ -125,21 +118,12 @@ def parse_assignment(lines: Iterable[str]) -> dict[str, Source]:
     """Parse query_id<TAB>source lines; each query may be assigned once."""
     assignment: dict[str, Source] = {}
     line_of: dict[str, int] = {}
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 2:
-            raise DataError(f"assignment line {lineno}: expected 2 columns, got {len(parts)}")
+    for lineno, (query_id, source) in records(lines, "assignment", 2):
+        require_new(line_of, query_id, lineno, "assignment", "query", "assigned")
         try:
-            source = Source(parts[1])
+            assignment[query_id] = Source(source)
         except ValueError:
-            raise DataError(f"assignment line {lineno}: unknown source {parts[1]!r}") from None
-        if parts[0] in line_of:
-            raise DataError(f"assignment line {lineno}: query {parts[0]!r} already assigned on "
-                            f"line {line_of[parts[0]]}")
-        line_of[parts[0]] = lineno
-        assignment[parts[0]] = source
+            raise DataError(f"assignment line {lineno}: unknown source {source!r}") from None
     return assignment
 
 

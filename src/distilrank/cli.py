@@ -7,7 +7,6 @@ error. Stages hand files to each other; all randomness is seeded from --seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -80,11 +79,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_lines(path: str):
-    with open(path, encoding="utf-8") as f:
-        return f.readlines()
-
-
 def _corpus_map(path: str) -> dict[str, str]:
     return {d.doc_id: d.text for d in io.load_corpus(path)}
 
@@ -112,22 +106,10 @@ def _source_or_none(name: str) -> Source | None:
 
 def _load_per_query_tsv(path: str) -> dict[str, float]:
     values: dict[str, float] = {}
-    for lineno, line in enumerate(_read_lines(path), 1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path} line {lineno}: expected 2 columns")
-        query_id, raw = parts
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise DataError(f"{path} line {lineno}: expected a finite number, got {raw!r}")
-        if query_id in values:
-            raise DataError(f"{path} line {lineno}: query {query_id!r} appears twice")
-        values[query_id] = value
+    line_of: dict[str, int] = {}
+    for lineno, (query_id, raw) in io.records(io.lines_of(path), path, 2):
+        io.require_new(line_of, query_id, lineno, path, "query")
+        values[query_id] = io.number(raw, path, lineno, "value")
     return values
 
 
@@ -197,8 +179,8 @@ def _cmd_retrieve(args, opts: dict) -> int:
     elif args.method == "dense":
         if not args.store or not args.query_vectors:
             raise _UsageError("--method dense requires --store and --query-vectors")
-        store = load_dense_store(_read_lines(args.store))
-        qvecs = load_dense_store(_read_lines(args.query_vectors))
+        store = load_dense_store(io.lines_of(args.store))
+        qvecs = load_dense_store(io.lines_of(args.query_vectors))
         qrow = {query_id: row for row, query_id in enumerate(qvecs.doc_ids)}
 
         def search(query, k):
@@ -232,7 +214,7 @@ def _cmd_augment_crop(args, opts: dict) -> int:
 
 
 def _cmd_augment_load_generated(args, opts: dict) -> int:
-    queries = load_generated(_read_lines(args.pool), n=args.n, seed=args.seed)
+    queries = load_generated(io.lines_of(args.pool), n=args.n, seed=args.seed)
     io.save_text(args.out, io.write_queries(queries))
     print(f"augment load-generated: {len(queries)} queries -> {args.out}")
     return 0
@@ -262,16 +244,18 @@ def _cmd_split(args, opts: dict) -> int:
 def _cmd_distill(args, opts: dict) -> int:
     queries = io.load_queries(args.queries)
     corpus = _corpus_map(args.corpus)
-    assignment = parse_assignment(_read_lines(args.assignment)) if args.assignment else {}
+    assignment = parse_assignment(io.lines_of(args.assignment)) if args.assignment else {}
     k = opts["retrieve.k"]
 
     searches = {}  # Source -> search(query, k)
     if args.bm25_index:
         searches[Source.BM25] = _bm25_search(load_index(args.bm25_index))
+    if args.monot5_scores and args.run_monot5:
+        print("warning: --monot5-scores overrides --run-monot5", file=sys.stderr)
     for source, path in [
         (Source.SPLADE, args.run_splade),
         (Source.DRAGON, args.run_dragon),
-        (Source.MONOT5, args.run_monot5),
+        (Source.MONOT5, None if args.monot5_scores else args.run_monot5),
     ]:
         if path:
             searches[source] = _runfile_search(RunfileSearcher(io.load_run(path)))
@@ -279,7 +263,7 @@ def _cmd_distill(args, opts: dict) -> int:
         if Source.BM25 not in searches:
             raise _UsageError("--monot5-scores needs --bm25-index to build the base run")
         k_pool = opts["compose.k_pool"]
-        score_map = load_score_map(_read_lines(args.monot5_scores))
+        score_map = load_score_map(io.lines_of(args.monot5_scores))
         monot5 = [q for q in queries if assignment.get(q.query_id, Source.BM25) is Source.MONOT5]
         base = _search_run(searches[Source.BM25], monot5, k_pool, "bm25")
         searches[Source.MONOT5] = _runfile_search(
@@ -372,7 +356,6 @@ def _cmd_train(args, opts: dict) -> int:
 
 def _cmd_rerank(args, opts: dict) -> int:
     run = io.load_run(args.run)
-    corpus = _corpus_map(args.corpus)
     k_in = opts["rerank.k_in"]
     k_out = k_in if opts["rerank.k_out"] is None else opts["rerank.k_out"]
     if args.checkpoint:
@@ -381,11 +364,11 @@ def _cmd_rerank(args, opts: dict) -> int:
         if not args.queries:
             raise _UsageError("reranking with a checkpoint requires --queries for query texts")
         queries = {q.query_id: q.text for q in io.load_queries(args.queries)}
-        score_fn = model_score_fn(params, strategy, queries, corpus)
+        score_fn = model_score_fn(params, strategy, queries, _corpus_map(args.corpus))
     elif args.external_logits:
         strategy = (_choice(ScoreStrategy, args.strategy) if args.strategy
                     else ScoreStrategy.LOGIT_DIFFERENCE)
-        logits = load_external_logits(_read_lines(args.external_logits))
+        logits = load_external_logits(io.lines_of(args.external_logits))
         score_fn = external_logit_score_fn(logits, strategy)
     else:
         raise _UsageError("rerank needs --checkpoint or --external-logits")

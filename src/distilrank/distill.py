@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import BudgetError, DataError, JournalError
-from .io import _example_from_obj, _example_to_obj
+from .io import _example_from_obj, _example_to_obj, json_record
 from .llm import LlmClient, Message
 from .types import DistilledExample, Query, Source
 
@@ -259,7 +259,7 @@ def read_journal(path: str | Path) -> dict[str, DistilledExample]:
                 logger.warning("dropping torn final journal line %d", i + 1)
                 continue
             raise JournalError(f"journal line {i + 1} fails its checksum")
-        example = _example_from_obj(json.loads(payload), f"journal line {i + 1}")
+        example = json_record(payload, "journal", i + 1, _example_from_obj)
         completed.setdefault(example.query_id, example)
     return completed
 

@@ -1,11 +1,23 @@
-"""Codecs for every file format the pipeline exchanges.
+"""Codecs for the pipeline's files, and the record reader that every
+line-oriented input goes through.
 
-Formats:
-  corpus.jsonl    one JSON object per line: {"doc_id": ..., "text": ...}
-  queries.tsv     query_id<TAB>text<TAB>kind, kind in {cropped, generated}
-  run files       TREC 6-column: qid Q0 docid rank score tag
-  qrels           TREC 4-column: qid 0 docid rel
-  distilled.jsonl one JSON object per line with all DistilledExample fields
+records() splits each non-blank line into a fixed number of fields, on tabs
+or (for TREC files) on any whitespace; json_records() parses each non-blank
+line as one JSON object. number() parses a field as a finite number, and
+require_new() rejects a repeated key. Each DataError they raise names the
+kind of file and the line, and a repeated key also names its first line.
+
+Formats read here (README "Input files" lists every line format):
+  corpus.jsonl    {"doc_id": ..., "text": ...} per line; doc_id unique
+  queries.tsv     query_id<TAB>text<TAB>kind, kind in {cropped, generated};
+                  query_id unique
+  run files       TREC 6-column: qid Q0 docid rank score tag; per query, ranks
+                  1..n, each docid once, finite non-increasing scores
+  qrels           TREC 4-column: qid 0 docid rel; each (qid, docid) once, with
+                  a non-negative integer rel (a repeat names the pair, not its
+                  first line, so the parse keeps no line map)
+  distilled.jsonl one JSON object per line with all DistilledExample fields;
+                  query_id unique
 
 Canonical run text uses a single space separator, %.6f scores, and queries
 sorted by query_id, so write_run(read_run(x)) == x byte-for-byte.
@@ -14,28 +26,84 @@ sorted by query_id, so write_run(read_run(x)) == x byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import DataError
 from .types import DistilledExample, Document, Qrels, Query, QueryKind, Run, RunEntry, Source, validate_run
 
+T = TypeVar("T")
+
+
+def lines_of(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read as they are consumed."""
+    with open(path, encoding="utf-8") as f:
+        yield from f
+
+
+def records(lines: Iterable[str], what: str, n_fields: int,
+            sep: str | None = "\t") -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each non-blank line, split on sep.
+
+    ``sep=None`` splits on runs of whitespace (TREC runs and qrels); otherwise
+    only the newline is stripped, so a field may hold spaces.
+    """
+    for lineno, line in enumerate(lines, 1):
+        if sep is None:
+            fields = line.split()
+            if not fields:
+                continue
+        elif line.strip():
+            fields = line.rstrip("\n").split(sep)
+        else:
+            continue
+        if len(fields) != n_fields:
+            raise DataError(f"{what} line {lineno}: expected {n_fields} columns, got {len(fields)}")
+        yield lineno, fields
+
+
+def json_record(text: str, what: str, lineno: int, build: Callable[[dict], T]) -> T:
+    """build(the JSON object in text); any failure is a DataError naming the line."""
+    try:
+        return build(json.loads(text))
+    except (KeyError, TypeError, ValueError, DataError) as exc:
+        raise DataError(f"{what} line {lineno}: malformed record ({exc})") from exc
+
+
+def json_records(lines: Iterable[str], what: str,
+                 build: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """Yield (line number, json_record(line)) for each non-blank JSON line."""
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            yield lineno, json_record(line, what, lineno, build)
+
+
+def number(raw: str, what: str, lineno: int, field: str, kind: type = float) -> float:
+    """raw parsed as a finite float (or an int); a DataError naming the line otherwise."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise DataError(f"{what} line {lineno}: non-numeric {field} {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise DataError(f"{what} line {lineno}: non-finite {field} {raw!r}")
+    return value
+
+
+def require_new(line_of: dict, key: Hashable, lineno: int, what: str, noun: str,
+                verb: str = "given") -> None:
+    """Record key's first line in line_of; a repeated key is a DataError naming both lines."""
+    first = line_of.setdefault(key, lineno)
+    if first != lineno:
+        raise DataError(f"{what} line {lineno}: {noun} {key!r} already {verb} on line {first}")
+
 
 def parse_corpus(lines: Iterable[str]) -> list[Document]:
-    """Parse corpus.jsonl lines; blank lines are skipped, duplicate ids rejected."""
+    """Parse corpus.jsonl lines; each doc_id may appear once."""
+    line_of: dict[str, int] = {}
     docs: list[Document] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            doc = Document(doc_id=obj["doc_id"], text=obj["text"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"corpus line {lineno}: malformed record ({exc})") from exc
-        if doc.doc_id in seen:
-            raise DataError(f"corpus line {lineno}: duplicate doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
+    for lineno, doc in json_records(lines, "corpus", lambda o: Document(o["doc_id"], o["text"])):
+        require_new(line_of, doc.doc_id, lineno, "corpus", "doc_id")
         docs.append(doc)
     return docs
 
@@ -47,20 +115,15 @@ def write_corpus(docs: Iterable[Document]) -> str:
 
 
 def parse_queries(lines: Iterable[str]) -> list[Query]:
-    """Parse queries.tsv lines into Query values."""
+    """Parse queries.tsv lines into Query values; each query_id may appear once."""
+    line_of: dict[str, int] = {}
     queries: list[Query] = []
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise DataError(f"queries line {lineno}: expected 3 tab-separated columns, got {len(parts)}")
-        query_id, text, kind_str = parts
+    for lineno, (query_id, text, kind) in records(lines, "queries", 3):
+        require_new(line_of, query_id, lineno, "queries", "query")
         try:
-            kind = QueryKind(kind_str)
+            queries.append(Query(query_id=query_id, text=text, kind=QueryKind(kind)))
         except ValueError:
-            raise DataError(f"queries line {lineno}: unknown kind {kind_str!r}") from None
-        queries.append(Query(query_id=query_id, text=text, kind=kind))
+            raise DataError(f"queries line {lineno}: unknown kind {kind!r}") from None
     return queries
 
 
@@ -69,21 +132,12 @@ def write_queries(queries: Iterable[Query]) -> str:
 
 
 def read_run(lines: Iterable[str]) -> Run:
-    """Parse a TREC run file; enforces contiguous ranks and non-increasing scores per query."""
+    """Parse a TREC run file; enforces validate_run's per-query invariants."""
     run: Run = {}
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise DataError(f"run line {lineno}: expected 6 columns, got {len(parts)}")
-        qid, _q0, docid, rank_str, score_str, tag = parts
-        try:
-            rank = int(rank_str)
-            score = float(score_str)
-        except ValueError:
-            raise DataError(f"run line {lineno}: non-numeric rank or score") from None
-        run.setdefault(qid, []).append(RunEntry(qid, docid, rank, score, tag))
+    for lineno, (qid, _q0, docid, rank, score, tag) in records(lines, "run", 6, sep=None):
+        run.setdefault(qid, []).append(RunEntry(
+            qid, docid, number(rank, "run", lineno, "rank", int),
+            number(score, "run", lineno, "score"), tag))
     for entries in run.values():
         entries.sort(key=lambda e: e.rank)
     validate_run(run)
@@ -114,22 +168,13 @@ def run_from_ranked(ranked: dict[str, list[tuple[str, float]]], tag: str) -> Run
 def read_qrels(lines: Iterable[str]) -> Qrels:
     """Parse TREC qrels; duplicate pairs and negative grades are rejected."""
     qrels: Qrels = {}
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise DataError(f"qrels line {lineno}: expected 4 columns, got {len(parts)}")
-        qid, _iter, docid, rel_str = parts
-        try:
-            rel = int(rel_str)
-        except ValueError:
-            raise DataError(f"qrels line {lineno}: non-integer relevance {rel_str!r}") from None
-        if rel < 0:
-            raise DataError(f"qrels line {lineno}: negative relevance grade {rel}")
+    for lineno, (qid, _iter, docid, rel) in records(lines, "qrels", 4, sep=None):
+        grade = number(rel, "qrels", lineno, "relevance", int)
+        if grade < 0:
+            raise DataError(f"qrels line {lineno}: negative relevance grade {grade}")
         if (qid, docid) in qrels:
             raise DataError(f"qrels line {lineno}: duplicate pair ({qid}, {docid})")
-        qrels[(qid, docid)] = rel
+        qrels[(qid, docid)] = grade
     return qrels
 
 
@@ -150,21 +195,17 @@ def _example_to_obj(ex: DistilledExample) -> dict:
     }
 
 
-def _example_from_obj(obj: dict, where: str) -> DistilledExample:
-    try:
-        return DistilledExample(
-            query_id=obj["query_id"],
-            query_text=obj["query_text"],
-            kind=QueryKind(obj["kind"]),
-            source_retriever=Source(obj["source_retriever"]),
-            doc_ids=tuple(obj["doc_ids"]),
-            llm_ranking=tuple(obj["llm_ranking"]),
-            raw_response=obj.get("raw_response", ""),
-            repaired=bool(obj.get("repaired", False)),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        qid = obj.get("query_id", "?") if isinstance(obj, dict) else "?"
-        raise DataError(f"{where}: invalid distilled example for query {qid!r} ({exc})") from exc
+def _example_from_obj(obj: dict) -> DistilledExample:
+    return DistilledExample(
+        query_id=obj["query_id"],
+        query_text=obj["query_text"],
+        kind=QueryKind(obj["kind"]),
+        source_retriever=Source(obj["source_retriever"]),
+        doc_ids=tuple(obj["doc_ids"]),
+        llm_ranking=tuple(obj["llm_ranking"]),
+        raw_response=obj.get("raw_response", ""),
+        repaired=bool(obj.get("repaired", False)),
+    )
 
 
 def write_distilled(examples: Iterable[DistilledExample]) -> str:
@@ -175,41 +216,32 @@ def write_distilled(examples: Iterable[DistilledExample]) -> str:
 
 def read_distilled(lines: Iterable[str]) -> list[DistilledExample]:
     """Parse distilled.jsonl; rankings that are not permutations are rejected."""
+    line_of: dict[str, int] = {}
     examples: list[DistilledExample] = []
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"distilled line {lineno}: malformed JSON ({exc})") from exc
-        examples.append(_example_from_obj(obj, f"distilled line {lineno}"))
+    for lineno, ex in json_records(lines, "distilled", _example_from_obj):
+        require_new(line_of, ex.query_id, lineno, "distilled", "query")
+        examples.append(ex)
     return examples
 
 
-def _iter_lines(path: str | Path) -> Iterator[str]:
-    with open(path, encoding="utf-8") as f:
-        yield from f
-
-
 def load_corpus(path: str | Path) -> list[Document]:
-    return parse_corpus(_iter_lines(path))
+    return parse_corpus(lines_of(path))
 
 
 def load_queries(path: str | Path) -> list[Query]:
-    return parse_queries(_iter_lines(path))
+    return parse_queries(lines_of(path))
 
 
 def load_run(path: str | Path) -> Run:
-    return read_run(_iter_lines(path))
+    return read_run(lines_of(path))
 
 
 def load_qrels(path: str | Path) -> Qrels:
-    return read_qrels(_iter_lines(path))
+    return read_qrels(lines_of(path))
 
 
 def load_distilled(path: str | Path) -> list[DistilledExample]:
-    return read_distilled(_iter_lines(path))
+    return read_distilled(lines_of(path))
 
 
 def save_text(path: str | Path, text: str) -> None:

@@ -18,7 +18,6 @@ Ties are broken by ascending doc_id so all searches are reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import zipfile
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .io import run_from_ranked
+from .io import json_records, number, records, require_new, run_from_ranked
 from .tokenization import TokenizerConfig, tokenize
 from .types import Document, Run
 
@@ -309,36 +308,27 @@ class DenseStore:
         self.doc_rank = _ranks(self.doc_ids)
 
 
+def _dense_row(obj: dict) -> tuple[str, np.ndarray]:
+    doc_id = obj["doc_id"]
+    if not isinstance(doc_id, str):
+        raise TypeError(f"doc_id {doc_id!r} is not a string")
+    vec = np.asarray(obj["vector"], dtype=np.float64)
+    if vec.ndim != 1:
+        raise ValueError("vector is not one-dimensional")
+    if not np.isfinite(vec).all():
+        raise ValueError("vector has a non-finite component")
+    return doc_id, vec
+
+
 def load_dense_store(lines: Iterable[str]) -> DenseStore:
     """Parse line-delimited JSON {"doc_id": ..., "vector": [...]} into a DenseStore."""
     rows: list[np.ndarray] = []
     line_of: dict[str, int] = {}  # doc_id -> its line, in file order
-    dimension = -1
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            doc_id = obj["doc_id"]
-            if not isinstance(doc_id, str):
-                raise TypeError(f"doc_id {doc_id!r} is not a string")
-            vec = np.asarray(obj["vector"], dtype=np.float64)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"dense store line {lineno}: malformed record ({exc})") from exc
-        if vec.ndim != 1:
-            raise DataError(f"dense store line {lineno}: vector is not one-dimensional")
-        if dimension < 0:
-            dimension = vec.shape[0]
-        elif vec.shape[0] != dimension:
+    for lineno, (doc_id, vec) in json_records(lines, "dense store", _dense_row):
+        if rows and vec.shape != rows[0].shape:
             raise DataError(
-                f"dense store line {lineno}: dimension {vec.shape[0]} != {dimension}"
-            )
-        if not np.isfinite(vec).all():
-            raise DataError(f"dense store line {lineno}: vector has a non-finite component")
-        if doc_id in line_of:
-            raise DataError(f"dense store line {lineno}: doc_id {doc_id!r} already given on "
-                            f"line {line_of[doc_id]}")
-        line_of[doc_id] = lineno
+                f"dense store line {lineno}: dimension {vec.shape[0]} != {rows[0].shape[0]}")
+        require_new(line_of, doc_id, lineno, "dense store", "doc_id")
         rows.append(vec)
     matrix = np.stack(rows) if rows else np.zeros((0, 0))
     return DenseStore(doc_ids=list(line_of), matrix=matrix)
@@ -383,24 +373,10 @@ def load_score_map(lines: Iterable[str]) -> dict[tuple[str, str], float]:
     """
     scores: dict[tuple[str, str], float] = {}
     line_of: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise DataError(f"score map line {lineno}: expected 3 columns, got {len(parts)}")
-        try:
-            value = float(parts[2])
-        except ValueError:
-            raise DataError(f"score map line {lineno}: non-numeric score {parts[2]!r}") from None
-        if not math.isfinite(value):
-            raise DataError(f"score map line {lineno}: non-finite score {parts[2]!r}")
-        key = (parts[0], parts[1])
-        if key in line_of:
-            raise DataError(f"score map line {lineno}: pair {key} already given on "
-                            f"line {line_of[key]}")
-        line_of[key] = lineno
-        scores[key] = value
+    for lineno, (qid, docid, value) in records(lines, "score map", 3):
+        key = (qid, docid)
+        require_new(line_of, key, lineno, "score map", "pair")
+        scores[key] = number(value, "score map", lineno, "score")
     return scores
 
 

@@ -16,7 +16,6 @@ that order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -29,6 +28,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import DataError
+from .io import number, records, require_new
 from .tokenization import TokenizerConfig, tokenize
 
 
@@ -314,20 +314,10 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ScoreStrategy]:
 def load_external_logits(lines: Iterable[str]) -> dict[tuple[str, str], LogitPair]:
     """Parse TSV qid<TAB>docid<TAB>z_true<TAB>z_false produced by an external model."""
     logits: dict[tuple[str, str], LogitPair] = {}
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 4:
-            raise DataError(f"logits line {lineno}: expected 4 columns, got {len(parts)}")
-        key = (parts[0], parts[1])
-        if key in logits:
-            raise DataError(f"logits line {lineno}: duplicate pair {key}")
-        try:
-            pair = LogitPair(float(parts[2]), float(parts[3]))
-        except ValueError:
-            raise DataError(f"logits line {lineno}: non-numeric logit") from None
-        if not (math.isfinite(pair.z_true) and math.isfinite(pair.z_false)):
-            raise DataError(f"logits line {lineno}: non-finite logit")
-        logits[key] = pair
+    line_of: dict[tuple[str, str], int] = {}
+    for lineno, (qid, docid, z_true, z_false) in records(lines, "logits", 4):
+        key = (qid, docid)
+        require_new(line_of, key, lineno, "logits", "pair")
+        logits[key] = LogitPair(number(z_true, "logits", lineno, "z_true"),
+                                number(z_false, "logits", lineno, "z_false"))
     return logits

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,11 +91,18 @@ class DistilledExample:
 
 
 def validate_run(run: Run) -> None:
-    """Check per-query rank contiguity and non-increasing scores; raise DataError otherwise."""
+    """Check per query: contiguous ranks, each doc_id once, finite non-increasing
+    scores; raise DataError otherwise."""
     for query_id, entries in run.items():
         ranks = [e.rank for e in entries]
         if ranks != list(range(1, len(entries) + 1)):
             raise DataError(f"query {query_id}: ranks are not 1..{len(entries)} without gaps")
+        if len({e.doc_id for e in entries}) != len(entries):
+            doc_ids = [e.doc_id for e in entries]
+            doc_id = next(d for i, d in enumerate(doc_ids) if d in doc_ids[:i])
+            raise DataError(f"query {query_id}: doc_id {doc_id!r} appears twice")
+        if not all(map(math.isfinite, [e.score for e in entries])):
+            raise DataError(f"query {query_id}: non-finite score")
         for prev, cur in zip(entries, entries[1:]):
             if cur.score > prev.score:
                 raise DataError(

@@ -7,9 +7,11 @@ ordering sits near 0.80, leaving the trained scorer ample headroom over the
 required +0.05.
 """
 
+import hashlib
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,7 +306,17 @@ def e2e(tmp_path_factory):
     run(["rerank", "--run", f"{root}/run-eval.trec", "--corpus", f"{root}/corpus.jsonl",
          "--queries", f"{root}/queries-eval.tsv", "--checkpoint", f"{root}/scorer.ckpt",
          "--k-in", "30", "--k-out", "30", "--out", f"{root}/reranked.trec"])
-    return {"root": root, "elapsed": time.perf_counter() - t0}
+    elapsed = time.perf_counter() - t0
+    # criterion 10's grid, built here so the golden pins can read it too
+    run(["ablate", "--train", f"{root}/distilled-4src.jsonl",
+         "--corpus", f"{root}/corpus.jsonl",
+         "--queries", f"{root}/queries-eval.tsv",
+         "--qrels", f"{root}/qrels-eval.txt",
+         "--base-run", f"{root}/run-eval.trec",
+         "--epochs", "2", "--batch", "8", "--hash-dim", "4096", "--hidden", "16",
+         "--k-in", "30", "--seed", "7",
+         "--out", f"{root}/grid.tsv"])
+    return {"root": root, "elapsed": elapsed}
 
 
 def test_criterion_9_end_to_end_distillation(e2e):
@@ -328,20 +340,8 @@ def test_criterion_9_end_to_end_distillation(e2e):
     )
 
 
-def test_criterion_10_ablation_harness(e2e, tmp_path):
-    root = e2e["root"]
-    grid_path = tmp_path / "grid.tsv"
-    assert dispatch([
-        "ablate", "--train", f"{root}/distilled-4src.jsonl",
-        "--corpus", f"{root}/corpus.jsonl",
-        "--queries", f"{root}/queries-eval.tsv",
-        "--qrels", f"{root}/qrels-eval.txt",
-        "--base-run", f"{root}/run-eval.trec",
-        "--epochs", "2", "--batch", "8", "--hash-dim", "4096", "--hidden", "16",
-        "--k-in", "30", "--seed", "7",
-        "--out", str(grid_path),
-    ]) == 0
-    lines = grid_path.read_text().splitlines()
+def test_criterion_10_ablation_harness(e2e):
+    lines = (e2e["root"] / "grid.tsv").read_text().splitlines()
     assert lines[0] == "strategy\tdocs\tkind\texcluded_source\tndcg\tfinal_train_loss"
     cells = set()
     for line in lines[1:]:
@@ -402,3 +402,45 @@ def test_criterion_11_resume_safety(e2e):
     )
     assert len(requested) == 10
     _report(11, "kill at 50% then rerun: identical dataset, exactly 10 queries re-requested")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# sha256 of the criterion-9 distilled.jsonl: the mock teacher is exact, so
+# any change in pooling, labeling or serialization moves these bytes
+DISTILLED_SHA256 = "c2fd3dc8d3ae2e57e6de2f08bf66e6b5842803b54819ccd0246de62e5d3330de"
+
+
+def _tsv(path: Path) -> list[list[str]]:
+    return [line.split("\t") for line in path.read_text().splitlines()]
+
+
+def test_golden_outputs(e2e):
+    """Pin the e2e outputs, so a refactor that claims identical output shows it.
+
+    Ranks and labels are exact. Scores and losses get a tolerance because a
+    change in summation order moves them in the last digits (under
+    logit-difference, AdamW moves zero-gradient parameters by rounding noise).
+    """
+    root = e2e["root"]
+    distilled = (root / "distilled.jsonl").read_bytes()
+    assert hashlib.sha256(distilled).hexdigest() == DISTILLED_SHA256
+
+    history, want = _tsv(root / "history.tsv"), _tsv(GOLDEN / "e2e-history.tsv")
+    assert history[0] == want[0] and len(history) == len(want)
+    np.testing.assert_allclose(np.array([row[1:] for row in history[1:]], dtype=float),
+                               np.array([row[1:] for row in want[1:]], dtype=float),
+                               rtol=1e-9, atol=0)
+
+    reranked = io.load_run(root / "reranked.trec")
+    golden = io.load_run(GOLDEN / "e2e-reranked.trec")
+    triples = [(e.query_id, e.doc_id, e.rank) for q in sorted(reranked) for e in reranked[q]]
+    assert triples == [(e.query_id, e.doc_id, e.rank) for q in sorted(golden) for e in golden[q]]
+    np.testing.assert_allclose([e.score for q in sorted(reranked) for e in reranked[q]],
+                               [e.score for q in sorted(golden) for e in golden[q]],
+                               rtol=0, atol=1e-6)
+
+    grid, want = _tsv(root / "grid.tsv"), _tsv(GOLDEN / "e2e-grid.tsv")
+    assert [row[:4] for row in grid] == [row[:4] for row in want]
+    np.testing.assert_allclose(np.array([row[4:] for row in grid[1:]], dtype=float),
+                               np.array([row[4:] for row in want[1:]], dtype=float),
+                               rtol=1e-6, atol=1e-6)

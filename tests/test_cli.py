@@ -320,6 +320,35 @@ class TestRetrievalGlue:
         assert example.source_retriever is Source.MONOT5
         assert set(example.doc_ids) == set(pool[:-4:-1])
 
+    def test_monot5_scores_leave_run_monot5_unread(self, workdir, tmp_path, capsys,
+                                                   monkeypatch, one_query):
+        query, queries = one_query
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("".join(f"{query.query_id}\t{d.doc_id}\t0.5\n"
+                                  for d in io.load_corpus(workdir / "corpus.jsonl")))
+        missing = tmp_path / "no-such-run.trec"
+        opened = []
+        lines_of = io.lines_of
+        monkeypatch.setattr(io, "lines_of", lambda path: opened.append(str(path)) or lines_of(path))
+        code, _out = self._distill(workdir, tmp_path, queries,
+                                   "--bm25-index", str(workdir / "index.json"),
+                                   "--run-monot5", str(missing), "--monot5-scores", str(scores))
+        assert code == 0
+        assert "warning: --monot5-scores overrides --run-monot5" in capsys.readouterr().err
+        assert str(missing) not in opened and str(scores) in opened
+
+    def test_repeated_query_id_exits_2(self, workdir, tmp_path, capsys, one_query):
+        query, _queries = one_query
+        queries = tmp_path / "twice.tsv"
+        queries.write_text(f"{query.query_id}\talpha\tcropped\n"
+                           f"{query.query_id}\tbeta\tcropped\n")
+        code, out = self._distill(workdir, tmp_path, queries,
+                                  "--bm25-index", str(workdir / "index.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "queries line 2" in err and "line 1" in err and query.query_id in err
+        assert not out.exists()
+
 
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs most of the CLI's start-up time and is not needed
@@ -453,6 +482,22 @@ class TestPipelineThroughCli(object):
             "--external-logits", str(logits), "--k-in", "5", "--out", str(out),
         ]) == 0
         assert io.load_run(out)
+
+    def test_rerank_with_external_logits_leaves_corpus_unread(self, workdir, tmp_path,
+                                                             monkeypatch):
+        run = tmp_path / "run.trec"
+        run.write_text("q1 Q0 d1 1 2.0 bm25\nq1 Q0 d2 2 1.0 bm25\n")
+        logits = tmp_path / "logits.tsv"
+        logits.write_text("q1\td1\t0.0\t0.0\nq1\td2\t0.5\t0.0\n")
+        loaded = []
+        monkeypatch.setattr(io, "load_corpus", loaded.append)
+        out = tmp_path / "ext.trec"
+        assert dispatch([
+            "rerank", "--run", str(run), "--corpus", str(workdir / "corpus.jsonl"),
+            "--external-logits", str(logits), "--k-in", "2", "--out", str(out),
+        ]) == 0
+        assert loaded == []
+        assert [e.doc_id for e in io.load_run(out)["q1"]] == ["d2", "d1"]
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_rerank_rejects_non_finite_external_logits(self, workdir, tmp_path, bad):

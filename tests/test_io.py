@@ -92,6 +92,15 @@ class TestRun:
         with pytest.raises(DataError, match="score increases"):
             read_run(["q1 Q0 d1 1 1.0 t\n", "q1 Q0 d2 2 2.0 t\n"])
 
+    @pytest.mark.parametrize("docs, error", [
+        ([("d1", float("nan")), ("d2", float("nan"))], "non-finite score"),
+        ([("d1", float("inf")), ("d2", 1.0)], "non-finite score"),
+        ([("d1", 2.0), ("d1", 1.0)], "doc_id 'd1' appears twice"),
+    ], ids=["nan", "inf", "repeated-doc"])
+    def test_built_run_is_validated(self, docs, error):
+        with pytest.raises(DataError, match=f"query q1: {error}"):
+            run_from_ranked({"q1": docs}, "t")
+
     def test_non_numeric_rank(self):
         with pytest.raises(DataError, match="line 1"):
             read_run(["q1 Q0 d1 one 1.0 t\n"])
