@@ -43,7 +43,9 @@ from .scorer import (
     ScorerParams,
     ScoreStrategy,
     SparseVector,
+    TermTable,
     featurize,
+    featurize_batch,
     forward,
     init_params,
     load_checkpoint,

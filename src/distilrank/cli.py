@@ -469,7 +469,8 @@ def _cmd_ablate(args, opts: dict) -> int:
             excluded_source=source,
         )
         params = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
-        params, history = fit(config, train_examples, [], corpus, params, store)
+        # the grid reads the final loss only, so fit evaluates no other epoch
+        params, history = fit(config, train_examples, [], corpus, params, store, False)
         score_fn = model_score_fn(params, strategy, queries, corpus, store)
         reranked = rerank_run(base_run, score_fn, k_in=k_in, k_out=k_in, tag="ablate")
         report = evaluate_run(reranked, qrels, opts["eval.k"])

@@ -24,6 +24,8 @@ from .scorer import (
     LogitPair,
     ScorerParams,
     ScoreStrategy,
+    TermTable,
+    featurize_batch,
     forward_rows,
     score,
     score_batch,
@@ -193,17 +195,22 @@ def model_score_fn(
     through the trained scorer as one batch.
 
     ``store`` must use ``params.feature``; pass one to reuse features across
-    score functions. Without one, each call featurizes its pairs afresh and
-    keeps none of them.
+    score functions. Without one, the function keeps a `TermTable` for its
+    whole life, so each term and document is resolved once across queries,
+    but it keeps no pair rows: its memory is bounded by the corpus, not by the
+    number of pairs scored.
     """
     if store is not None and store.config != params.feature:
         raise ValueError("the feature store and the scorer use different feature configs")
+    table = TermTable(params.feature) if store is None else None
 
     def fn(query_id: str, doc_ids: Sequence[str]) -> np.ndarray:
         if query_id not in queries:
             raise DataError(f"query {query_id!r} has no text available for scoring")
-        pairs = store if store is not None else FeatureStore(params.feature)
-        _, _, z = forward_rows(params, pairs.rows(queries[query_id], doc_ids, corpus))
+        query = queries[query_id]
+        rows = (store.rows(query, doc_ids, corpus) if store is not None
+                else featurize_batch(query, doc_ids, corpus, table))
+        _, _, z = forward_rows(params, rows)
         return score_batch(z, strategy)
 
     return fn

@@ -5,8 +5,20 @@ logits.
 
 There is one forward path, `forward_rows`: a stack of feature vectors as the
 rows of a CSR matrix X, then ``relu(X @ w1 + b1) @ w2 + b2``. `forward` is its
-one-row case. A `FeatureStore` featurizes each (query, document) pair once and
-hands a query's documents to it as those rows.
+one-row case.
+
+There is one featurizing path in the pipeline, `featurize_batch`: it builds a
+query's rows for many documents in one numpy pass over a `TermTable`, which
+resolves every term and document once. `featurize` is the per-pair reference
+it must match bit for bit. A `FeatureStore` adds a cache of pair rows on top,
+so each (query, document) pair is featurized once.
+
+The batched pass needs no per-key hashing because crc32 is affine over GF(2):
+``crc32(P + T) == op_n(crc32(P)) ^ crc32(T)`` for any n-byte T, where op_n
+appends n zero bytes to the crc register (zlib's ``crc32_combine``). op_n is
+linear, so it is four lookups in 256-entry tables built once per byte length,
+and every ``qxd:`` key's hash comes from the crc of its query-token prefix and
+the crc of its document term.
 
 Checkpoint file layout: one JSON header line (shapes, feature config, version,
 strategy) followed by raw little-endian float32 arrays for w1, b1, w2, b2 in
@@ -18,7 +30,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 from zlib import crc32
@@ -67,7 +78,6 @@ class SparseVector:
         return int(self.indices.shape[0])
 
 
-@lru_cache(maxsize=1 << 20)
 def _hash32(key: str) -> int:
     return crc32(key.encode("utf-8"))
 
@@ -79,8 +89,16 @@ def _accumulate(acc: dict[int, float], key: str, value: float, mask: int) -> Non
     acc[bucket] = acc.get(bucket, 0.0) + sign * value
 
 
+def _term_frequencies(tokens: Sequence[str]) -> dict[str, int]:
+    tf: dict[str, int] = {}
+    for t in tokens:
+        tf[t] = tf.get(t, 0) + 1
+    return tf
+
+
 def featurize(query: str, document: str, config: FeatureConfig = FeatureConfig()) -> SparseVector:
-    """Hash term-frequency features for a query-document pair.
+    """Hash term-frequency features for a query-document pair; the per-pair
+    reference that `featurize_batch` matches bit for bit.
 
     Four namespaces: q: (query tf), d: (document tf), x: (shared terms,
     min tf), qxd: (each of the first ``interaction_cap`` query tokens crossed
@@ -89,12 +107,8 @@ def featurize(query: str, document: str, config: FeatureConfig = FeatureConfig()
     """
     q_tokens = tokenize(query, config.tokenizer)
     d_tokens = tokenize(document, config.tokenizer)
-    q_tf: dict[str, int] = {}
-    for t in q_tokens:
-        q_tf[t] = q_tf.get(t, 0) + 1
-    d_tf: dict[str, int] = {}
-    for t in d_tokens:
-        d_tf[t] = d_tf.get(t, 0) + 1
+    q_tf = _term_frequencies(q_tokens)
+    d_tf = _term_frequencies(d_tokens)
 
     mask = config.hash_dim - 1
     acc: dict[int, float] = {}
@@ -194,31 +208,149 @@ def forward(params: ScorerParams, features: SparseVector) -> LogitPair:
     return LogitPair(float(z[0, 0]), float(z[0, 1]))
 
 
+def _shift_tables(n_bytes: int) -> np.ndarray:
+    """The (4, 256) uint32 tables of op_n for n = ``n_bytes``: op_n(c) is the
+    xor of ``tables[j][byte j of c]`` over the four bytes of c."""
+    zeros = b"\0" * n_bytes
+    base = crc32(zeros)
+    return np.array(
+        [[crc32(zeros, v << (8 * j)) ^ base for v in range(256)] for j in range(4)],
+        dtype=np.uint32,
+    )
+
+
+class TermTable:
+    """Every term and document `featurize_batch` has seen under one
+    `FeatureConfig`, each resolved once.
+
+    Per term: the crc32 of ``"d:" + t``, of ``"x:" + t`` and of ``t``, and the
+    slot of the op_n tables for its utf-8 length n. Per document, keyed by
+    doc_id: its distinct term ids and their tf. One table serves one corpus,
+    so it holds at most that corpus's terms and documents.
+    """
+
+    def __init__(self, config: FeatureConfig) -> None:
+        self.config = config
+        self._term_ids: dict[str, int] = {}
+        # one row per term id: crc32 of "d:"+t, "x:"+t and t, then its ops slot
+        self._columns = np.empty((64, 4), dtype=np.uint32)
+        self._slots: dict[int, int] = {}  # utf-8 length -> row of self.ops
+        # row s: the (4, 256) op_n tables of the s-th utf-8 length seen
+        self.ops = np.empty((0, 4, 256), dtype=np.uint32)
+        self._documents: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def columns(self, term_ids: np.ndarray) -> np.ndarray:
+        """The (len(term_ids), 4) rows of those terms: d crc, x crc, crc, ops slot."""
+        return self._columns[term_ids]
+
+    def known_ids(self, terms: Iterable[str]) -> dict[str, int]:
+        """The ids of those terms that some resolved document holds."""
+        return {t: self._term_ids[t] for t in terms if t in self._term_ids}
+
+    def document(self, doc_id: str, corpus: Mapping[str, str]) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct term ids of a document and their tf (float64)."""
+        doc = self._documents.get(doc_id)
+        if doc is None:
+            if doc_id not in corpus:
+                raise DataError(f"document {doc_id!r} missing from corpus")
+            tf = _term_frequencies(tokenize(corpus[doc_id], self.config.tokenizer))
+            ids = np.fromiter((self._term_id(t) for t in tf), dtype=np.intp, count=len(tf))
+            doc = (ids, np.fromiter(tf.values(), dtype=np.float64, count=len(tf)))
+            self._documents[doc_id] = doc
+        return doc
+
+    def _term_id(self, term: str) -> int:
+        term_id = self._term_ids.get(term)
+        if term_id is None:
+            term_id = self._term_ids[term] = len(self._term_ids)
+            if term_id == len(self._columns):
+                self._columns = np.concatenate([self._columns, np.empty_like(self._columns)])
+            raw = term.encode("utf-8")
+            slot = self._slots.get(len(raw))
+            if slot is None:
+                slot = self._slots[len(raw)] = len(self.ops)
+                self.ops = np.concatenate([self.ops, _shift_tables(len(raw))[None]])
+            self._columns[term_id] = (crc32(b"d:" + raw), crc32(b"x:" + raw), crc32(raw), slot)
+        return term_id
+
+
+def featurize_batch(
+    query: str, doc_ids: Sequence[str], corpus: Mapping[str, str], table: TermTable
+) -> sp.csr_array:
+    """The features of ``query`` with each document as the rows of one CSR
+    matrix, in one numpy pass: bit for bit
+    ``stack_rows([featurize(query, corpus[d], table.config) for d in doc_ids])``.
+
+    Every feature value is a signed sum of small integer tf's, which float64
+    adds exactly in any order, and each bucket and sign comes from the same
+    crc32 as in `featurize`.
+    """
+    config = table.config
+    n = len(doc_ids)
+    docs = [table.document(doc_id, corpus) for doc_id in doc_ids]
+    ids = np.concatenate([np.empty(0, dtype=np.intp)] + [d[0] for d in docs])
+    tf = np.concatenate([np.empty(0)] + [d[1] for d in docs])
+    doc_row = np.repeat(np.arange(n), [d[0].size for d in docs])  # row of each term entry
+    d_crc, x_crc, t_crc, slot = table.columns(ids).T
+
+    q_tokens = tokenize(query, config.tokenizer)
+    q_tf = _term_frequencies(q_tokens)
+    q_crc = np.array([_hash32("q:" + t) for t in q_tf], dtype=np.uint32)
+    # x: the document terms the query holds too, at the smaller of the two tf's
+    shared = sorted((term_id, q_tf[t]) for t, term_id in table.known_ids(q_tf).items())
+    # ascending ids closed by a sentinel above every id, so each lookup lands in range
+    q_ids = np.array([i for i, _ in shared] + [np.iinfo(np.intp).max], dtype=np.intp)
+    q_counts = np.array([count for _, count in shared] + [0], dtype=np.float64)
+    at = np.searchsorted(q_ids, ids)
+    hit = q_ids[at] == ids
+    x_tf = np.minimum(tf[hit], q_counts[at[hit]])
+    # qxd: crc32(prefix + term) == op_len(term)(crc32(prefix)) ^ crc32(term), for
+    # every capped query token (repeats included) and every document term
+    prefixes = np.array([_hash32("qxd:" + t + "|") for t in q_tokens[: config.interaction_cap]],
+                        dtype=np.uint32)
+    ops = table.ops
+    shifted = (ops[:, 0, prefixes & 0xFF] ^ ops[:, 1, (prefixes >> 8) & 0xFF]
+               ^ ops[:, 2, (prefixes >> 16) & 0xFF] ^ ops[:, 3, prefixes >> 24])
+    qxd_crc = shifted[slot] ^ t_crc[:, None]  # (document terms, prefixes)
+
+    hashes = np.concatenate([np.tile(q_crc, n), d_crc, x_crc[hit], qxd_crc.ravel()])
+    values = np.concatenate([np.tile(np.fromiter(q_tf.values(), dtype=np.float64), n), tf,
+                             x_tf, np.repeat(tf, prefixes.size)])
+    rows = np.concatenate([np.repeat(np.arange(n), q_crc.size), doc_row, doc_row[hit],
+                           np.repeat(doc_row, prefixes.size)])
+    mask = config.hash_dim - 1
+    keys = rows.astype(np.int64) * config.hash_dim + (hashes & mask)
+    keys, group = np.unique(keys, return_inverse=True)
+    data = np.bincount(group, weights=np.where(hashes & 0x80000000, -values, values),
+                       minlength=keys.size)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * config.hash_dim)
+    return sp.csr_array((data, keys & mask, indptr), shape=(n, config.hash_dim))
+
+
 class FeatureStore:
     """The features of (query text, doc_id) pairs under one `FeatureConfig`,
     each pair featurized once, on its first request.
 
-    One store serves one corpus: a doc_id stands for its text there. It keeps
-    every vector it has made for as long as it lives, so share one only
+    A request hands all of its pairs not yet held to one `featurize_batch`
+    call, over a `TermTable` that resolves each term and document once. One
+    store serves one corpus: a doc_id stands for its text there. It keeps
+    every pair row it has made for as long as it lives, so share one only
     between callers that request the same pairs again.
     """
 
     def __init__(self, config: FeatureConfig) -> None:
         self.config = config
+        self._table = TermTable(config)
         self._vectors: dict[tuple[str, str], SparseVector] = {}
 
     def rows(self, query: str, doc_ids: Sequence[str], corpus: Mapping[str, str]) -> sp.csr_array:
         """The features of ``query`` with each document, as the rows of one CSR matrix."""
-        vectors = []
-        for doc_id in doc_ids:
-            vec = self._vectors.get((query, doc_id))
-            if vec is None:
-                if doc_id not in corpus:
-                    raise DataError(f"document {doc_id!r} missing from corpus")
-                vec = featurize(query, corpus[doc_id], self.config)
-                self._vectors[query, doc_id] = vec
-            vectors.append(vec)
-        return stack_rows(vectors, self.config.hash_dim)
+        missing = [d for d in dict.fromkeys(doc_ids) if (query, d) not in self._vectors]
+        if missing:
+            new = featurize_batch(query, missing, corpus, self._table)
+            for doc_id, lo, hi in zip(missing, new.indptr[:-1], new.indptr[1:]):
+                self._vectors[query, doc_id] = SparseVector(new.indices[lo:hi], new.data[lo:hi])
+        return stack_rows([self._vectors[query, d] for d in doc_ids], self.config.hash_dim)
 
 
 def score(logits: LogitPair, strategy: ScoreStrategy) -> float:

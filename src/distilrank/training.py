@@ -304,6 +304,7 @@ def fit(
     corpus: Mapping[str, str],
     params: ScorerParams,
     store: FeatureStore | None = None,
+    every_epoch: bool = True,
 ) -> tuple[ScorerParams, list[HistoryRow]]:
     """Train the scorer with RankNet + AdamW; deterministic given the seed.
 
@@ -311,11 +312,14 @@ def fit(
     example is reduced to ``docs_per_query`` documents once, up front, with a
     seed derived from the config seed. History row 0 holds the pre-training
     losses; row e holds the losses after epoch e, all evaluated on the reduced
-    examples.
+    examples. With ``every_epoch`` False the history is the final row alone,
+    for a caller that reads no other: the losses are evaluated only there,
+    and training is unchanged, because evaluating them changes no state.
 
     ``store`` supplies the features and must use ``params.feature``. Pass one
     to share features across fits; without one, a store local to this call
-    featurizes each pair once and is freed before the first epoch.
+    featurizes each query's pairs in one batch and is freed before the first
+    epoch.
     """
     train_filtered = filter_examples(train_examples, config.kind_filter, config.excluded_source)
     if not train_filtered:
@@ -364,7 +368,7 @@ def fit(
 
     state = init_adam_state(params.arrays())
     try:
-        history = [HistoryRow(0, *eval_losses())]
+        history = [HistoryRow(0, *eval_losses())] if every_epoch or not config.epochs else []
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(train_prep))
             for batch_no, start in enumerate(range(0, len(order), config.batch_queries)):
@@ -380,7 +384,8 @@ def fit(
                 if not np.isfinite(loss):
                     raise DataError(f"training diverged at epoch {epoch}, batch {batch_no}")
                 adamw_step(params.arrays(), grads, state, config)
-            history.append(HistoryRow(epoch, *eval_losses()))
+            if every_epoch or epoch == config.epochs:
+                history.append(HistoryRow(epoch, *eval_losses()))
     finally:
         block, params.w1 = params.w1, full_w1
         if config.weight_decay != 0.0 and state.t:

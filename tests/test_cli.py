@@ -681,7 +681,9 @@ class TestPipelineThroughCli(object):
         assert err.count("skipped") == len(skipped)
         assert f"mixed\t{Source.BM25.value}" in err
 
-    def test_ablate_featurizes_each_pair_once(self, workdir, tmp_path, monkeypatch):
+    @staticmethod
+    def _distill_and_retrieve(workdir, tmp_path):
+        """A distilled training set and a BM25 run over the eval queries."""
         distilled = tmp_path / "distilled.jsonl"
         assert dispatch([
             "distill",
@@ -696,14 +698,18 @@ class TestPipelineThroughCli(object):
             "retrieve", "--method", "bm25", "--index", str(workdir / "index.json"),
             "--queries", str(workdir / "queries-eval.tsv"), "--k", "10", "--out", str(base_run),
         ]) == 0
+        return distilled, base_run
+
+    def test_ablate_featurizes_each_pair_once(self, workdir, tmp_path, monkeypatch):
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
         calls = []
 
-        def counted(query, document, config):
-            calls.append((query, document))
-            return featurize(query, document, config)
+        def counted(query, doc_ids, corpus, table):
+            calls.extend((query, corpus[d]) for d in doc_ids)
+            return featurize_batch(query, doc_ids, corpus, table)
 
-        featurize = scorer.featurize
-        monkeypatch.setattr(scorer, "featurize", counted)
+        featurize_batch = scorer.featurize_batch
+        monkeypatch.setattr(scorer, "featurize_batch", counted)
         assert dispatch([
             "ablate", "--train", str(distilled), "--corpus", str(workdir / "corpus.jsonl"),
             "--queries", str(workdir / "queries-eval.tsv"),
@@ -718,6 +724,27 @@ class TestPipelineThroughCli(object):
                   for e in entries}
         assert len(calls) == len(pairs)
         assert set(calls) == {(text, corpus[d]) for text, d in pairs}
+
+    def test_train_and_rerank_never_featurize_per_pair(self, workdir, tmp_path, monkeypatch):
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+
+        def per_pair(*args, **kwargs):
+            raise AssertionError("the pipeline featurized one pair at a time")
+
+        monkeypatch.setattr(scorer, "featurize", per_pair)
+        ckpt = tmp_path / "scorer.ckpt"
+        history = tmp_path / "history.tsv"
+        assert dispatch([
+            "train", "--train", str(distilled), "--corpus", str(workdir / "corpus.jsonl"),
+            "--epochs", "2", "--batch", "4", "--docs", "10", "--hash-dim", "1024",
+            "--hidden", "8", "--checkpoint", str(ckpt), "--history", str(history),
+        ]) == 0
+        assert len(history.read_text().splitlines()) == 1 + 3  # header, epochs 0..2
+        assert dispatch([
+            "rerank", "--run", str(base_run), "--corpus", str(workdir / "corpus.jsonl"),
+            "--queries", str(workdir / "queries-eval.tsv"), "--checkpoint", str(ckpt),
+            "--k-in", "10", "--out", str(tmp_path / "reranked.trec"),
+        ]) == 0
 
 
 def _subcommands(parser, path=()):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from distilrank import scorer
@@ -11,7 +13,9 @@ from distilrank.scorer import (
     ScorerParams,
     ScoreStrategy,
     SparseVector,
+    TermTable,
     featurize,
+    featurize_batch,
     forward,
     forward_rows,
     init_params,
@@ -22,8 +26,15 @@ from distilrank.scorer import (
     score_batch,
     stack_rows,
 )
+from distilrank.tokenization import TokenizerConfig
 
 SMALL = FeatureConfig(hash_dim=1 << 12)
+
+# repeated and case-varied words, and multibyte ones whose utf-8 length is not
+# their character length, which is what the batched qxd hashes key on
+WORDS = ["a", "bb", "ccc", "Cat", "cat", "é", "café", "日本", "日本語", "straße", "Ω", "x9"]
+TEXTS = st.one_of(st.lists(st.sampled_from(WORDS), max_size=24).map(" ".join),
+                  st.text(max_size=40))
 
 
 class TestFeaturize:
@@ -191,15 +202,46 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    queries=st.lists(TEXTS, min_size=1, max_size=3),
+    documents=st.lists(TEXTS, min_size=1, max_size=6),
+    hash_dim=st.sampled_from([1 << 10, 1 << 14, 1 << 18]),
+    interaction_cap=st.sampled_from([0, 1, 4, 16]),
+    lowercase=st.booleans(),
+    min_token_len=st.sampled_from([1, 2, 3]),
+)
+@example(queries=[""], documents=["", "a bb"], hash_dim=1 << 10, interaction_cap=16,
+         lowercase=True, min_token_len=1)
+@example(queries=["cat Cat cat 日本 é é", " ".join(WORDS * 2)], documents=["", "日本語 日本 cat"],
+         hash_dim=1 << 18, interaction_cap=4, lowercase=False, min_token_len=1)
+def test_batch_matches_per_pair_rows(queries, documents, hash_dim, interaction_cap,
+                                     lowercase, min_token_len):
+    config = FeatureConfig(hash_dim, interaction_cap, TokenizerConfig(lowercase, min_token_len))
+    corpus = {f"d{i}": text for i, text in enumerate(documents)}
+    doc_ids = list(corpus) + ["d0"]
+    table = TermTable(config)  # shared, so later requests meet known terms and documents
+    for query in queries:
+        for ids in (doc_ids, doc_ids[::-1]):
+            got = featurize_batch(query, ids, corpus, table)
+            want = stack_rows([featurize(query, corpus[d], config) for d in ids], hash_dim)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.data, want.data)
+            np.testing.assert_array_equal(np.signbit(got.data), np.signbit(want.data))
+
+
 class TestFeatureStore:
     def test_featurizes_each_pair_once(self, monkeypatch):
         calls = []
 
-        def counted(query, document, config):
-            calls.append((query, document))
-            return featurize(query, document, config)
+        def counted(query, doc_ids, corpus, table):
+            calls.extend((query, corpus[d]) for d in doc_ids)
+            return featurize_batch(query, doc_ids, corpus, table)
 
-        monkeypatch.setattr(scorer, "featurize", counted)
+        featurize_batch = scorer.featurize_batch
+        monkeypatch.setattr(scorer, "featurize_batch", counted)
         corpus = {"d1": "beta gamma", "d2": "gamma delta epsilon", "d3": ""}
         store = FeatureStore(SMALL)
         first = store.rows("alpha gamma", ["d1", "d2", "d1"], corpus)

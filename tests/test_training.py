@@ -278,6 +278,20 @@ class TestFit:
             runs.append(history)
         assert runs[0] == runs[1]  # bitwise-identical floats
 
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_final_row_only_trains_the_same(self, epochs):
+        corpus, examples = tiny_corpus_and_examples()
+        config = TrainConfig(epochs=epochs, batch_queries=4, docs_per_query=4, seed=9)
+        (full, full_history), (final, final_history) = [
+            fit(config, examples, examples[:4], corpus,
+                init_params(tiny_feature(), hidden=8, seed=0), every_epoch=every_epoch)
+            for every_epoch in (True, False)
+        ]
+        for a, b in zip(full.arrays(), final.arrays()):
+            np.testing.assert_array_equal(a, b)
+        assert len(full_history) == epochs + 1
+        assert final_history == full_history[-1:]  # bitwise-identical floats
+
     def test_validation_set_does_not_perturb_training(self):
         corpus, examples = tiny_corpus_and_examples()
         config = TrainConfig(epochs=2, batch_queries=4, docs_per_query=4, seed=9)
