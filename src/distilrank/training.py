@@ -17,12 +17,21 @@ weight decay: a row no example touches gets a zero gradient at every step, so
 its moments stay zero and each step only scales it by (1 - lr * weight_decay).
 `fit` applies those steps once, as (1 - lr * weight_decay) ** t after t steps,
 and leaves the rows bit-identical when weight_decay is 0 or no step was taken.
-Each batch is one stacked CSR feature matrix X: the forward is ``X @ w1``
-and the w1 gradient ``X.T @ dH``.
+
+Resident stacks: `fit` holds each set (train, validation) as one
+`ExampleStack`, a CSR matrix of all its documents' rows compacted to the
+active block once, with each example's row bounds and ranking. A batch is
+gathered from the train stack in one vectorised pass, and the history losses
+run on the whole stacks: the forward is ``X @ w1`` and the w1 gradient
+``X.T @ dH``. `adamw_step` works in two scratch buffers per array that its
+`AdamState` holds. Together these keep a step from allocating block-sized
+temporaries: in a fresh process glibc returned such blocks to the OS between
+steps, and every step page-faulted them back in.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -40,7 +49,6 @@ from .scorer import (
     forward_rows,
     score_batch,
     score_batch_grad,
-    stack_rows,
 )
 from .types import DistilledExample, QueryKind, Source
 
@@ -68,12 +76,22 @@ class TrainConfig:
     literal_sign: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if not 0 < self.docs_per_query <= 30:
             raise ValueError(f"docs_per_query must be in 1..30, got {self.docs_per_query}")
         if self.batch_queries < 1:
             raise ValueError("batch size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(
+                f"weight decay must be finite and non-negative, got {self.weight_decay}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= beta < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {beta}")
 
 
 def _check_permutation(ranking: np.ndarray, m: int) -> None:
@@ -136,8 +154,13 @@ def ranknet_grad(
 
 @dataclass
 class AdamState:
+    """The moments and step count, plus two scratch buffers per array that
+    `adamw_step` computes in, so that a step allocates no float temporaries."""
+
     m: list[np.ndarray]
     v: list[np.ndarray]
+    update: list[np.ndarray]
+    denom: list[np.ndarray]
     t: int = 0
 
 
@@ -145,6 +168,8 @@ def init_adam_state(arrays: Sequence[np.ndarray]) -> AdamState:
     return AdamState(
         m=[np.zeros_like(a) for a in arrays],
         v=[np.zeros_like(a) for a in arrays],
+        update=[np.empty_like(a) for a in arrays],
+        denom=[np.empty_like(a) for a in arrays],
     )
 
 
@@ -157,22 +182,37 @@ def adamw_step(
     """One decoupled-weight-decay Adam update, in place on ``arrays``.
 
     Decay scales parameters by (1 - lr * weight_decay) before the
-    bias-corrected moment update.
+    bias-corrected moment update. The update is
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2`` and
+    ``theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, each operation done in
+    place or into the state's scratch buffers, in that order.
     """
     for g in grads:
         if not np.all(np.isfinite(g)):
             raise DataError("non-finite gradient passed to adamw_step")
     state.t += 1
-    bc1 = 1.0 - config.beta1 ** state.t
-    bc2 = 1.0 - config.beta2 ** state.t
-    for theta, g, m, v in zip(arrays, grads, state.m, state.v):
+    lr, beta1, beta2 = config.learning_rate, config.beta1, config.beta2
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
+    for theta, g, m, v, update, denom in zip(
+        arrays, grads, state.m, state.v, state.update, state.denom
+    ):
         if config.weight_decay != 0.0:
-            theta *= 1.0 - config.learning_rate * config.weight_decay
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * np.square(g)
-        theta -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+            theta *= 1.0 - lr * config.weight_decay
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=update)
+        m += update
+        v *= beta2
+        np.square(g, out=update)
+        update *= 1.0 - beta2
+        v += update
+        np.divide(m, bc1, out=update)
+        update *= lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += config.eps
+        update /= denom
+        theta -= update
     return arrays, state
 
 
@@ -234,48 +274,107 @@ def prepare_example(
     return PreparedExample(example.query_id, rows, ranking)
 
 
-def _stack(batch: Sequence[PreparedExample]) -> tuple[sp.csr_array, np.ndarray]:
-    """The batch's rows as one CSR matrix, and each example's row bounds."""
-    bounds = np.cumsum([0] + [ex.rows.shape[0] for ex in batch])
-    return sp.vstack([ex.rows for ex in batch], format="csr"), bounds
+@dataclass(frozen=True)
+class ExampleStack:
+    """Prepared examples as the rows of one CSR matrix: example i owns rows
+    ``bounds[i]:bounds[i + 1]`` and ranks them by ``rankings[i]``."""
+
+    rows: sp.csr_array
+    bounds: np.ndarray
+    rankings: list[np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.rankings)
+
+    def slices(self):
+        """(ranking, first row, end row) of each example, in order."""
+        return zip(self.rankings, self.bounds[:-1], self.bounds[1:])
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """0 followed by the running sum of ``lengths``, as int64."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def stack_examples(prepared: Sequence[PreparedExample], n_cols: int) -> ExampleStack:
+    """The examples' rows, in order, as one (total rows, n_cols) stack."""
+    indptr = _offsets(np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [np.diff(ex.rows.indptr) for ex in prepared]
+    ))
+    indices = np.concatenate([np.empty(0, dtype=np.int64)] + [ex.rows.indices for ex in prepared])
+    data = np.concatenate([np.empty(0)] + [ex.rows.data for ex in prepared])
+    rows = sp.csr_array((data, indices, indptr), shape=(indptr.size - 1, n_cols))
+    bounds = _offsets([ex.rows.shape[0] for ex in prepared])
+    return ExampleStack(rows, bounds, [ex.ranking for ex in prepared])
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ranges ``starts[i] + arange(lengths[i])``, and the
+    offset of each range in the result."""
+    offsets = _offsets(lengths)
+    return np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1]), offsets
+
+
+def take_examples(stack: ExampleStack, picks: Sequence[int]) -> ExampleStack:
+    """The picked examples of ``stack``, in pick order, gathered as one stack."""
+    picks = np.asarray(picks, dtype=np.int64)
+    lo = stack.bounds[picks]
+    row_ids, bounds = _ranges(lo, stack.bounds[picks + 1] - lo)
+    indptr = stack.rows.indptr
+    lo = indptr[row_ids]
+    positions, new_indptr = _ranges(lo, indptr[row_ids + 1] - lo)
+    rows = sp.csr_array(
+        (stack.rows.data[positions], stack.rows.indices[positions], new_indptr),
+        shape=(row_ids.size, stack.rows.shape[1]),
+    )
+    return ExampleStack(rows, bounds, [stack.rankings[i] for i in picks])
+
+
+def _compact(stack: ExampleStack, position: np.ndarray, n_active: int) -> ExampleStack:
+    """``stack`` with its feature columns renumbered to rows of the active block."""
+    rows = stack.rows
+    compacted = sp.csr_array(
+        (rows.data, position[rows.indices], rows.indptr), shape=(rows.shape[0], n_active)
+    )
+    return replace(stack, rows=compacted)
 
 
 def batch_loss(
     params: ScorerParams,
-    batch: Sequence[PreparedExample],
+    batch: ExampleStack,
     strategy: ScoreStrategy,
     literal_sign: bool = False,
 ) -> float:
     """Mean over queries of the per-example pair-summed RankNet loss."""
-    rows, bounds = _stack(batch)
-    _, _, z = forward_rows(params, rows)
+    _, _, z = forward_rows(params, batch.rows)
     scores = score_batch(z, strategy)
     _check_finite(scores)
     total = sum(
-        _ranknet_loss(scores[lo:hi], ex.ranking, literal_sign)
-        for ex, lo, hi in zip(batch, bounds[:-1], bounds[1:])
+        _ranknet_loss(scores[lo:hi], ranking, literal_sign) for ranking, lo, hi in batch.slices()
     )
     return total / len(batch)
 
 
 def batch_loss_and_grads(
     params: ScorerParams,
-    batch: Sequence[PreparedExample],
+    batch: ExampleStack,
     strategy: ScoreStrategy,
     literal_sign: bool = False,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss plus analytic parameter gradients [gw1, gb1, gw2, gb2],
     backpropagated through the scorer in one batched sparse forward and backward."""
-    rows, bounds = _stack(batch)
+    rows = batch.rows
     h_pre, h, z = forward_rows(params, rows)
     scores = score_batch(z, strategy)
     _check_finite(scores)
     scale = 1.0 / len(batch)
     total = 0.0
     ds = np.empty_like(scores)
-    for ex, lo, hi in zip(batch, bounds[:-1], bounds[1:]):
-        total += _ranknet_loss(scores[lo:hi], ex.ranking, literal_sign)
-        ds[lo:hi] = _ranknet_grad(scores[lo:hi], ex.ranking, literal_sign) * scale
+    for ranking, lo, hi in batch.slices():
+        total += _ranknet_loss(scores[lo:hi], ranking, literal_sign)
+        ds[lo:hi] = _ranknet_grad(scores[lo:hi], ranking, literal_sign) * scale
     dz = ds[:, None] * score_batch_grad(z, strategy)  # (n, 2)
     dh_pre = (dz @ params.w2.T) * (h_pre > 0.0)
     grads = [rows.T @ dh_pre, dh_pre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
@@ -343,26 +442,27 @@ def fit(
         store = FeatureStore(params.feature)
     elif store.config != params.feature:
         raise ValueError("the feature store and the scorer use different feature configs")
-    train_prep = [prepare_example(ex, corpus, store) for ex in train_reduced]
-    val_prep = [prepare_example(ex, corpus, store) for ex in val_reduced]
-    del store  # the loop reads only the rows; a store made here is freed now
+    hash_dim = params.feature.hash_dim
+    train = stack_examples([prepare_example(ex, corpus, store) for ex in train_reduced], hash_dim)
+    val = stack_examples([prepare_example(ex, corpus, store) for ex in val_reduced], hash_dim)
+    del store  # the loop reads only the stacks; a store made here is freed now
 
     # the loop runs on the active rows of w1 only; see the module docstring
-    touched = np.zeros(params.feature.hash_dim, dtype=bool)
-    for ex in train_prep + val_prep:
-        touched[ex.rows.indices] = True
+    touched = np.zeros(hash_dim, dtype=bool)
+    touched[train.rows.indices] = True
+    touched[val.rows.indices] = True
     active = np.flatnonzero(touched)
     position = np.cumsum(touched) - 1  # row of w1 -> its row in the active block
-    train_prep = [_compact(ex, position, active.size) for ex in train_prep]
-    val_prep = [_compact(ex, position, active.size) for ex in val_prep]
+    train = _compact(train, position, active.size)
+    val = _compact(val, position, active.size)
     full_w1 = params.w1
     params.w1 = full_w1[active]
 
     def eval_losses() -> tuple[float, float]:
-        train_loss = batch_loss(params, train_prep, config.strategy, config.literal_sign)
+        train_loss = batch_loss(params, train, config.strategy, config.literal_sign)
         val_loss = (
-            batch_loss(params, val_prep, config.strategy, config.literal_sign)
-            if val_prep else float("nan")
+            batch_loss(params, val, config.strategy, config.literal_sign)
+            if len(val) else float("nan")
         )
         return train_loss, val_loss
 
@@ -370,9 +470,9 @@ def fit(
     try:
         history = [HistoryRow(0, *eval_losses())] if every_epoch or not config.epochs else []
         for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(len(train_prep))
+            order = rng.permutation(len(train))
             for batch_no, start in enumerate(range(0, len(order), config.batch_queries)):
-                batch = [train_prep[i] for i in order[start: start + config.batch_queries]]
+                batch = take_examples(train, order[start: start + config.batch_queries])
                 try:
                     loss, grads = batch_loss_and_grads(
                         params, batch, config.strategy, config.literal_sign
@@ -393,11 +493,3 @@ def fit(
         full_w1[active] = block
     return params, history
 
-
-def _compact(ex: PreparedExample, position: np.ndarray, n_active: int) -> PreparedExample:
-    """``ex`` with its feature columns renumbered to rows of the active block."""
-    rows = ex.rows
-    compacted = sp.csr_array(
-        (rows.data, position[rows.indices], rows.indptr), shape=(rows.shape[0], n_active)
-    )
-    return replace(ex, rows=compacted)

@@ -746,6 +746,35 @@ class TestPipelineThroughCli(object):
             "--k-in", "10", "--out", str(tmp_path / "reranked.trec"),
         ]) == 0
 
+    @pytest.mark.parametrize(
+        "command, option, value, message",
+        [
+            ("ablate", "--epochs", "-1", "epochs must be >= 0"),
+            ("train", "--epochs", "-1", "epochs must be >= 0"),
+            ("train", "--lr", "nan", "learning rate must be finite and positive"),
+            ("train", "--weight-decay", "-5", "weight decay must be finite and non-negative"),
+        ],
+    )
+    def test_invalid_training_option_is_an_error(
+        self, workdir, tmp_path, capsys, command, option, value, message
+    ):
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--train", str(distilled), "--checkpoint", str(out)],
+            "ablate": ["ablate", "--train", str(distilled),
+                       "--queries", str(workdir / "queries-eval.tsv"),
+                       "--qrels", str(workdir / "qrels-eval.txt"), "--base-run", str(base_run),
+                       "--k-in", "10", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert dispatch(argv + ["--corpus", str(workdir / "corpus.jsonl"), "--hash-dim", "1024",
+                                "--hidden", "8", option, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def _subcommands(parser, path=()):
     """(argv prefix, parser) of every subcommand, groups such as ``eval`` included."""

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from distilrank.errors import DataError
 from distilrank.scorer import (
@@ -13,6 +15,7 @@ from distilrank.scorer import (
     init_params,
     score_batch,
     score_batch_grad,
+    stack_rows,
 )
 from distilrank.training import (
     AdamState,
@@ -20,15 +23,19 @@ from distilrank.training import (
     KindFilter,
     PreparedExample,
     TrainConfig,
+    _compact,
     adamw_step,
     batch_loss,
     batch_loss_and_grads,
     filter_examples,
     fit,
     init_adam_state,
+    prepare_example,
     ranknet_grad,
     ranknet_loss,
+    stack_examples,
     subsample_docs,
+    take_examples,
     write_history,
 )
 from distilrank.types import DistilledExample, QueryKind, Source
@@ -133,6 +140,57 @@ class TestAdamW:
         with pytest.raises(DataError):
             adamw_step(theta, [np.array([np.inf])], init_adam_state(theta), TrainConfig())
 
+    @staticmethod
+    def reference_step(arrays, grads, m_list, v_list, t, config):
+        """The update written with temporaries, one expression per line."""
+        bc1 = 1.0 - config.beta1 ** t
+        bc2 = 1.0 - config.beta2 ** t
+        for theta, g, m, v in zip(arrays, grads, m_list, v_list):
+            if config.weight_decay != 0.0:
+                theta *= 1.0 - config.learning_rate * config.weight_decay
+            m *= config.beta1
+            m += (1.0 - config.beta1) * g
+            v *= config.beta2
+            v += (1.0 - config.beta2) * np.square(g)
+            theta -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.3])
+    def test_in_place_step_matches_reference_bit_for_bit(self, weight_decay):
+        rng = np.random.default_rng(8)
+        shapes = [(37, 5), (5,), (5, 2), (2,), (3, 4, 6)]
+        config = TrainConfig(learning_rate=0.05, weight_decay=weight_decay)
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        expected = [a.copy() for a in arrays]
+        state = init_adam_state(arrays)
+        m_ref = [np.zeros_like(a) for a in arrays]
+        v_ref = [np.zeros_like(a) for a in arrays]
+        for t in range(1, 8):
+            # mixed magnitudes, exact zeros and sign changes across steps
+            grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
+                     * (rng.random(shape) > 0.2) for shape in shapes]
+            adamw_step(arrays, grads, state, config)
+            self.reference_step(expected, grads, m_ref, v_ref, t, config)
+            assert state.t == t
+            for got, want in zip(arrays + state.m + state.v, expected + m_ref + v_ref):
+                np.testing.assert_array_equal(got, want)
+
+    def test_step_allocates_no_block_sized_temporary(self):
+        block = np.random.default_rng(9).normal(size=(4096, 64))
+        arrays = [block, np.zeros(64)]
+        grads = [np.full_like(block, 1e-3), np.full(64, 1e-3)]
+        state = init_adam_state(arrays)
+        config = TrainConfig(weight_decay=0.01)
+        adamw_step(arrays, grads, state, config)  # warm-up
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            adamw_step(arrays, grads, state, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < block.nbytes
+        assert state.t == 2
+
 
 def make_example(qid="q1", m=3, ranking=(2, 3, 1), kind=QueryKind.CROPPED, source=Source.BM25):
     return DistilledExample(
@@ -176,13 +234,44 @@ class TestSubsample:
         assert subsample_docs(ex, 5, seed=7) == subsample_docs(ex, 5, seed=7)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", -1),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1e-3),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("weight_decay", -5.0),
+            ("weight_decay", float("nan")),
+            ("weight_decay", float("inf")),
+            ("eps", 0.0),
+            ("eps", -1e-8),
+            ("eps", float("nan")),
+            ("beta1", -0.1),
+            ("beta1", 1.0),
+            ("beta2", 1.0),
+            ("beta2", float("nan")),
+        ],
+    )
+    def test_invalid_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 0), ("weight_decay", 0.0), ("beta1", 0.0), ("beta2", 0.0), ("eps", 1e-12)],
+    )
+    def test_boundary_value_accepted(self, field, value):
+        assert getattr(TrainConfig(**{field: value}), field) == value
+
+
 def tiny_feature():
     return FeatureConfig(hash_dim=1 << 10, interaction_cap=4)
 
 
 def prepared_batch(params, rng, n_examples=3, m=5):
-    from distilrank.scorer import stack_rows
-
     batch = []
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
     for e in range(n_examples):
@@ -193,7 +282,7 @@ def prepared_batch(params, rng, n_examples=3, m=5):
         ]
         ranking = np.asarray(rng.permutation(m) + 1)
         batch.append(PreparedExample(f"q{e}", stack_rows(features, params.feature.hash_dim), ranking))
-    return batch
+    return stack_examples(batch, params.feature.hash_dim)
 
 
 class TestBatchGradients:
@@ -227,6 +316,67 @@ class TestBatchGradients:
                 assert gflat[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
                 checked += 1
         assert checked >= 100
+
+
+class TestExampleStack:
+    def prepared(self):
+        """Examples of 4, 2 and 3 documents: fewer than a docs_per_query of 4
+        for two of them, and the second has a document with an empty row."""
+        corpus, examples = tiny_corpus_and_examples(n=3, m=4)
+        corpus["q1-d1"] = ""
+        examples[1] = subsample_docs(replace(examples[1], query_text=""), 2, seed=0)
+        examples[2] = subsample_docs(examples[2], 3, seed=1)
+        store = FeatureStore(tiny_feature())
+        prepared = [prepare_example(ex, corpus, store) for ex in examples]
+        assert [ex.rows.shape[0] for ex in prepared] == [4, 2, 3]
+        assert any(np.diff(ex.rows.indptr).min() == 0 for ex in prepared)
+        return prepared
+
+    @staticmethod
+    def assert_same_csr(got, want):
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_stack_matches_vstack(self):
+        prepared = self.prepared()
+        stack = stack_examples(prepared, tiny_feature().hash_dim)
+        self.assert_same_csr(stack.rows, sp.vstack([ex.rows for ex in prepared], format="csr"))
+        np.testing.assert_array_equal(stack.bounds, [0, 4, 6, 9])
+        assert len(stack) == 3
+        for got, ex in zip(stack.rankings, prepared):
+            np.testing.assert_array_equal(got, ex.ranking)
+
+    def test_empty_stack(self):
+        stack = stack_examples([], tiny_feature().hash_dim)
+        assert len(stack) == 0 and stack.rows.shape == (0, tiny_feature().hash_dim)
+        np.testing.assert_array_equal(stack.bounds, [0])
+
+    @pytest.mark.parametrize("picks", [[2, 0, 1], [1], [1, 2], [0, 2, 1, 0]])
+    def test_gathered_batch_matches_vstack_of_compacted_rows(self, picks):
+        prepared = self.prepared()
+        hash_dim = tiny_feature().hash_dim
+        stack = stack_examples(prepared, hash_dim)
+        touched = np.zeros(hash_dim, dtype=bool)
+        touched[stack.rows.indices] = True
+        position = np.cumsum(touched) - 1
+        n_active = int(touched.sum())
+        compacted = _compact(stack, position, n_active)
+
+        batch = take_examples(compacted, np.asarray(picks))
+
+        # the same per example: compact its rows alone, then stack the batch
+        want = sp.vstack(
+            [sp.csr_array((prepared[i].rows.data, position[prepared[i].rows.indices],
+                           prepared[i].rows.indptr), shape=(prepared[i].rows.shape[0], n_active))
+             for i in picks],
+            format="csr",
+        )
+        self.assert_same_csr(batch.rows, want)
+        np.testing.assert_array_equal(
+            batch.bounds, np.cumsum([0] + [prepared[i].rows.shape[0] for i in picks]))
+        for got, i in zip(batch.rankings, picks):
+            np.testing.assert_array_equal(got, prepared[i].ranking)
 
 
 def tiny_corpus_and_examples(n=12, m=4):
