@@ -172,6 +172,8 @@ def rerank_run(
     call and emit the top-k_out, ties broken by ascending doc_id."""
     if k_out is None:
         k_out = k_in
+    if k_in < 1 or k_out < 1:
+        raise ValueError(f"k_in and k_out must be >= 1, got k_in={k_in}, k_out={k_out}")
     if k_out > k_in:
         raise ValueError(f"k_out={k_out} must not exceed k_in={k_in}")
     ranked: dict[str, list[tuple[str, float]]] = {}

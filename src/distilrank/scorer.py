@@ -10,8 +10,10 @@ one-row case.
 There is one featurizing path in the pipeline, `featurize_batch`: it builds a
 query's rows for many documents in one numpy pass over a `TermTable`, which
 resolves every term and document once. `featurize` is the per-pair reference
-it must match bit for bit. A `FeatureStore` adds a cache of pair rows on top,
-so each (query, document) pair is featurized once.
+it must match bit for bit. A `FeatureStore` holds the rows it has made as one
+resident CSR (column indices and values in two growing arrays, and a start and
+length per row), so each (query, document) pair is featurized once, and any
+set of pairs comes back as one CSR matrix in a single numpy gather.
 
 The batched pass needs no per-key hashing because crc32 is affine over GF(2):
 ``crc32(P + T) == op_n(crc32(P)) ^ crc32(T)`` for any n-byte T, where op_n
@@ -327,30 +329,98 @@ def featurize_batch(
     return sp.csr_array((data, keys & mask, indptr), shape=(n, config.hash_dim))
 
 
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """0 followed by the running sum of ``lengths``, as int64."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ranges ``starts[i] + arange(lengths[i])``, and the
+    offset of each range in the result."""
+    offsets = _offsets(lengths)
+    return np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1]), offsets
+
+
+def _reserve(array: np.ndarray, size: int) -> np.ndarray:
+    """``array``, or a copy at least twice as long when it holds fewer than ``size``."""
+    if size <= array.size:
+        return array
+    grown = np.empty(max(size, 2 * array.size), dtype=array.dtype)
+    grown[: array.size] = array
+    return grown
+
+
 class FeatureStore:
     """The features of (query text, doc_id) pairs under one `FeatureConfig`,
-    each pair featurized once, on its first request.
+    each pair featurized once, on its first request, and held as a row of
+    one resident CSR.
 
-    A request hands all of its pairs not yet held to one `featurize_batch`
-    call, over a `TermTable` that resolves each term and document once. One
-    store serves one corpus: a doc_id stands for its text there. It keeps
-    every pair row it has made for as long as it lives, so share one only
-    between callers that request the same pairs again.
+    The store keeps every row's column indices and values in two arrays, and
+    a start and length per row, all grown geometrically, plus a map from
+    (query, doc_id) to row id. `ids` hands a request's pairs not yet held to
+    one `featurize_batch` call, over a `TermTable` that resolves each term
+    and document once, and returns the pairs' row ids; `take` gathers rows
+    into one CSR matrix in one numpy pass. One store serves one corpus: a
+    doc_id stands for its text there. It keeps every pair row it has made for
+    as long as it lives, so share one only between callers that request the
+    same pairs again.
     """
+
+    INITIAL_ROWS = 64
+    INITIAL_NNZ = 1 << 12
 
     def __init__(self, config: FeatureConfig) -> None:
         self.config = config
         self._table = TermTable(config)
-        self._vectors: dict[tuple[str, str], SparseVector] = {}
+        self._row_of: dict[tuple[str, str], int] = {}
+        self._indices = np.empty(self.INITIAL_NNZ, dtype=np.int64)
+        self._data = np.empty(self.INITIAL_NNZ)
+        self._starts = np.empty(self.INITIAL_ROWS, dtype=np.int64)
+        self._lengths = np.empty(self.INITIAL_ROWS, dtype=np.int64)
+        self._nnz = 0
+
+    def __len__(self) -> int:
+        """The number of pair rows held."""
+        return len(self._row_of)
+
+    def ids(self, query: str, doc_ids: Sequence[str], corpus: Mapping[str, str]) -> np.ndarray:
+        """The row id of ``query`` with each document, featurizing the pairs not yet held."""
+        row_of = self._row_of
+        missing = [d for d in dict.fromkeys(doc_ids) if (query, d) not in row_of]
+        if missing:
+            self._append(query, missing, featurize_batch(query, missing, corpus, self._table))
+        return np.fromiter((row_of[query, d] for d in doc_ids), dtype=np.int64,
+                           count=len(doc_ids))
+
+    def take(self, ids: np.ndarray) -> sp.csr_array:
+        """The rows ``ids``, in order, as one (len(ids), hash_dim) CSR matrix."""
+        ids = np.asarray(ids, dtype=np.int64)
+        positions, indptr = _ranges(self._starts[ids], self._lengths[ids])
+        return sp.csr_array((self._data[positions], self._indices[positions], indptr),
+                            shape=(ids.size, self.config.hash_dim))
 
     def rows(self, query: str, doc_ids: Sequence[str], corpus: Mapping[str, str]) -> sp.csr_array:
         """The features of ``query`` with each document, as the rows of one CSR matrix."""
-        missing = [d for d in dict.fromkeys(doc_ids) if (query, d) not in self._vectors]
-        if missing:
-            new = featurize_batch(query, missing, corpus, self._table)
-            for doc_id, lo, hi in zip(missing, new.indptr[:-1], new.indptr[1:]):
-                self._vectors[query, doc_id] = SparseVector(new.indices[lo:hi], new.data[lo:hi])
-        return stack_rows([self._vectors[query, d] for d in doc_ids], self.config.hash_dim)
+        return self.take(self.ids(query, doc_ids, corpus))
+
+    def _append(self, query: str, doc_ids: list[str], block: sp.csr_array) -> None:
+        # scipy trusts the column indices; its products read out of bounds on a bad one
+        if block.nnz and (block.indices.min() < 0 or block.indices.max() >= self.config.hash_dim):
+            raise ValueError(f"feature index outside 0..{self.config.hash_dim - 1}")
+        first, at = len(self._row_of), self._nnz
+        end_row, end = first + len(doc_ids), at + block.nnz
+        self._indices = _reserve(self._indices, end)
+        self._data = _reserve(self._data, end)
+        self._starts = _reserve(self._starts, end_row)
+        self._lengths = _reserve(self._lengths, end_row)
+        self._indices[at:end] = block.indices
+        self._data[at:end] = block.data
+        self._starts[first:end_row] = at + block.indptr[:-1]
+        self._lengths[first:end_row] = np.diff(block.indptr)
+        self._nnz = end
+        self._row_of.update(zip([(query, d) for d in doc_ids], range(first, end_row)))
 
 
 def score(logits: LogitPair, strategy: ScoreStrategy) -> float:

@@ -18,15 +18,20 @@ its moments stay zero and each step only scales it by (1 - lr * weight_decay).
 `fit` applies those steps once, as (1 - lr * weight_decay) ** t after t steps,
 and leaves the rows bit-identical when weight_decay is 0 or no step was taken.
 
-Resident stacks: `fit` holds each set (train, validation) as one
-`ExampleStack`, a CSR matrix of all its documents' rows compacted to the
-active block once, with each example's row bounds and ranking. A batch is
-gathered from the train stack in one vectorised pass, and the history losses
-run on the whole stacks: the forward is ``X @ w1`` and the w1 gradient
-``X.T @ dH``. `adamw_step` works in two scratch buffers per array that its
-`AdamState` holds. Together these keep a step from allocating block-sized
-temporaries: in a fresh process glibc returned such blocks to the OS between
-steps, and every step page-faulted them back in.
+Resident stacks: `prepare_example` resolves an example to the row ids of its
+documents in a `FeatureStore`, and `stack_examples` gathers a whole set
+(train, validation) from the store in one pass, as one `ExampleStack`: a CSR
+matrix of all its documents' rows, compacted to the active block once, with
+each example's row bounds and ranking. A batch is gathered from the train
+stack in one vectorised pass, and the history losses run on the whole stacks:
+the forward is ``X @ w1`` and the w1 gradient ``X.T @ dH``. The RankNet pair
+matrices are built once per batch for each distinct document count m, as
+(examples, m, m) arrays, and give each example's loss and gradient bit for bit
+as the per-list `ranknet_loss` and `ranknet_grad` do. `adamw_step` works in
+two scratch buffers per array that its `AdamState` holds. Together these keep
+a step from allocating block-sized temporaries: in a fresh process glibc
+returned such blocks to the OS between steps, and every step page-faulted
+them back in.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ from .scorer import (
     FeatureStore,
     ScorerParams,
     ScoreStrategy,
+    _offsets,
+    _ranges,
     forward_rows,
     score_batch,
     score_batch_grad,
@@ -113,25 +120,31 @@ def _checked(scores: Sequence[float], ranking: Sequence[int]) -> tuple[np.ndarra
 
 
 def _pair_diffs(scores: np.ndarray, ranking: np.ndarray, literal_sign: bool):
-    # mask[i, j] is True where document i is ranked strictly better than j
-    mask = ranking[:, None] < ranking[None, :]
-    diff = scores[None, :] - scores[:, None]  # diff[i, j] = s_j - s_i
+    """The pair matrices of one list (shape (m,)) or of equal-length lists
+    (shape (B, m)): each is (..., m, m)."""
+    # mask[..., i, j] is True where document i is ranked strictly better than j
+    mask = ranking[..., :, None] < ranking[..., None, :]
+    diff = scores[..., None, :] - scores[..., :, None]  # diff[..., i, j] = s_j - s_i
     if literal_sign:
         diff = -diff
     return mask, diff
 
 
-def _ranknet_loss(scores: np.ndarray, ranking: np.ndarray, literal_sign: bool) -> float:
-    mask, diff = _pair_diffs(scores, ranking, literal_sign)
-    return float(np.logaddexp(0.0, diff[mask]).sum())
+def _pair_losses(mask: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """The pair-summed loss of each list. Every list holds m(m-1)/2 ordered
+    pairs, so ``diff[mask]`` splits into equal rows, and each row is summed
+    in the same order as a list on its own."""
+    m = mask.shape[-1]
+    pairs = np.logaddexp(0.0, diff[mask])
+    return pairs.reshape(mask.shape[:-2] + (m * (m - 1) // 2,)).sum(axis=-1)
 
 
-def _ranknet_grad(scores: np.ndarray, ranking: np.ndarray, literal_sign: bool) -> np.ndarray:
-    mask, diff = _pair_diffs(scores, ranking, literal_sign)
+def _pair_grads(mask: np.ndarray, diff: np.ndarray, literal_sign: bool) -> np.ndarray:
+    """dL/ds of each list."""
     g = expit(diff) * mask
     if literal_sign:
-        return g.sum(axis=1) - g.sum(axis=0)
-    return g.sum(axis=0) - g.sum(axis=1)
+        return g.sum(axis=-1) - g.sum(axis=-2)
+    return g.sum(axis=-2) - g.sum(axis=-1)
 
 
 def ranknet_loss(
@@ -140,7 +153,7 @@ def ranknet_loss(
     literal_sign: bool = False,
 ) -> float:
     """Sum of softplus pair penalties over all ordered pairs of the ranking."""
-    return _ranknet_loss(*_checked(scores, ranking), literal_sign)
+    return float(_pair_losses(*_pair_diffs(*_checked(scores, ranking), literal_sign)))
 
 
 def ranknet_grad(
@@ -149,7 +162,7 @@ def ranknet_grad(
     literal_sign: bool = False,
 ) -> np.ndarray:
     """Analytic dL/ds_k; the entries sum to zero since each pair contributes +g and -g."""
-    return _ranknet_grad(*_checked(scores, ranking), literal_sign)
+    return _pair_grads(*_pair_diffs(*_checked(scores, ranking), literal_sign), literal_sign)
 
 
 @dataclass
@@ -241,12 +254,12 @@ def subsample_docs(example: DistilledExample, m_prime: int, seed: int) -> Distil
 class PreparedExample:
     """A distilled example resolved to features, ready for the loop.
 
-    ``rows`` holds one CSR row per document; its columns index the rows of the
-    w1 it is multiplied with. ``ranking`` is a checked permutation of 1..m.
+    ``row_ids`` holds the `FeatureStore` row id of each document's features;
+    ``ranking`` is a checked permutation of 1..m.
     """
 
     query_id: str
-    rows: sp.csr_array
+    row_ids: np.ndarray
     ranking: np.ndarray
 
 
@@ -268,10 +281,10 @@ def prepare_example(
     corpus: Mapping[str, str],
     store: FeatureStore,
 ) -> PreparedExample:
-    rows = store.rows(example.query_text, example.doc_ids, corpus)
+    row_ids = store.ids(example.query_text, example.doc_ids, corpus)
     ranking = np.asarray(example.llm_ranking, dtype=np.int64)
-    _check_permutation(ranking, rows.shape[0])
-    return PreparedExample(example.query_id, rows, ranking)
+    _check_permutation(ranking, row_ids.size)
+    return PreparedExample(example.query_id, row_ids, ranking)
 
 
 @dataclass(frozen=True)
@@ -286,35 +299,12 @@ class ExampleStack:
     def __len__(self) -> int:
         return len(self.rankings)
 
-    def slices(self):
-        """(ranking, first row, end row) of each example, in order."""
-        return zip(self.rankings, self.bounds[:-1], self.bounds[1:])
 
-
-def _offsets(lengths: np.ndarray) -> np.ndarray:
-    """0 followed by the running sum of ``lengths``, as int64."""
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return offsets
-
-
-def stack_examples(prepared: Sequence[PreparedExample], n_cols: int) -> ExampleStack:
-    """The examples' rows, in order, as one (total rows, n_cols) stack."""
-    indptr = _offsets(np.concatenate(
-        [np.empty(0, dtype=np.int64)] + [np.diff(ex.rows.indptr) for ex in prepared]
-    ))
-    indices = np.concatenate([np.empty(0, dtype=np.int64)] + [ex.rows.indices for ex in prepared])
-    data = np.concatenate([np.empty(0)] + [ex.rows.data for ex in prepared])
-    rows = sp.csr_array((data, indices, indptr), shape=(indptr.size - 1, n_cols))
-    bounds = _offsets([ex.rows.shape[0] for ex in prepared])
-    return ExampleStack(rows, bounds, [ex.ranking for ex in prepared])
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The concatenated ranges ``starts[i] + arange(lengths[i])``, and the
-    offset of each range in the result."""
-    offsets = _offsets(lengths)
-    return np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1]), offsets
+def stack_examples(prepared: Sequence[PreparedExample], store: FeatureStore) -> ExampleStack:
+    """The examples' rows, in order, gathered from ``store`` as one stack."""
+    ids = np.concatenate([np.empty(0, dtype=np.int64)] + [ex.row_ids for ex in prepared])
+    bounds = _offsets([ex.row_ids.size for ex in prepared])
+    return ExampleStack(store.take(ids), bounds, [ex.ranking for ex in prepared])
 
 
 def take_examples(stack: ExampleStack, picks: Sequence[int]) -> ExampleStack:
@@ -341,6 +331,31 @@ def _compact(stack: ExampleStack, position: np.ndarray, n_active: int) -> Exampl
     return replace(stack, rows=compacted)
 
 
+def _ranknet(
+    scores: np.ndarray, stack: ExampleStack, literal_sign: bool, with_grads: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The RankNet loss of each example, in example order, and with
+    ``with_grads`` dL/ds for every row of the stack.
+
+    The pair matrices are built once for each distinct document count m, as
+    (examples with m documents, m, m) arrays; each example's loss and
+    gradient come out bit for bit as `ranknet_loss` and `ranknet_grad` give
+    them for that example alone.
+    """
+    lengths = np.diff(stack.bounds)
+    losses = np.empty(len(stack))
+    ds = np.empty_like(scores) if with_grads else None
+    for m in np.unique(lengths):
+        members = np.flatnonzero(lengths == m)
+        rows = stack.bounds[members, None] + np.arange(m)  # (examples, m)
+        ranking = np.stack([stack.rankings[i] for i in members])
+        mask, diff = _pair_diffs(scores[rows], ranking, literal_sign)
+        losses[members] = _pair_losses(mask, diff)
+        if with_grads:
+            ds[rows] = _pair_grads(mask, diff, literal_sign)
+    return losses, ds
+
+
 def batch_loss(
     params: ScorerParams,
     batch: ExampleStack,
@@ -351,10 +366,8 @@ def batch_loss(
     _, _, z = forward_rows(params, batch.rows)
     scores = score_batch(z, strategy)
     _check_finite(scores)
-    total = sum(
-        _ranknet_loss(scores[lo:hi], ranking, literal_sign) for ranking, lo, hi in batch.slices()
-    )
-    return total / len(batch)
+    losses, _ = _ranknet(scores, batch, literal_sign, with_grads=False)
+    return sum(losses.tolist()) / len(batch)
 
 
 def batch_loss_and_grads(
@@ -370,11 +383,11 @@ def batch_loss_and_grads(
     scores = score_batch(z, strategy)
     _check_finite(scores)
     scale = 1.0 / len(batch)
+    losses, ds = _ranknet(scores, batch, literal_sign, with_grads=True)
     total = 0.0
-    ds = np.empty_like(scores)
-    for ranking, lo, hi in batch.slices():
-        total += _ranknet_loss(scores[lo:hi], ranking, literal_sign)
-        ds[lo:hi] = _ranknet_grad(scores[lo:hi], ranking, literal_sign) * scale
+    for loss in losses.tolist():  # in example order, uncompensated (unlike sum on 3.12+)
+        total += loss
+    ds *= scale
     dz = ds[:, None] * score_batch_grad(z, strategy)  # (n, 2)
     dh_pre = (dz @ params.w2.T) * (h_pre > 0.0)
     grads = [rows.T @ dh_pre, dh_pre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
@@ -443,8 +456,8 @@ def fit(
     elif store.config != params.feature:
         raise ValueError("the feature store and the scorer use different feature configs")
     hash_dim = params.feature.hash_dim
-    train = stack_examples([prepare_example(ex, corpus, store) for ex in train_reduced], hash_dim)
-    val = stack_examples([prepare_example(ex, corpus, store) for ex in val_reduced], hash_dim)
+    train = stack_examples([prepare_example(ex, corpus, store) for ex in train_reduced], store)
+    val = stack_examples([prepare_example(ex, corpus, store) for ex in val_reduced], store)
     del store  # the loop reads only the stacks; a store made here is freed now
 
     # the loop runs on the active rows of w1 only; see the module docstring

@@ -225,6 +225,22 @@ class TestRetrievalGlue:
         assert "no vector for query 'qb'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value", [("--k-in", "-1"), ("--k-in", "0"),
+                                               ("--k-out", "0")])
+    def test_rerank_rejects_k_below_one(self, tmp_path, capsys, option, value):
+        run = tmp_path / "base.trec"
+        run.write_text("qa Q0 d1 1 3.0 bm25\nqa Q0 d2 2 2.0 bm25\nqa Q0 d3 3 1.0 bm25\n")
+        logits = tmp_path / "logits.tsv"
+        logits.write_text("qa\td1\t0.0\t0.0\nqa\td2\t1.0\t0.0\nqa\td3\t2.0\t0.0\n")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(f'{{"doc_id": "d{i}", "text": "t"}}\n' for i in (1, 2, 3)))
+        out = tmp_path / "reranked.trec"
+        assert dispatch(["rerank", "--run", str(run), "--external-logits", str(logits),
+                         "--corpus", str(corpus), option, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be >= 1" in err
+        assert not out.exists()
+
     def test_retrieve_runfile_warns_of_missing_queries(self, tmp_path, capsys):
         run = tmp_path / "ext.trec"
         run.write_text("qb Q0 d1 1 2.0 ext\nqb Q0 d2 2 1.0 ext\nqz Q0 d3 1 1.0 ext\n")

@@ -260,6 +260,12 @@ class TestRerankRun:
         with pytest.raises(DataError, match="nope"):
             rerank_run(run, fn, k_in=2, k_out=2)
 
+    @pytest.mark.parametrize("k_in, k_out", [(-1, None), (0, None), (3, 0), (3, -2)])
+    def test_k_below_one_rejected(self, k_in, k_out):
+        run = run_of({"q1": ["d0", "d1", "d2"]})
+        with pytest.raises(ValueError, match="must be >= 1"):
+            rerank_run(run, lambda q, ds: [0.0] * len(ds), k_in=k_in, k_out=k_out)
+
     def test_k_out_truncates(self):
         run = run_of({"q1": [f"d{i}" for i in range(5)]})
         out = rerank_run(

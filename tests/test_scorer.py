@@ -260,6 +260,80 @@ class TestFeatureStore:
         with pytest.raises(DataError, match="nope"):
             FeatureStore(SMALL).rows("q", ["nope"], {})
 
+    def test_missing_document_leaves_the_store_unchanged(self):
+        corpus = {"d1": "beta gamma", "d2": "gamma delta epsilon", "d3": "alpha"}
+        store = FeatureStore(SMALL)
+        store.rows("alpha gamma", ["d1"], corpus)
+        with pytest.raises(DataError, match="nope"):
+            store.rows("alpha gamma", ["d2", "nope", "d1"], corpus)
+        assert len(store) == 1
+        # the pair made before the failure and the pairs the failed request held back
+        assert_rows_match_per_pair(store, "alpha gamma", ["d2", "d1", "d3"], corpus, SMALL)
+        assert len(store) == 3
+
+    def test_growth_past_the_initial_capacity(self):
+        corpus = {f"d{i}": " ".join(WORDS[i % 7:] + WORDS[: i % 5]) for i in range(40)}
+        store = FeatureStore(SMALL)
+        queries = ["cat café bb", "日本 x9 Ω straße", "a"]
+        for query in queries:
+            assert_rows_match_per_pair(store, query, list(corpus), corpus, SMALL)
+        assert len(store) == 120 > FeatureStore.INITIAL_ROWS
+        nnz = sum(store.rows(query, list(corpus), corpus).nnz for query in queries)
+        assert nnz > FeatureStore.INITIAL_NNZ
+        for query in queries:  # the rows made before each growth, read back after it
+            assert_rows_match_per_pair(store, query, list(corpus)[::-1], corpus, SMALL)
+
+    def test_take_nothing(self):
+        rows = FeatureStore(SMALL).take(np.empty(0, dtype=np.int64))
+        assert rows.shape == (0, SMALL.hash_dim) and rows.nnz == 0
+
+
+def assert_rows_match_per_pair(store, query, doc_ids, corpus, config):
+    """``store.rows`` equals the stacked per-pair `featurize` rows, bit for bit."""
+    got = store.rows(query, doc_ids, corpus)
+    want = stack_rows([featurize(query, corpus[d], config) for d in doc_ids], config.hash_dim)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+    np.testing.assert_array_equal(np.signbit(got.data), np.signbit(want.data))
+
+
+class _TinyStore(FeatureStore):
+    """A store that starts with room for one row and one entry, so that every
+    request grows it."""
+
+    INITIAL_ROWS = 1
+    INITIAL_NNZ = 1
+
+
+STORE_CORPUS = {f"d{i}": text for i, text in enumerate(
+    ["cat bb a", "", "日本語 日本 cat café", "straße Ω Ω x9", "a a a bb ccc", "é"])}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    requests=st.lists(
+        st.tuples(st.sampled_from(["cat a", "Cat café 日本", "", "bb bb ccc x9 straße"]),
+                  st.lists(st.sampled_from(sorted(STORE_CORPUS)), max_size=8)),
+        max_size=8,
+    ),
+    store_type=st.sampled_from([FeatureStore, _TinyStore]),
+)
+@example(requests=[("cat a", [])], store_type=_TinyStore)
+@example(requests=[("cat a", ["d2", "d0", "d2"]), ("", ["d2"]), ("cat a", ["d0", "d1"])],
+         store_type=_TinyStore)
+def test_store_rows_match_per_pair_rows(requests, store_type):
+    """Requests interleaved across queries, repeating a doc_id within one
+    request, naming one document under several queries, or naming none."""
+    config = FeatureConfig(hash_dim=1 << 10, interaction_cap=4)
+    store = store_type(config)
+    for query, doc_ids in requests:
+        assert_rows_match_per_pair(store, query, doc_ids, STORE_CORPUS, config)
+    assert len(store) == len({(q, d) for q, doc_ids in requests for d in doc_ids})
+    for query, doc_ids in requests:  # every row again, after all the growth
+        assert_rows_match_per_pair(store, query, doc_ids, STORE_CORPUS, config)
+
 
 class TestExternalLogits:
     def test_single_line(self):

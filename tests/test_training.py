@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distilrank.errors import DataError
 from distilrank.scorer import (
@@ -12,6 +14,7 @@ from distilrank.scorer import (
     FeatureStore,
     ScoreStrategy,
     featurize,
+    forward_rows,
     init_params,
     score_batch,
     score_batch_grad,
@@ -19,6 +22,7 @@ from distilrank.scorer import (
 )
 from distilrank.training import (
     AdamState,
+    ExampleStack,
     HistoryRow,
     KindFilter,
     PreparedExample,
@@ -274,15 +278,15 @@ def tiny_feature():
 def prepared_batch(params, rng, n_examples=3, m=5):
     batch = []
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+    store = FeatureStore(params.feature)
+    corpus = {}
     for e in range(n_examples):
         query = " ".join(rng.choice(vocab, size=3))
-        features = [
-            featurize(query, " ".join(rng.choice(vocab, size=6)), params.feature)
-            for _ in range(m)
-        ]
+        doc_ids = [f"q{e}-d{i}" for i in range(m)]
+        corpus.update((d, " ".join(rng.choice(vocab, size=6))) for d in doc_ids)
         ranking = np.asarray(rng.permutation(m) + 1)
-        batch.append(PreparedExample(f"q{e}", stack_rows(features, params.feature.hash_dim), ranking))
-    return stack_examples(batch, params.feature.hash_dim)
+        batch.append(PreparedExample(f"q{e}", store.ids(query, doc_ids, corpus), ranking))
+    return stack_examples(batch, store)
 
 
 class TestBatchGradients:
@@ -318,19 +322,80 @@ class TestBatchGradients:
         assert checked >= 100
 
 
+def per_example_loss_and_grads(params, batch, strategy, literal_sign):
+    """`batch_loss_and_grads` as a loop over examples, each through the public
+    per-list `ranknet_loss` and `ranknet_grad`."""
+    rows = batch.rows
+    h_pre, h, z = forward_rows(params, rows)
+    scores = score_batch(z, strategy)
+    scale = 1.0 / len(batch)
+    total = 0.0
+    ds = np.empty_like(scores)
+    for ranking, lo, hi in zip(batch.rankings, batch.bounds[:-1], batch.bounds[1:]):
+        total += ranknet_loss(scores[lo:hi], ranking, literal_sign)
+        ds[lo:hi] = ranknet_grad(scores[lo:hi], ranking, literal_sign) * scale
+    dz = ds[:, None] * score_batch_grad(z, strategy)
+    dh_pre = (dz @ params.w2.T) * (h_pre > 0.0)
+    grads = [rows.T @ dh_pre, dh_pre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
+    return total * scale, grads
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    doc_counts=st.lists(st.integers(1, 30), min_size=1, max_size=10),
+    strategy=st.sampled_from(list(ScoreStrategy)),
+    literal_sign=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(doc_counts=[1], strategy=ScoreStrategy.LOGIT_DIFFERENCE, literal_sign=False, seed=0)
+@example(doc_counts=[1, 1, 1], strategy=ScoreStrategy.SINGLE_LOGIT, literal_sign=True, seed=1)
+@example(doc_counts=[30, 1, 7, 30, 2, 7, 1], strategy=ScoreStrategy.SOFTMAX_TRUE_FALSE,
+         literal_sign=True, seed=2)
+def test_batched_ranknet_matches_per_example_loop(doc_counts, strategy, literal_sign, seed):
+    """The loss and all four gradients bit for bit, over batches that mix
+    document counts, with random CSR rows and scores of spread-out scale."""
+    rng = np.random.default_rng(seed)
+    hash_dim, hidden = 64, 8
+    params = init_params(FeatureConfig(hash_dim=hash_dim), hidden=hidden, seed=seed % 1000)
+    params.b1 = rng.normal(0.0, 0.1, size=hidden)
+    params.w2 *= rng.choice([0.1, 1.0, 30.0])  # from near-ties to saturated pairs
+    n = sum(doc_counts)
+    rows = sp.random_array((n, hash_dim), density=0.2, format="csr", rng=rng,
+                           data_sampler=lambda size: rng.integers(-3, 4, size).astype(float))
+    batch = ExampleStack(sp.csr_array(rows), np.cumsum([0] + doc_counts),
+                         [rng.permutation(m) + 1 for m in doc_counts])
+
+    loss, grads = batch_loss_and_grads(params, batch, strategy, literal_sign)
+    want_loss, want_grads = per_example_loss_and_grads(params, batch, strategy, literal_sign)
+    assert loss == want_loss
+    assert len(grads) == 4
+    for got, want in zip(grads, want_grads):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    _, _, z = forward_rows(params, batch.rows)
+    scores = score_batch(z, strategy)
+    want_mean = sum(ranknet_loss(scores[lo:hi], r, literal_sign) for r, lo, hi in
+                    zip(batch.rankings, batch.bounds[:-1], batch.bounds[1:])) / len(batch)
+    assert batch_loss(params, batch, strategy, literal_sign) == want_mean
+
+
 class TestExampleStack:
     def prepared(self):
         """Examples of 4, 2 and 3 documents: fewer than a docs_per_query of 4
-        for two of them, and the second has a document with an empty row."""
+        for two of them, and the second has a document with an empty row.
+        Returns the prepared examples, their store, and each example's rows
+        stacked from per-pair `featurize`."""
         corpus, examples = tiny_corpus_and_examples(n=3, m=4)
         corpus["q1-d1"] = ""
         examples[1] = subsample_docs(replace(examples[1], query_text=""), 2, seed=0)
         examples[2] = subsample_docs(examples[2], 3, seed=1)
         store = FeatureStore(tiny_feature())
         prepared = [prepare_example(ex, corpus, store) for ex in examples]
-        assert [ex.rows.shape[0] for ex in prepared] == [4, 2, 3]
-        assert any(np.diff(ex.rows.indptr).min() == 0 for ex in prepared)
-        return prepared
+        rows = [stack_rows([featurize(ex.query_text, corpus[d], tiny_feature())
+                            for d in ex.doc_ids], tiny_feature().hash_dim) for ex in examples]
+        assert [r.shape[0] for r in rows] == [4, 2, 3]
+        assert any(np.diff(r.indptr).min() == 0 for r in rows)
+        return prepared, store, rows
 
     @staticmethod
     def assert_same_csr(got, want):
@@ -339,24 +404,24 @@ class TestExampleStack:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_stack_matches_vstack(self):
-        prepared = self.prepared()
-        stack = stack_examples(prepared, tiny_feature().hash_dim)
-        self.assert_same_csr(stack.rows, sp.vstack([ex.rows for ex in prepared], format="csr"))
+        prepared, store, rows = self.prepared()
+        stack = stack_examples(prepared, store)
+        self.assert_same_csr(stack.rows, sp.vstack(rows, format="csr"))
         np.testing.assert_array_equal(stack.bounds, [0, 4, 6, 9])
         assert len(stack) == 3
         for got, ex in zip(stack.rankings, prepared):
             np.testing.assert_array_equal(got, ex.ranking)
 
     def test_empty_stack(self):
-        stack = stack_examples([], tiny_feature().hash_dim)
+        stack = stack_examples([], FeatureStore(tiny_feature()))
         assert len(stack) == 0 and stack.rows.shape == (0, tiny_feature().hash_dim)
         np.testing.assert_array_equal(stack.bounds, [0])
 
     @pytest.mark.parametrize("picks", [[2, 0, 1], [1], [1, 2], [0, 2, 1, 0]])
     def test_gathered_batch_matches_vstack_of_compacted_rows(self, picks):
-        prepared = self.prepared()
+        prepared, store, rows = self.prepared()
         hash_dim = tiny_feature().hash_dim
-        stack = stack_examples(prepared, hash_dim)
+        stack = stack_examples(prepared, store)
         touched = np.zeros(hash_dim, dtype=bool)
         touched[stack.rows.indices] = True
         position = np.cumsum(touched) - 1
@@ -367,14 +432,14 @@ class TestExampleStack:
 
         # the same per example: compact its rows alone, then stack the batch
         want = sp.vstack(
-            [sp.csr_array((prepared[i].rows.data, position[prepared[i].rows.indices],
-                           prepared[i].rows.indptr), shape=(prepared[i].rows.shape[0], n_active))
+            [sp.csr_array((rows[i].data, position[rows[i].indices], rows[i].indptr),
+                          shape=(rows[i].shape[0], n_active))
              for i in picks],
             format="csr",
         )
         self.assert_same_csr(batch.rows, want)
         np.testing.assert_array_equal(
-            batch.bounds, np.cumsum([0] + [prepared[i].rows.shape[0] for i in picks]))
+            batch.bounds, np.cumsum([0] + [rows[i].shape[0] for i in picks]))
         for got, i in zip(batch.rankings, picks):
             np.testing.assert_array_equal(got, prepared[i].ranking)
 
