@@ -10,26 +10,23 @@ Run:  python3 demos/02_scoring_strategies.py
 
 import numpy as np
 
-from distilrank import LogitPair, ScoreStrategy, score
+from distilrank import ScoreStrategy, score_batch
 
-pairs = [
-    LogitPair(1.0, -1.0),
-    LogitPair(0.0, 0.0),
-    LogitPair(3.2, 0.4),
-    LogitPair(-0.5, 2.0),
-    LogitPair(5.0, 4.5),
-]
+# one (z_true, z_false) row per document
+z = np.array([
+    [1.0, -1.0],
+    [0.0, 0.0],
+    [3.2, 0.4],
+    [-0.5, 2.0],
+    [5.0, 4.5],
+])
+softmax = score_batch(z, ScoreStrategy.SOFTMAX_TRUE_FALSE)
+single = score_batch(z, ScoreStrategy.SINGLE_LOGIT)
+diff = score_batch(z, ScoreStrategy.LOGIT_DIFFERENCE)
 
 print(f"{'z_true':>8} {'z_false':>8} {'softmax':>10} {'single':>8} {'difference':>11}")
-for p in pairs:
-    print(
-        f"{p.z_true:>8.2f} {p.z_false:>8.2f}"
-        f" {score(p, ScoreStrategy.SOFTMAX_TRUE_FALSE):>10.6f}"
-        f" {score(p, ScoreStrategy.SINGLE_LOGIT):>8.2f}"
-        f" {score(p, ScoreStrategy.LOGIT_DIFFERENCE):>11.2f}"
-    )
+for (z_true, z_false), s, t, d in zip(z, softmax, single, diff):
+    print(f"{z_true:>8.2f} {z_false:>8.2f} {s:>10.6f} {t:>8.2f} {d:>11.2f}")
 
-softmax = [score(p, ScoreStrategy.SOFTMAX_TRUE_FALSE) for p in pairs]
-diff = [score(p, ScoreStrategy.LOGIT_DIFFERENCE) for p in pairs]
 print("\nargsort by softmax:   ", [int(i) for i in np.argsort(softmax)[::-1]])
 print("argsort by difference:", [int(i) for i in np.argsort(diff)[::-1]])

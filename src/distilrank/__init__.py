@@ -39,7 +39,6 @@ from .retrieval import (
 from .scorer import (
     FeatureConfig,
     FeatureStore,
-    LogitPair,
     ScorerParams,
     ScoreStrategy,
     SparseVector,
@@ -51,7 +50,7 @@ from .scorer import (
     load_checkpoint,
     load_external_logits,
     save_checkpoint,
-    score,
+    score_batch,
 )
 from .synthetic import SynthBenchmark, synth_benchmark
 from .tokenization import TokenizerConfig, tokenize

@@ -7,6 +7,7 @@ error. Stages hand files to each other; all randomness is seeded from --seed.
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 from pathlib import Path
 
@@ -340,7 +341,6 @@ def _cmd_train(args, opts: dict) -> int:
         strategy=_choice(ScoreStrategy, opts["train.strategy"]),
         kind_filter=_choice(KindFilter, opts["train.kind"]),
         excluded_source=_source_or_none(opts["train.exclude_source"]),
-        literal_sign=opts["train.literal_sign"],
     )
     params = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
     params, history = fit(config, train_examples, val_examples, corpus, params)
@@ -441,6 +441,8 @@ def _cmd_ablate(args, opts: dict) -> int:
                             interaction_cap=opts["feature.interaction_cap"])
     # every cell trains and reranks on the same pairs: featurize each once
     store = FeatureStore(feature)
+    # and starts from the same draw; fit updates it in place, so each cell copies it
+    initial = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
 
     rows = ["strategy\tdocs\tkind\texcluded_source\tndcg\tfinal_train_loss\n"]
     cells = [
@@ -468,9 +470,9 @@ def _cmd_ablate(args, opts: dict) -> int:
             kind_filter=kind,
             excluded_source=source,
         )
-        params = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
         # the grid reads the final loss only, so fit evaluates no other epoch
-        params, history = fit(config, train_examples, [], corpus, params, store, False)
+        params, history = fit(config, train_examples, [], corpus, copy.deepcopy(initial),
+                              store, False)
         score_fn = model_score_fn(params, strategy, queries, corpus, store)
         reranked = rerank_run(base_run, score_fn, k_in=k_in, k_out=k_in, tag="ablate")
         report = evaluate_run(reranked, qrels, opts["eval.k"])
@@ -496,10 +498,9 @@ def _add_options(p: argparse.ArgumentParser, keys: list[str], overrides: dict | 
         if flag is None:
             file_only.append(shown)
             continue
-        kind = ({"action": "store_true"} if option.type is bool else
-                {"type": option.type, "metavar": flag[2:].upper().replace("-", "_")})
         # a flag not given sets no attribute, so resolve() falls through to the file
-        p.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=shown, **kind)
+        p.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=shown, type=option.type,
+                       metavar=flag[2:].upper().replace("-", "_"))
     if file_only:
         p.epilog = "set only in the --config file: " + "; ".join(file_only)
     p.set_defaults(options=defaults)

@@ -61,7 +61,6 @@ OPTIONS: dict[str, Option] = {
     "train.strategy": Option(str, "logit-difference", "scoring strategy of the two logits"),
     "train.kind": Option(str, "mixed", "query kinds trained on"),
     "train.exclude_source": Option(str, "none", "retriever whose examples are left out"),
-    "train.literal_sign": Option(bool, False, "train the mirrored RankNet sign"),
     "eval.k": Option(int, 10, "nDCG cutoff"),
     "eval.n": Option(int, 30, "top-n depth of the intersection"),
     "rerank.k_in": Option(int, 100, "candidates reranked per query"),
@@ -70,15 +69,10 @@ OPTIONS: dict[str, Option] = {
 
 
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
 def _cast(key: str, raw: str):
     target = OPTIONS[key].type
-    if target is bool:
-        if raw.lower() not in _BOOL_VALUES:
-            raise DataError(f"config key {key}: expected a boolean, got {raw!r}")
-        return _BOOL_VALUES[raw.lower()]
     try:
         return target(raw)
     except ValueError:

@@ -4,8 +4,9 @@ deterministic qrels-backed mock teacher for offline runs.
 
 Journal format: one line per completed query, ``<sha256[:12]><TAB><json>``.
 A torn final line (the usual result of killing a run mid-write) is dropped
-with a warning; a bad checksum anywhere else aborts, since that means real
-corruption rather than an interrupted append.
+with a warning, and cut from the file before the resumed run appends to it;
+a bad checksum anywhere else aborts, since that means real corruption rather
+than an interrupted append.
 """
 
 from __future__ import annotations
@@ -264,6 +265,14 @@ def read_journal(path: str | Path) -> dict[str, DistilledExample]:
     return completed
 
 
+def _cut_torn_line(path: str | Path) -> None:
+    """Truncate the journal after its last newline, so the next append starts a line."""
+    with open(path, "rb+") as f:
+        raw = f.read()
+        if not raw.endswith(b"\n"):
+            f.truncate(raw.rfind(b"\n") + 1)
+
+
 @dataclass
 class DistillResult:
     examples: list[DistilledExample]  # sorted by query_id
@@ -288,6 +297,7 @@ def distill(
     completed: dict[str, DistilledExample] = {}
     if journal_path is not None and Path(journal_path).exists():
         completed = read_journal(journal_path)
+        _cut_torn_line(journal_path)
     requested = {q.query_id for q in queries}
     pending = [q for q in queries if q.query_id not in completed]
     failures: list[tuple[str, str]] = []

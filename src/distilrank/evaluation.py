@@ -21,13 +21,11 @@ from .errors import DataError
 from .io import run_from_ranked
 from .scorer import (
     FeatureStore,
-    LogitPair,
     ScorerParams,
     ScoreStrategy,
     TermTable,
     featurize_batch,
     forward_rows,
-    score,
     score_batch,
 )
 from .types import Qrels, Run
@@ -219,18 +217,19 @@ def model_score_fn(
 
 
 def external_logit_score_fn(
-    logit_map: Mapping[tuple[str, str], LogitPair],
+    logit_map: Mapping[tuple[str, str], tuple[float, float]],
     strategy: ScoreStrategy,
 ) -> ScoreFn:
-    """Score function over externally computed (z_true, z_false) pairs."""
+    """Score function over externally computed (z_true, z_false) pairs, scored
+    as one (n, 2) array per query like the student's."""
 
-    def fn(query_id: str, doc_ids: Sequence[str]) -> list[float]:
-        scores = []
-        for doc_id in doc_ids:
+    def fn(query_id: str, doc_ids: Sequence[str]) -> np.ndarray:
+        z = np.empty((len(doc_ids), 2))
+        for i, doc_id in enumerate(doc_ids):
             key = (query_id, doc_id)
             if key not in logit_map:
                 raise DataError(f"external logits missing pair {key}")
-            scores.append(score(logit_map[key], strategy))
-        return scores
+            z[i] = logit_map[key]
+        return score_batch(z, strategy)
 
     return fn

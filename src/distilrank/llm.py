@@ -84,18 +84,6 @@ def estimate_cost(
     )
 
 
-def estimate_run_cost(
-    prompts: Sequence[Sequence[Message]],
-    entries_per_call: Sequence[int],
-    prompt_price_per_1k: float,
-    completion_price_per_1k: float,
-) -> float:
-    return sum(
-        estimate_cost(msgs, prompt_price_per_1k, completion_price_per_1k, entries)
-        for msgs, entries in zip(prompts, entries_per_call)
-    )
-
-
 class LlmClient:
     """Thread-safe client enforcing the retry policy and budget cap.
 
@@ -136,7 +124,7 @@ class LlmClient:
             if self.spent_usd + estimate > cfg.budget_usd:
                 raise BudgetError(
                     f"estimated call cost ${estimate:.4f} would exceed the "
-                    f"${cfg.budget_usd:.2f} budget (spent or reserved ${self.spent_usd:.4f})"
+                    f"${cfg.budget_usd:.4f} budget (spent or reserved ${self.spent_usd:.4f})"
                 )
             self.spent_usd += estimate
         actual = 0.0

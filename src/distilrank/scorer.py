@@ -1,11 +1,12 @@
 """The student scorer: hashed sparse features feeding one hidden layer with a
 two-logit head, plus the three scoring strategies that map the (z_true,
-z_false) pair to a relevance score, and an adapter for externally computed
+z_false) pair to a relevance score, and a loader for externally computed
 logits.
 
 There is one forward path, `forward_rows`: a stack of feature vectors as the
 rows of a CSR matrix X, then ``relu(X @ w1 + b1) @ w2 + b2``. `forward` is its
-one-row case.
+one-row case. There is one scoring path, `score_batch`, over an (n, 2) array
+of logits, whether the student or an external model produced them.
 
 There is one featurizing path in the pipeline, `featurize_batch`: it builds a
 query's rows for many documents in one numpy pass over a `TermTable`, which
@@ -49,12 +50,6 @@ class ScoreStrategy(Enum):
     SOFTMAX_TRUE_FALSE = "softmax-true-false"
     SINGLE_LOGIT = "single-logit"
     LOGIT_DIFFERENCE = "logit-difference"
-
-
-@dataclass(frozen=True)
-class LogitPair:
-    z_true: float
-    z_false: float
 
 
 @dataclass(frozen=True)
@@ -204,10 +199,11 @@ def forward_rows(
     return h_pre, h, z
 
 
-def forward(params: ScorerParams, features: SparseVector) -> LogitPair:
-    """relu hidden layer then affine two-logit head; rejects non-finite output."""
+def forward(params: ScorerParams, features: SparseVector) -> np.ndarray:
+    """The (z_true, z_false) logits of one feature vector, as a (2,) array;
+    rejects non-finite output."""
     _, _, z = forward_rows(params, stack_rows([features], params.w1.shape[0]))
-    return LogitPair(float(z[0, 0]), float(z[0, 1]))
+    return z[0]
 
 
 def _shift_tables(n_bytes: int) -> np.ndarray:
@@ -423,19 +419,10 @@ class FeatureStore:
         self._row_of.update(zip([(query, d) for d in doc_ids], range(first, end_row)))
 
 
-def score(logits: LogitPair, strategy: ScoreStrategy) -> float:
-    """Map a logit pair to a relevance score under the chosen strategy."""
+def score_batch(z: np.ndarray, strategy: ScoreStrategy) -> np.ndarray:
+    """The relevance score of each row (z_true, z_false) of an (n, 2) logit array."""
     if strategy is ScoreStrategy.SOFTMAX_TRUE_FALSE:
         # e^t / (e^t + e^f), computed stably as sigmoid(t - f)
-        return float(expit(logits.z_true - logits.z_false))
-    if strategy is ScoreStrategy.SINGLE_LOGIT:
-        return logits.z_true
-    return logits.z_true - logits.z_false
-
-
-def score_batch(z: np.ndarray, strategy: ScoreStrategy) -> np.ndarray:
-    """Vectorized score over an (n, 2) logit array."""
-    if strategy is ScoreStrategy.SOFTMAX_TRUE_FALSE:
         return expit(z[:, 0] - z[:, 1])
     if strategy is ScoreStrategy.SINGLE_LOGIT:
         return z[:, 0].copy()
@@ -513,13 +500,14 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ScoreStrategy]:
     return params, strategy
 
 
-def load_external_logits(lines: Iterable[str]) -> dict[tuple[str, str], LogitPair]:
-    """Parse TSV qid<TAB>docid<TAB>z_true<TAB>z_false produced by an external model."""
-    logits: dict[tuple[str, str], LogitPair] = {}
+def load_external_logits(lines: Iterable[str]) -> dict[tuple[str, str], tuple[float, float]]:
+    """Parse TSV qid<TAB>docid<TAB>z_true<TAB>z_false produced by an external
+    model, as ``{(qid, docid): (z_true, z_false)}``."""
+    logits: dict[tuple[str, str], tuple[float, float]] = {}
     line_of: dict[tuple[str, str], int] = {}
     for lineno, (qid, docid, z_true, z_false) in records(lines, "logits", 4):
         key = (qid, docid)
         require_new(line_of, key, lineno, "logits", "pair")
-        logits[key] = LogitPair(number(z_true, "logits", lineno, "z_true"),
-                                number(z_false, "logits", lineno, "z_false"))
+        logits[key] = (number(z_true, "logits", lineno, "z_true"),
+                       number(z_false, "logits", lineno, "z_false"))
     return logits

@@ -4,8 +4,7 @@ the training loop over distilled examples, including the ablation knobs
 
 Sign convention: for a pair where document i is ranked better than j
 (r_i < r_j), the implemented objective is softplus(s_j - s_i), so minimizing
-it pushes s_i above s_j. The mirrored variant softplus(s_i - s_j) is kept
-behind ``literal_sign`` for A/B inspection.
+it pushes s_i above s_j.
 
 Per example the loss is summed over pairs; per batch it is averaged over
 queries, so histories are comparable only within one docs-per-query setting.
@@ -80,7 +79,6 @@ class TrainConfig:
     strategy: ScoreStrategy = ScoreStrategy.LOGIT_DIFFERENCE
     kind_filter: KindFilter = KindFilter.MIXED
     excluded_source: Source | None = None
-    literal_sign: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -119,14 +117,12 @@ def _checked(scores: Sequence[float], ranking: Sequence[int]) -> tuple[np.ndarra
     return s, r
 
 
-def _pair_diffs(scores: np.ndarray, ranking: np.ndarray, literal_sign: bool):
+def _pair_diffs(scores: np.ndarray, ranking: np.ndarray):
     """The pair matrices of one list (shape (m,)) or of equal-length lists
     (shape (B, m)): each is (..., m, m)."""
     # mask[..., i, j] is True where document i is ranked strictly better than j
     mask = ranking[..., :, None] < ranking[..., None, :]
     diff = scores[..., None, :] - scores[..., :, None]  # diff[..., i, j] = s_j - s_i
-    if literal_sign:
-        diff = -diff
     return mask, diff
 
 
@@ -139,30 +135,20 @@ def _pair_losses(mask: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return pairs.reshape(mask.shape[:-2] + (m * (m - 1) // 2,)).sum(axis=-1)
 
 
-def _pair_grads(mask: np.ndarray, diff: np.ndarray, literal_sign: bool) -> np.ndarray:
+def _pair_grads(mask: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """dL/ds of each list."""
     g = expit(diff) * mask
-    if literal_sign:
-        return g.sum(axis=-1) - g.sum(axis=-2)
     return g.sum(axis=-2) - g.sum(axis=-1)
 
 
-def ranknet_loss(
-    scores: Sequence[float],
-    ranking: Sequence[int],
-    literal_sign: bool = False,
-) -> float:
+def ranknet_loss(scores: Sequence[float], ranking: Sequence[int]) -> float:
     """Sum of softplus pair penalties over all ordered pairs of the ranking."""
-    return float(_pair_losses(*_pair_diffs(*_checked(scores, ranking), literal_sign)))
+    return float(_pair_losses(*_pair_diffs(*_checked(scores, ranking))))
 
 
-def ranknet_grad(
-    scores: Sequence[float],
-    ranking: Sequence[int],
-    literal_sign: bool = False,
-) -> np.ndarray:
+def ranknet_grad(scores: Sequence[float], ranking: Sequence[int]) -> np.ndarray:
     """Analytic dL/ds_k; the entries sum to zero since each pair contributes +g and -g."""
-    return _pair_grads(*_pair_diffs(*_checked(scores, ranking), literal_sign), literal_sign)
+    return _pair_grads(*_pair_diffs(*_checked(scores, ranking)))
 
 
 @dataclass
@@ -312,14 +298,7 @@ def take_examples(stack: ExampleStack, picks: Sequence[int]) -> ExampleStack:
     picks = np.asarray(picks, dtype=np.int64)
     lo = stack.bounds[picks]
     row_ids, bounds = _ranges(lo, stack.bounds[picks + 1] - lo)
-    indptr = stack.rows.indptr
-    lo = indptr[row_ids]
-    positions, new_indptr = _ranges(lo, indptr[row_ids + 1] - lo)
-    rows = sp.csr_array(
-        (stack.rows.data[positions], stack.rows.indices[positions], new_indptr),
-        shape=(row_ids.size, stack.rows.shape[1]),
-    )
-    return ExampleStack(rows, bounds, [stack.rankings[i] for i in picks])
+    return ExampleStack(stack.rows[row_ids], bounds, [stack.rankings[i] for i in picks])
 
 
 def _compact(stack: ExampleStack, position: np.ndarray, n_active: int) -> ExampleStack:
@@ -332,7 +311,7 @@ def _compact(stack: ExampleStack, position: np.ndarray, n_active: int) -> Exampl
 
 
 def _ranknet(
-    scores: np.ndarray, stack: ExampleStack, literal_sign: bool, with_grads: bool
+    scores: np.ndarray, stack: ExampleStack, with_grads: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The RankNet loss of each example, in example order, and with
     ``with_grads`` dL/ds for every row of the stack.
@@ -349,32 +328,24 @@ def _ranknet(
         members = np.flatnonzero(lengths == m)
         rows = stack.bounds[members, None] + np.arange(m)  # (examples, m)
         ranking = np.stack([stack.rankings[i] for i in members])
-        mask, diff = _pair_diffs(scores[rows], ranking, literal_sign)
+        mask, diff = _pair_diffs(scores[rows], ranking)
         losses[members] = _pair_losses(mask, diff)
         if with_grads:
-            ds[rows] = _pair_grads(mask, diff, literal_sign)
+            ds[rows] = _pair_grads(mask, diff)
     return losses, ds
 
 
-def batch_loss(
-    params: ScorerParams,
-    batch: ExampleStack,
-    strategy: ScoreStrategy,
-    literal_sign: bool = False,
-) -> float:
+def batch_loss(params: ScorerParams, batch: ExampleStack, strategy: ScoreStrategy) -> float:
     """Mean over queries of the per-example pair-summed RankNet loss."""
     _, _, z = forward_rows(params, batch.rows)
     scores = score_batch(z, strategy)
     _check_finite(scores)
-    losses, _ = _ranknet(scores, batch, literal_sign, with_grads=False)
+    losses, _ = _ranknet(scores, batch, with_grads=False)
     return sum(losses.tolist()) / len(batch)
 
 
 def batch_loss_and_grads(
-    params: ScorerParams,
-    batch: ExampleStack,
-    strategy: ScoreStrategy,
-    literal_sign: bool = False,
+    params: ScorerParams, batch: ExampleStack, strategy: ScoreStrategy
 ) -> tuple[float, list[np.ndarray]]:
     """Loss plus analytic parameter gradients [gw1, gb1, gw2, gb2],
     backpropagated through the scorer in one batched sparse forward and backward."""
@@ -383,7 +354,7 @@ def batch_loss_and_grads(
     scores = score_batch(z, strategy)
     _check_finite(scores)
     scale = 1.0 / len(batch)
-    losses, ds = _ranknet(scores, batch, literal_sign, with_grads=True)
+    losses, ds = _ranknet(scores, batch, with_grads=True)
     total = 0.0
     for loss in losses.tolist():  # in example order, uncompensated (unlike sum on 3.12+)
         total += loss
@@ -472,11 +443,8 @@ def fit(
     params.w1 = full_w1[active]
 
     def eval_losses() -> tuple[float, float]:
-        train_loss = batch_loss(params, train, config.strategy, config.literal_sign)
-        val_loss = (
-            batch_loss(params, val, config.strategy, config.literal_sign)
-            if len(val) else float("nan")
-        )
+        train_loss = batch_loss(params, train, config.strategy)
+        val_loss = batch_loss(params, val, config.strategy) if len(val) else float("nan")
         return train_loss, val_loss
 
     state = init_adam_state(params.arrays())
@@ -487,9 +455,7 @@ def fit(
             for batch_no, start in enumerate(range(0, len(order), config.batch_queries)):
                 batch = take_examples(train, order[start: start + config.batch_queries])
                 try:
-                    loss, grads = batch_loss_and_grads(
-                        params, batch, config.strategy, config.literal_sign
-                    )
+                    loss, grads = batch_loss_and_grads(params, batch, config.strategy)
                 except (ValueError, DataError) as exc:
                     raise DataError(
                         f"training diverged at epoch {epoch}, batch {batch_no}: {exc}"

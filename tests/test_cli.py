@@ -515,6 +515,60 @@ class TestPipelineThroughCli(object):
         assert loaded == []
         assert [e.doc_id for e in io.load_run(out)["q1"]] == ["d2", "d1"]
 
+    # ties under every strategy: equal differences (d3, d4), equal single
+    # logits (q2's d1, d3), and softmax saturated to exactly 1.0 (d5, d6)
+    _TIED_RUN = "".join(f"q1 Q0 d{i} {i} {10 - i}.0 bm25\n" for i in range(1, 7)) + (
+        "q2 Q0 d3 1 3.0 bm25\nq2 Q0 d1 2 2.0 bm25\nq2 Q0 d2 3 1.0 bm25\n")
+    _TIED_LOGITS = ("q1\td1\t0.5\t0.5\nq1\td2\t1.5\t1.5\nq1\td3\t2.0\t1.0\nq1\td4\t1.0\t0.0\n"
+                    "q1\td5\t40.0\t0.0\nq1\td6\t45.0\t-1.0\nq2\td3\t-1.0\t-1.0\n"
+                    "q2\td1\t-1.0\t0.0\nq2\td2\t0.0\t1.0\nq3\td9\t1.0\t0.0\n")
+    _TIED_OUT = {
+        "softmax-true-false": (
+            "q1 Q0 d5 1 1.000000 reranked\n"
+            "q1 Q0 d6 2 1.000000 reranked\n"
+            "q1 Q0 d3 3 0.731059 reranked\n"
+            "q1 Q0 d4 4 0.731059 reranked\n"
+            "q1 Q0 d1 5 0.500000 reranked\n"
+            "q2 Q0 d3 1 0.500000 reranked\n"
+            "q2 Q0 d1 2 0.268941 reranked\n"
+            "q2 Q0 d2 3 0.268941 reranked\n"
+        ),
+        "single-logit": (
+            "q1 Q0 d6 1 45.000000 reranked\n"
+            "q1 Q0 d5 2 40.000000 reranked\n"
+            "q1 Q0 d3 3 2.000000 reranked\n"
+            "q1 Q0 d2 4 1.500000 reranked\n"
+            "q1 Q0 d4 5 1.000000 reranked\n"
+            "q2 Q0 d2 1 0.000000 reranked\n"
+            "q2 Q0 d1 2 -1.000000 reranked\n"
+            "q2 Q0 d3 3 -1.000000 reranked\n"
+        ),
+        "logit-difference": (
+            "q1 Q0 d6 1 46.000000 reranked\n"
+            "q1 Q0 d5 2 40.000000 reranked\n"
+            "q1 Q0 d3 3 1.000000 reranked\n"
+            "q1 Q0 d4 4 1.000000 reranked\n"
+            "q1 Q0 d1 5 0.000000 reranked\n"
+            "q2 Q0 d3 1 0.000000 reranked\n"
+            "q2 Q0 d1 2 -1.000000 reranked\n"
+            "q2 Q0 d2 3 -1.000000 reranked\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("strategy", sorted(_TIED_OUT))
+    def test_rerank_external_logits_bytes_with_ties(self, workdir, tmp_path, strategy):
+        run = tmp_path / "run.trec"
+        run.write_text(self._TIED_RUN)
+        logits = tmp_path / "logits.tsv"
+        logits.write_text(self._TIED_LOGITS)
+        out = tmp_path / "ext.trec"
+        assert dispatch([
+            "rerank", "--run", str(run), "--corpus", str(workdir / "corpus.jsonl"),
+            "--external-logits", str(logits), "--strategy", strategy,
+            "--k-in", "6", "--k-out", "5", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == self._TIED_OUT[strategy].encode()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_rerank_rejects_non_finite_external_logits(self, workdir, tmp_path, bad):
         run = tmp_path / "run.trec"

@@ -176,7 +176,7 @@ class TestDefaults:
             batch_queries=32, docs_per_query=30, learning_rate=1e-3,
             beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01, epochs=10, seed=0,
             strategy=ScoreStrategy.LOGIT_DIFFERENCE, kind_filter=KindFilter.MIXED,
-            excluded_source=None, literal_sign=False,
+            excluded_source=None,
         )
 
     def test_rerank(self, ws, monkeypatch):
@@ -289,8 +289,6 @@ _CASES = [
     _Case("train", "fit", "train.exclude_source", "SPLADE", Source.SPLADE,
           ["--exclude-source", "DRAGON"], Source.DRAGON,
           lambda c: _fit_config(c).excluded_source),
-    _Case("train", "fit", "train.literal_sign", "true", True, ["--literal-sign"], True,
-          lambda c: _fit_config(c).literal_sign),
     _Case("train", "fit", "feature.hash_dim", "4096", 4096, ["--hash-dim", "2048"], 2048,
           lambda c: c["init_params"][0][0].hash_dim),
     _Case("train", "fit", "feature.interaction_cap", "8", 8, ["--interaction-cap", "4"], 4,

@@ -20,12 +20,11 @@ from distilrank.io import run_from_ranked
 from distilrank.scorer import (
     FeatureConfig,
     FeatureStore,
-    LogitPair,
     ScoreStrategy,
     featurize,
     forward,
     init_params,
-    score,
+    score_batch,
 )
 
 
@@ -211,7 +210,7 @@ class TestRerankRun:
     def test_oracle_logits_give_perfect_ndcg(self):
         run = run_of({"q1": ["d0", "d1", "d2"]})
         qrels = {("q1", "d0"): 0, ("q1", "d1"): 3, ("q1", "d2"): 1}
-        logits = {key: LogitPair(float(rel), 0.0) for key, rel in qrels.items()}
+        logits = {key: (float(rel), 0.0) for key, rel in qrels.items()}
         out = rerank_run(
             run, external_logit_score_fn(logits, ScoreStrategy.LOGIT_DIFFERENCE),
             k_in=3, k_out=3,
@@ -243,8 +242,9 @@ class TestRerankRun:
                    model_score_fn(params, strategy, queries, corpus, store)):
             for qid, text in queries.items():
                 batched = fn(qid, doc_ids)
-                per_pair = [score(forward(params, featurize(text, corpus[d], params.feature)),
-                                  strategy) for d in doc_ids]
+                per_pair = score_batch(np.array([
+                    forward(params, featurize(text, corpus[d], params.feature)) for d in doc_ids
+                ]), strategy)
                 # equal up to BLAS rounding: the head's dense product sums in
                 # an order that depends on the number of rows
                 np.testing.assert_allclose(batched, per_pair, rtol=1e-12, atol=1e-15)

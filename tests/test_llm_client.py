@@ -7,7 +7,7 @@ import pytest
 import requests
 
 from distilrank.errors import BudgetError, TransportError
-from distilrank.llm import LlmClient, LlmConfig, RetryPolicy, estimate_cost, estimate_run_cost
+from distilrank.llm import LlmClient, LlmConfig, RetryPolicy, estimate_cost
 
 FAST_RETRY = RetryPolicy(max_attempts=5, backoff_base=0.001, backoff_factor=1.0)
 
@@ -70,11 +70,6 @@ class TestEstimateCost:
         # 30 entries * 6 chars = 180 chars -> 45 tokens
         cost = estimate_cost([], 0.0, 0.004, completion_entries=30)
         assert cost == pytest.approx(45 / 1000 * 0.004)
-
-    def test_run_cost_sums_per_prompt(self):
-        prompts = [[{"role": "user", "content": "x" * 400}]] * 3
-        total = estimate_run_cost(prompts, [10, 10, 10], 0.003, 0.004)
-        assert total == pytest.approx(3 * estimate_cost(prompts[0], 0.003, 0.004, 10))
 
     def test_full_scale_order_of_magnitude(self):
         # 20,000 calls of 30 passages (~120 words ~ 750 chars each) should land
@@ -239,3 +234,16 @@ def test_failed_call_releases_its_reservation(monkeypatch):
     assert client.spent_usd == 0.0
     monkeypatch.setattr("distilrank.llm.requests.post", lambda *a, **k: _FakeResponse("ok"))
     assert client.call(MESSAGES) == "ok"
+
+
+def test_budget_error_prints_every_amount_to_four_decimals(monkeypatch):
+    # a cap below one cent must not read as $0.00
+    monkeypatch.setattr("distilrank.llm.requests.post", lambda *a, **k: _FakeResponse("ok"))
+    messages = [{"role": "user", "content": "x" * 4000}]  # 1000 tokens: $0.0030 at $0.003/1K
+    client = LlmClient(LlmConfig(endpoint="http://mock.invalid/v1", budget_usd=0.004,
+                                 retry=FAST_RETRY))
+    client.call(messages)  # charged $0.003004: the prompt plus a one-token reply
+    with pytest.raises(BudgetError) as exc:
+        client.call(messages)
+    assert str(exc.value) == ("estimated call cost $0.0030 would exceed the $0.0040 budget "
+                              "(spent or reserved $0.0030)")

@@ -9,7 +9,6 @@ from distilrank.errors import DataError
 from distilrank.scorer import (
     FeatureConfig,
     FeatureStore,
-    LogitPair,
     ScorerParams,
     ScoreStrategy,
     SparseVector,
@@ -22,7 +21,6 @@ from distilrank.scorer import (
     load_checkpoint,
     load_external_logits,
     save_checkpoint,
-    score,
     score_batch,
     stack_rows,
 )
@@ -88,13 +86,13 @@ class TestForward:
         params = tiny_params()
         params.w2 = np.zeros((3, 2))
         vec = SparseVector(np.array([0, 1]), np.array([1.0, 2.0]))
-        assert forward(params, vec) == LogitPair(0.0, 0.0)
+        assert forward(params, vec).tolist() == [0.0, 0.0]
 
     def test_bias_path(self):
         params = tiny_params(b2=(1.0, -1.0))
         params.w2 = np.zeros((3, 2))
         empty = SparseVector(np.empty(0, dtype=np.int64), np.empty(0))
-        assert forward(params, empty) == LogitPair(1.0, -1.0)
+        assert forward(params, empty).tolist() == [1.0, -1.0]
 
     def test_doubling_w2_doubles_logits(self):
         # relu stays active everywhere on this instance, so the map is linear in w2
@@ -103,8 +101,8 @@ class TestForward:
         base = forward(params, vec)
         params.w2 = params.w2 * 2.0
         doubled = forward(params, vec)
-        assert doubled.z_true == pytest.approx(2 * base.z_true)
-        assert doubled.z_false == pytest.approx(2 * base.z_false)
+        assert doubled[0] == pytest.approx(2 * base[0])
+        assert doubled[1] == pytest.approx(2 * base[1])
 
     def test_non_finite_rejected(self):
         params = tiny_params(w1_fill=np.inf)
@@ -133,7 +131,8 @@ class TestForward:
         _, _, z = forward_rows(params, stack_rows(vectors, params.feature.hash_dim))
         batched = score_batch(z, strategy)
         for i, vec in enumerate(vectors):
-            assert score(forward(params, vec), strategy) == pytest.approx(batched[i], rel=1e-12)
+            one = score_one(*forward(params, vec), strategy)
+            assert one == pytest.approx(batched[i], rel=1e-12)
 
     def test_positive_homogeneity_with_zero_biases(self):
         # scaling features by c > 0 cannot flip relu signs, so logits scale by c
@@ -143,30 +142,35 @@ class TestForward:
             scaled = SparseVector(vec.indices, vec.values * c)
             base = forward(params, vec)
             out = forward(params, scaled)
-            assert out.z_true == pytest.approx(c * base.z_true, rel=1e-12)
-            assert out.z_false == pytest.approx(c * base.z_false, rel=1e-12)
+            assert out[0] == pytest.approx(c * base[0], rel=1e-12)
+            assert out[1] == pytest.approx(c * base[1], rel=1e-12)
+
+
+def score_one(z_true: float, z_false: float, strategy: ScoreStrategy) -> float:
+    """`score_batch` of the single row (z_true, z_false)."""
+    return score_batch(np.array([[z_true, z_false]]), strategy)[0]
 
 
 class TestScore:
     def test_softmax_fixture(self):
-        assert score(LogitPair(1.0, -1.0), ScoreStrategy.SOFTMAX_TRUE_FALSE) == pytest.approx(
+        assert score_one(1.0, -1.0, ScoreStrategy.SOFTMAX_TRUE_FALSE) == pytest.approx(
             0.8807970779778823, abs=1e-12
         )
 
     def test_difference_fixture(self):
-        assert score(LogitPair(1.0, -1.0), ScoreStrategy.LOGIT_DIFFERENCE) == 2.0
+        assert score_one(1.0, -1.0, ScoreStrategy.LOGIT_DIFFERENCE) == 2.0
 
     def test_softmax_symmetry_at_zero(self):
-        assert score(LogitPair(0.0, 0.0), ScoreStrategy.SOFTMAX_TRUE_FALSE) == 0.5
+        assert score_one(0.0, 0.0, ScoreStrategy.SOFTMAX_TRUE_FALSE) == 0.5
 
     def test_single_logit(self):
-        assert score(LogitPair(3.5, -100.0), ScoreStrategy.SINGLE_LOGIT) == 3.5
+        assert score_one(3.5, -100.0, ScoreStrategy.SINGLE_LOGIT) == 3.5
 
     def test_softmax_complement_sums_to_one(self):
         rng = np.random.default_rng(0)
         for z_t, z_f in rng.normal(size=(200, 2)) * 5:
-            a = score(LogitPair(z_t, z_f), ScoreStrategy.SOFTMAX_TRUE_FALSE)
-            b = score(LogitPair(z_f, z_t), ScoreStrategy.SOFTMAX_TRUE_FALSE)
+            a = score_one(z_t, z_f, ScoreStrategy.SOFTMAX_TRUE_FALSE)
+            b = score_one(z_f, z_t, ScoreStrategy.SOFTMAX_TRUE_FALSE)
             assert a + b == pytest.approx(1.0, abs=1e-15)
 
     def test_ordering_equivalence_softmax_vs_difference(self):
@@ -338,7 +342,7 @@ def test_store_rows_match_per_pair_rows(requests, store_type):
 class TestExternalLogits:
     def test_single_line(self):
         logits = load_external_logits(["q1\td1\t2.5\t-1.0\n"])
-        assert logits[("q1", "d1")] == LogitPair(2.5, -1.0)
+        assert logits[("q1", "d1")] == (2.5, -1.0)
 
     def test_duplicate_rejected(self):
         with pytest.raises(DataError, match="line 2"):
@@ -346,7 +350,7 @@ class TestExternalLogits:
 
     def test_difference_scoring_of_loaded_logits(self):
         logits = load_external_logits(["q1\td1\t2.5\t-1.5\n"])
-        assert score(logits[("q1", "d1")], ScoreStrategy.LOGIT_DIFFERENCE) == 4.0
+        assert score_one(*logits[("q1", "d1")], ScoreStrategy.LOGIT_DIFFERENCE) == 4.0
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_rejected(self, bad):

@@ -70,12 +70,6 @@ class TestRanknetLoss:
         s = [3.0, 2.0, 1.0]
         assert ranknet_loss(s, [3, 2, 1]) > ranknet_loss(s, [1, 2, 3])
 
-    def test_literal_sign_variant_mirrors(self):
-        s = [2.0, 0.0]
-        assert ranknet_loss(s, [1, 2], literal_sign=True) == pytest.approx(
-            math.log(1 + math.exp(2))
-        )
-
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
             ranknet_loss([1.0, 2.0], [1, 1])
@@ -97,21 +91,20 @@ class TestRanknetGrad:
             r = list(rng.permutation(m) + 1)
             assert abs(ranknet_grad(s, r).sum()) < 1e-12
 
-    @pytest.mark.parametrize("literal_sign", [False, True])
-    def test_matches_central_finite_differences(self, literal_sign):
+    def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(2)
         h = 1e-5
         for _ in range(30):
             m = int(rng.integers(2, 31))
             s = rng.normal(size=m) * 3
             r = list(rng.permutation(m) + 1)
-            grad = ranknet_grad(s, r, literal_sign)
+            grad = ranknet_grad(s, r)
             for k in rng.choice(m, size=min(m, 5), replace=False):
                 bumped = s.copy()
                 bumped[k] += h
-                up = ranknet_loss(bumped, r, literal_sign)
+                up = ranknet_loss(bumped, r)
                 bumped[k] -= 2 * h
-                down = ranknet_loss(bumped, r, literal_sign)
+                down = ranknet_loss(bumped, r)
                 fd = (up - down) / (2 * h)
                 assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
@@ -322,7 +315,7 @@ class TestBatchGradients:
         assert checked >= 100
 
 
-def per_example_loss_and_grads(params, batch, strategy, literal_sign):
+def per_example_loss_and_grads(params, batch, strategy):
     """`batch_loss_and_grads` as a loop over examples, each through the public
     per-list `ranknet_loss` and `ranknet_grad`."""
     rows = batch.rows
@@ -332,8 +325,8 @@ def per_example_loss_and_grads(params, batch, strategy, literal_sign):
     total = 0.0
     ds = np.empty_like(scores)
     for ranking, lo, hi in zip(batch.rankings, batch.bounds[:-1], batch.bounds[1:]):
-        total += ranknet_loss(scores[lo:hi], ranking, literal_sign)
-        ds[lo:hi] = ranknet_grad(scores[lo:hi], ranking, literal_sign) * scale
+        total += ranknet_loss(scores[lo:hi], ranking)
+        ds[lo:hi] = ranknet_grad(scores[lo:hi], ranking) * scale
     dz = ds[:, None] * score_batch_grad(z, strategy)
     dh_pre = (dz @ params.w2.T) * (h_pre > 0.0)
     grads = [rows.T @ dh_pre, dh_pre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
@@ -344,14 +337,12 @@ def per_example_loss_and_grads(params, batch, strategy, literal_sign):
 @given(
     doc_counts=st.lists(st.integers(1, 30), min_size=1, max_size=10),
     strategy=st.sampled_from(list(ScoreStrategy)),
-    literal_sign=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(doc_counts=[1], strategy=ScoreStrategy.LOGIT_DIFFERENCE, literal_sign=False, seed=0)
-@example(doc_counts=[1, 1, 1], strategy=ScoreStrategy.SINGLE_LOGIT, literal_sign=True, seed=1)
-@example(doc_counts=[30, 1, 7, 30, 2, 7, 1], strategy=ScoreStrategy.SOFTMAX_TRUE_FALSE,
-         literal_sign=True, seed=2)
-def test_batched_ranknet_matches_per_example_loop(doc_counts, strategy, literal_sign, seed):
+@example(doc_counts=[1], strategy=ScoreStrategy.LOGIT_DIFFERENCE, seed=0)
+@example(doc_counts=[1, 1, 1], strategy=ScoreStrategy.SINGLE_LOGIT, seed=1)
+@example(doc_counts=[30, 1, 7, 30, 2, 7, 1], strategy=ScoreStrategy.SOFTMAX_TRUE_FALSE, seed=2)
+def test_batched_ranknet_matches_per_example_loop(doc_counts, strategy, seed):
     """The loss and all four gradients bit for bit, over batches that mix
     document counts, with random CSR rows and scores of spread-out scale."""
     rng = np.random.default_rng(seed)
@@ -365,8 +356,8 @@ def test_batched_ranknet_matches_per_example_loop(doc_counts, strategy, literal_
     batch = ExampleStack(sp.csr_array(rows), np.cumsum([0] + doc_counts),
                          [rng.permutation(m) + 1 for m in doc_counts])
 
-    loss, grads = batch_loss_and_grads(params, batch, strategy, literal_sign)
-    want_loss, want_grads = per_example_loss_and_grads(params, batch, strategy, literal_sign)
+    loss, grads = batch_loss_and_grads(params, batch, strategy)
+    want_loss, want_grads = per_example_loss_and_grads(params, batch, strategy)
     assert loss == want_loss
     assert len(grads) == 4
     for got, want in zip(grads, want_grads):
@@ -374,9 +365,9 @@ def test_batched_ranknet_matches_per_example_loop(doc_counts, strategy, literal_
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
     _, _, z = forward_rows(params, batch.rows)
     scores = score_batch(z, strategy)
-    want_mean = sum(ranknet_loss(scores[lo:hi], r, literal_sign) for r, lo, hi in
+    want_mean = sum(ranknet_loss(scores[lo:hi], r) for r, lo, hi in
                     zip(batch.rankings, batch.bounds[:-1], batch.bounds[1:])) / len(batch)
-    assert batch_loss(params, batch, strategy, literal_sign) == want_mean
+    assert batch_loss(params, batch, strategy) == want_mean
 
 
 class TestExampleStack:
