@@ -29,6 +29,7 @@ from .distill import (
     distill,
     load_template,
     mock_llm,
+    read_journal,
 )
 from .errors import BudgetError, DataError, TransportError
 from .evaluation import (
@@ -242,8 +243,9 @@ def _cmd_split(args, opts: dict) -> int:
     return 0
 
 
-def _cmd_distill(args, opts: dict) -> int:
-    queries = io.load_queries(args.queries)
+def _distill_backends(args, opts: dict, pending: list[Query], llm_config: LlmConfig | None):
+    """The retrieve and teacher callables of `distill`, built from every input
+    given; the composed MonoT5 run covers the MonoT5 queries among ``pending``."""
     corpus = _corpus_map(args.corpus)
     assignment = parse_assignment(io.lines_of(args.assignment)) if args.assignment else {}
     k = opts["retrieve.k"]
@@ -251,8 +253,6 @@ def _cmd_distill(args, opts: dict) -> int:
     searches = {}  # Source -> search(query, k)
     if args.bm25_index:
         searches[Source.BM25] = _bm25_search(load_index(args.bm25_index))
-    if args.monot5_scores and args.run_monot5:
-        print("warning: --monot5-scores overrides --run-monot5", file=sys.stderr)
     for source, path in [
         (Source.SPLADE, args.run_splade),
         (Source.DRAGON, args.run_dragon),
@@ -261,11 +261,9 @@ def _cmd_distill(args, opts: dict) -> int:
         if path:
             searches[source] = _runfile_search(RunfileSearcher(io.load_run(path)))
     if args.monot5_scores:
-        if Source.BM25 not in searches:
-            raise _UsageError("--monot5-scores needs --bm25-index to build the base run")
         k_pool = opts["compose.k_pool"]
         score_map = load_score_map(io.lines_of(args.monot5_scores))
-        monot5 = [q for q in queries if assignment.get(q.query_id, Source.BM25) is Source.MONOT5]
+        monot5 = [q for q in pending if assignment.get(q.query_id, Source.BM25) is Source.MONOT5]
         base = _search_run(searches[Source.BM25], monot5, k_pool, "bm25")
         searches[Source.MONOT5] = _runfile_search(
             RunfileSearcher(compose_rerank(base, score_map, k_pool, k)))
@@ -282,16 +280,41 @@ def _cmd_distill(args, opts: dict) -> int:
             docs.append((hit.doc_id, corpus[hit.doc_id]))
         return source, docs
 
-    if args.mock_qrels:
-        llm = mock_llm(io.load_qrels(args.mock_qrels))
-    else:
+    if llm_config is None:
+        return retrieve, mock_llm(io.load_qrels(args.mock_qrels))
+    client = LlmClient(llm_config, log_path=args.llm_log)
+    template = load_template(args.prompt_template) if args.prompt_template else DEFAULT_TEMPLATE
+    return retrieve, api_llm(client, template, opts["prompt.passage_word_budget"])
+
+
+def _nothing_pending(*_args):
+    raise AssertionError("distill called a source or the teacher with no query pending")
+
+
+def _cmd_distill(args, opts: dict) -> int:
+    # 1. the checks that need only flags and option values, before any file is read
+    k, max_in_flight = opts["retrieve.k"], opts["llm.max_in_flight"]
+    if k < 1:
+        raise ValueError(f"--k must be >= 1, got {k}")
+    if max_in_flight < 1:
+        raise ValueError(f"--max-in-flight must be >= 1, got {max_in_flight}")
+    plan = WindowPlan(window=opts["window.size"], step=opts["window.step"])
+    if args.monot5_scores:
+        if args.run_monot5:
+            print("warning: --monot5-scores overrides --run-monot5", file=sys.stderr)
+        if not args.bm25_index:
+            raise _UsageError("--monot5-scores needs --bm25-index to build the base run")
+        if k > opts["compose.k_pool"]:
+            raise ValueError(f"--k {k} must not exceed --k-pool {opts['compose.k_pool']}")
+    llm_config = None
+    if not args.mock_qrels:
         if not opts["llm.endpoint"]:
             raise _UsageError("either --mock-qrels or --endpoint is required")
         llm_config = LlmConfig(
             endpoint=opts["llm.endpoint"],
             model=opts["llm.model"],
             temperature=opts["llm.temperature"],
-            max_in_flight=opts["llm.max_in_flight"],
+            max_in_flight=max_in_flight,
             retry=RetryPolicy(
                 max_attempts=opts["llm.retry_max_attempts"],
                 backoff_base=opts["llm.backoff_base"],
@@ -302,16 +325,20 @@ def _cmd_distill(args, opts: dict) -> int:
             completion_price_per_1k=opts["llm.completion_price_per_1k"],
             timeout_s=opts["llm.timeout_s"],
         )
-        client = LlmClient(llm_config, log_path=args.llm_log)
-        template = load_template(args.prompt_template) if args.prompt_template else DEFAULT_TEMPLATE
-        llm = api_llm(client, template, opts["prompt.passage_word_budget"])
 
-    result = distill(
-        queries, retrieve, llm,
-        journal_path=args.journal,
-        plan=WindowPlan(window=opts["window.size"], step=opts["window.step"]),
-        max_in_flight=opts["llm.max_in_flight"],
-    )
+    # 2. the queries and the journal tell which queries are pending
+    queries = io.load_queries(args.queries)
+    completed = {}
+    if args.journal and Path(args.journal).exists():
+        completed = read_journal(args.journal)
+    pending = [q for q in queries if q.query_id not in completed]
+
+    # 3. the corpus, the sources and the teacher only if some query still needs them
+    retrieve, llm = _nothing_pending, _nothing_pending
+    if pending:
+        retrieve, llm = _distill_backends(args, opts, pending, llm_config)
+    result = distill(queries, retrieve, llm, journal_path=args.journal, plan=plan,
+                     max_in_flight=max_in_flight, completed=completed)
     io.save_text(args.out, io.write_distilled(result.examples))
     print(
         f"distill: {len(result.examples)} examples ({result.n_labeled} newly labeled, "

@@ -18,7 +18,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import BudgetError, DataError, JournalError
 from .io import _example_from_obj, _example_to_obj, json_record
@@ -242,35 +242,32 @@ def _journal_line(example: DistilledExample) -> str:
 
 
 def read_journal(path: str | Path) -> dict[str, DistilledExample]:
-    """Load completed examples from a journal, tolerating one torn final line."""
+    """Load completed examples from a journal, tolerating one torn final line,
+    and ready the file for appends: the torn line is cut from it, and a whole
+    final line that lacks its newline gets one. The file is read once."""
     completed: dict[str, DistilledExample] = {}
-    raw = Path(path).read_text(encoding="utf-8")
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for i, line in enumerate(lines):
-        is_last = i == len(lines) - 1
-        checksum, sep, payload = line.partition("\t")
-        valid = (
-            sep == "\t"
-            and hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12] == checksum
-        )
-        if not valid:
-            if is_last and not raw.endswith("\n"):
-                logger.warning("dropping torn final journal line %d", i + 1)
-                continue
-            raise JournalError(f"journal line {i + 1} fails its checksum")
-        example = json_record(payload, "journal", i + 1, _example_from_obj)
-        completed.setdefault(example.query_id, example)
-    return completed
-
-
-def _cut_torn_line(path: str | Path) -> None:
-    """Truncate the journal after its last newline, so the next append starts a line."""
     with open(path, "rb+") as f:
         raw = f.read()
-        if not raw.endswith(b"\n"):
-            f.truncate(raw.rfind(b"\n") + 1)
+        lines = raw.split(b"\n")
+        if lines[-1] == b"":
+            lines.pop()
+        torn = False
+        for i, line in enumerate(lines):
+            checksum, sep, payload = line.partition(b"\t")
+            if sep and hashlib.sha256(payload).hexdigest()[:12].encode("ascii") == checksum:
+                example = json_record(payload.decode("utf-8"), "journal", i + 1, _example_from_obj)
+                completed.setdefault(example.query_id, example)
+            elif i == len(lines) - 1 and not raw.endswith(b"\n"):
+                logger.warning("dropping torn final journal line %d", i + 1)
+                torn = True
+            else:
+                raise JournalError(f"journal line {i + 1} fails its checksum")
+        if raw and not raw.endswith(b"\n"):
+            if torn:
+                f.truncate(raw.rfind(b"\n") + 1)
+            else:
+                f.write(b"\n")
+    return completed
 
 
 @dataclass
@@ -287,17 +284,21 @@ def distill(
     journal_path: str | Path | None = None,
     plan: WindowPlan = WindowPlan(),
     max_in_flight: int = 1,
+    completed: Mapping[str, DistilledExample] | None = None,
 ) -> DistillResult:
     """Label every query's pooled documents with the teacher, resumably.
 
     Completed queries found in the journal are skipped; new completions are
-    appended as they finish. Per-query failures are recorded and skipped;
-    only budget exhaustion or journal corruption aborts the run.
+    appended as they finish. ``completed`` hands over the examples the caller
+    has already read with ``read_journal(journal_path)``, and the file is then
+    not read again. Per-query failures are recorded and skipped; only budget
+    exhaustion or journal corruption aborts the run, and the answers of the
+    queries still running then are journaled first.
     """
-    completed: dict[str, DistilledExample] = {}
-    if journal_path is not None and Path(journal_path).exists():
-        completed = read_journal(journal_path)
-        _cut_torn_line(journal_path)
+    if completed is None:
+        journaled = journal_path is not None and Path(journal_path).exists()
+        completed = read_journal(journal_path) if journaled else {}
+    completed = dict(completed)
     requested = {q.query_id for q in queries}
     pending = [q for q in queries if q.query_id not in completed]
     failures: list[tuple[str, str]] = []
@@ -319,24 +320,35 @@ def distill(
             repaired=result.repaired,
         )
 
+    def record(example: DistilledExample) -> None:
+        nonlocal n_labeled
+        completed[example.query_id] = example
+        n_labeled += 1
+        if journal_path is not None:
+            with open(journal_path, "a", encoding="utf-8") as f:
+                f.write(_journal_line(example))
+
     executor = ThreadPoolExecutor(max_workers=max_in_flight)
     try:
         futures = {executor.submit(label, q): q for q in pending}
+        unread = dict.fromkeys(futures)  # in submission order
         for fut in as_completed(futures):
+            del unread[fut]
             query = futures[fut]
             try:
                 example = fut.result()
             except (BudgetError, JournalError):
+                # the calls already running are paid for: keep their answers, start no more
+                executor.shutdown(wait=True, cancel_futures=True)
+                for other in unread:
+                    if not other.cancelled() and other.exception() is None:
+                        record(other.result())
                 raise
             except Exception as exc:  # noqa: BLE001 - per-query failures are recorded
                 logger.warning("query %s failed: %s", query.query_id, exc)
                 failures.append((query.query_id, str(exc)))
                 continue
-            completed[example.query_id] = example
-            n_labeled += 1
-            if journal_path is not None:
-                with open(journal_path, "a", encoding="utf-8") as f:
-                    f.write(_journal_line(example))
+            record(example)
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
 

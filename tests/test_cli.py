@@ -29,6 +29,58 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def four_sources(workdir, tmp_path_factory):
+    """The inputs of a `distill` over all four sources, keyed by flag, and the
+    assignment: one BM25 run file stands in for SPLADE and DRAGON, and a score
+    map covers the BM25 top-20 pool of every MonoT5-assigned query."""
+    from distilrank.augment import parse_assignment
+    from distilrank.retrieval import load_index, search_bm25
+
+    root = tmp_path_factory.mktemp("four-sources")
+    assignment_path = root / "sources.tsv"
+    assert dispatch([
+        "assign-sources", "--queries", str(workdir / "queries-train.tsv"),
+        "--seed", "2", "--out", str(assignment_path),
+    ]) == 0
+    assignment = parse_assignment(assignment_path.read_text().splitlines(keepends=True))
+
+    run_path = root / "external.trec"
+    assert dispatch([
+        "retrieve", "--method", "bm25", "--index", str(workdir / "index.json"),
+        "--queries", str(workdir / "queries-train.tsv"), "--k", "10",
+        "--out", str(run_path),
+    ]) == 0
+
+    index = load_index(workdir / "index.json")
+    score_lines = []
+    for q in io.load_queries(workdir / "queries-train.tsv"):
+        if assignment[q.query_id] is Source.MONOT5:
+            for hit in search_bm25(index, q.text, 20):
+                score_lines.append(f"{q.query_id}\t{hit.doc_id}\t{-len(hit.doc_id)}\n")
+    scores_path = root / "monot5-scores.tsv"
+    scores_path.write_text("".join(score_lines))
+
+    inputs = {
+        "--queries": workdir / "queries-train.tsv",
+        "--corpus": workdir / "corpus.jsonl",
+        "--assignment": assignment_path,
+        "--bm25-index": workdir / "index.json",
+        "--run-splade": run_path,
+        "--run-dragon": run_path,
+        "--monot5-scores": scores_path,
+        "--mock-qrels": workdir / "qrels-train.txt",
+    }
+    return argparse.Namespace(inputs=inputs, assignment=assignment)
+
+
+def _four_source_argv(inputs: dict, out, *extra) -> list[str]:
+    argv = ["distill"]
+    for flag, path in inputs.items():
+        argv += [flag, str(path)]
+    return argv + ["--k-pool", "20", "--k", "10", "--out", str(out), *extra]
+
+
 class TestConfigFile:
     def test_parse_and_pick(self):
         cfg = CliConfig.parse(["# comment\n", "bm25.k1 = 1.2\n", "train.epochs = 3\n"])
@@ -366,6 +418,133 @@ class TestRetrievalGlue:
         assert not out.exists()
 
 
+class TestDistillResume:
+    """What a resume of the four-source `distill` reads: the queries and the
+    journal, and the other inputs only when some query is still pending."""
+
+    # a line that is no valid record in any of the inputs' formats
+    DAMAGE = "one two\n"
+    # what the error of a damaged input names
+    NAMED = {"--corpus": "corpus line 1", "--assignment": "assignment line 1",
+             "--bm25-index": "cannot load index from", "--run-splade": "run line 1",
+             "--run-dragon": "run line 1", "--monot5-scores": "score map line 1",
+             "--mock-qrels": "qrels line 1"}
+
+    @pytest.fixture(scope="class")
+    def fresh(self, four_sources, tmp_path_factory):
+        """The journal and the output bytes of an uninterrupted run."""
+        root = tmp_path_factory.mktemp("fresh")
+        journal, out = root / "journal.log", root / "out.jsonl"
+        assert dispatch(_four_source_argv(four_sources.inputs, out,
+                                          "--journal", str(journal))) == 0
+        return journal.read_bytes(), out.read_bytes()
+
+    def _resume(self, inputs, tmp_path, journal_bytes, *extra):
+        journal, out = tmp_path / "journal.log", tmp_path / "out.jsonl"
+        journal.write_bytes(journal_bytes)
+        code = dispatch(_four_source_argv(inputs, out, "--journal", str(journal), *extra))
+        return code, out
+
+    def _broken(self, inputs, tmp_path, flag, damage):
+        broken = dict(inputs)
+        broken[flag] = tmp_path / f"broken-{flag.lstrip('-')}"
+        if damage == "damaged":
+            broken[flag].write_text(self.DAMAGE)
+        return broken
+
+    @pytest.mark.parametrize("damage", ["missing", "damaged"])
+    @pytest.mark.parametrize("flag", list(NAMED))
+    def test_full_resume_leaves_the_other_inputs_unread(self, four_sources, fresh, tmp_path,
+                                                         capsys, flag, damage):
+        journal_bytes, full = fresh
+        broken = self._broken(four_sources.inputs, tmp_path, flag, damage)
+        code, out = self._resume(broken, tmp_path, journal_bytes)
+        assert code == 0
+        assert "(0 newly labeled, 0 failures)" in capsys.readouterr().out
+        assert out.read_bytes() == full
+
+    @pytest.mark.parametrize("damage", ["missing", "damaged"])
+    @pytest.mark.parametrize("flag", list(NAMED))
+    def test_partial_resume_reads_every_input(self, four_sources, fresh, tmp_path, capsys,
+                                              flag, damage):
+        journal_bytes, _full = fresh
+        broken = self._broken(four_sources.inputs, tmp_path, flag, damage)
+        lines = journal_bytes.splitlines(keepends=True)
+        code, out = self._resume(broken, tmp_path, b"".join(lines[:-1]))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (str(broken[flag]) if damage == "missing" else self.NAMED[flag]) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dropped, message", [
+        ("--bm25-index", "--monot5-scores needs --bm25-index"),
+        ("--mock-qrels", "either --mock-qrels or --endpoint is required"),
+    ])
+    def test_full_resume_still_rejects_usage_errors(self, four_sources, fresh, tmp_path, capsys,
+                                                    dropped, message):
+        inputs = {flag: path for flag, path in four_sources.inputs.items() if flag != dropped}
+        code, out = self._resume(inputs, tmp_path, fresh[0])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", [("--k", "0"), ("--k", "-1"),
+                                               ("--max-in-flight", "0")])
+    def test_option_below_one_exits_2_before_any_input_is_read(
+            self, four_sources, fresh, tmp_path, capsys, option, value):
+        code, out = self._resume(four_sources.inputs, tmp_path, fresh[0], option, value)
+        assert code == 2
+        assert f"error: {option} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+        # the check comes first even on a fresh run whose queries file is missing
+        inputs = dict(four_sources.inputs, **{"--queries": tmp_path / "absent.tsv"})
+        assert dispatch(_four_source_argv(inputs, out, option, value)) == 2
+        err = capsys.readouterr().err
+        assert f"{option} must be >= 1" in err and "absent.tsv" not in err
+
+    def test_k_above_k_pool_exits_2_on_a_full_resume(self, four_sources, fresh, tmp_path,
+                                                     capsys):
+        code, out = self._resume(four_sources.inputs, tmp_path, fresh[0], "--k", "30")
+        assert code == 2
+        assert "error: --k 30 must not exceed --k-pool 20" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_partial_resume_labels_only_what_the_journal_lacks(
+            self, four_sources, fresh, tmp_path, monkeypatch):
+        from distilrank import cli
+
+        journal_bytes, full = fresh
+        kept, removed = [], []
+        sources_left = set(Source)
+        for line in journal_bytes.splitlines(keepends=True):
+            obj = json.loads(line.split(b"\t", 1)[1])
+            source = Source(obj["source_retriever"])
+            if source in sources_left:  # the first journaled query of each source
+                sources_left.discard(source)
+                removed.append(obj["query_id"])
+            else:
+                kept.append(line)
+        assert len(removed) == len(Source)
+
+        asked = []
+        mock_llm = cli.mock_llm
+
+        def counting_mock_llm(qrels):
+            teacher = mock_llm(qrels)
+
+            def ask(query, passages):
+                asked.append(query.query_id)
+                return teacher(query, passages)
+
+            return ask
+
+        monkeypatch.setattr(cli, "mock_llm", counting_mock_llm)
+        code, out = self._resume(four_sources.inputs, tmp_path, b"".join(kept))
+        assert code == 0
+        assert sorted(asked) == sorted(removed)  # one window per query at --k 10
+        assert out.read_bytes() == full
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs most of the CLI's start-up time and is not needed
     src = Path(__file__).resolve().parent.parent / "src"
@@ -609,55 +788,13 @@ class TestPipelineThroughCli(object):
         ]) == 0
         assert len(io.load_run(out2)["qa"]) == 1
 
-    def test_distill_with_four_source_backends(self, workdir, tmp_path):
-        from distilrank.augment import parse_assignment
-        from distilrank.retrieval import load_index, search_bm25
-        from distilrank.types import Source
-
-        assignment_path = tmp_path / "sources.tsv"
-        assert dispatch([
-            "assign-sources", "--queries", str(workdir / "queries-train.tsv"),
-            "--seed", "2", "--out", str(assignment_path),
-        ]) == 0
-        assignment = parse_assignment(assignment_path.read_text().splitlines(keepends=True))
-
-        # one run file reused for the two external retrievers
-        run_path = tmp_path / "external.trec"
-        assert dispatch([
-            "retrieve", "--method", "bm25", "--index", str(workdir / "index.json"),
-            "--queries", str(workdir / "queries-train.tsv"), "--k", "10",
-            "--out", str(run_path),
-        ]) == 0
-
-        # a score map over the BM25 top-20 pool of every MonoT5-assigned query
-        index = load_index(workdir / "index.json")
-        queries = io.load_queries(workdir / "queries-train.tsv")
-        score_lines = []
-        for q in queries:
-            if assignment[q.query_id] is Source.MONOT5:
-                for hit in search_bm25(index, q.text, 20):
-                    score_lines.append(f"{q.query_id}\t{hit.doc_id}\t{-len(hit.doc_id)}\n")
-        scores_path = tmp_path / "monot5-scores.tsv"
-        scores_path.write_text("".join(score_lines))
-
+    def test_distill_with_four_source_backends(self, four_sources, tmp_path):
         out = tmp_path / "d4.jsonl"
-        assert dispatch([
-            "distill",
-            "--queries", str(workdir / "queries-train.tsv"),
-            "--corpus", str(workdir / "corpus.jsonl"),
-            "--assignment", str(assignment_path),
-            "--bm25-index", str(workdir / "index.json"),
-            "--run-splade", str(run_path),
-            "--run-dragon", str(run_path),
-            "--monot5-scores", str(scores_path), "--k-pool", "20",
-            "--mock-qrels", str(workdir / "qrels-train.txt"),
-            "--k", "10",
-            "--out", str(out),
-        ]) == 0
+        assert dispatch(_four_source_argv(four_sources.inputs, out)) == 0
         examples = io.load_distilled(out)
         assert {ex.source_retriever for ex in examples} == set(Source)
         for ex in examples:
-            assert ex.source_retriever is assignment[ex.query_id]
+            assert ex.source_retriever is four_sources.assignment[ex.query_id]
 
     def test_assigned_source_without_backend_is_recorded_failure(self, workdir, tmp_path, capsys):
         assignment_path = tmp_path / "sources.tsv"

@@ -1,3 +1,10 @@
+import builtins
+import io
+import os
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
 from distilrank.distill import (
@@ -15,7 +22,7 @@ from distilrank.distill import (
     read_journal,
     window_rerank,
 )
-from distilrank.errors import DataError, JournalError
+from distilrank.errors import BudgetError, DataError, JournalError
 from distilrank.types import Query, QueryKind, Source
 
 
@@ -248,6 +255,43 @@ class TestDistill:
         assert len(requested) == 10
         assert result.examples == reference.examples
 
+    def test_budget_stop_journals_the_answers_in_flight(self, tmp_path):
+        all_queries = queries(6)
+        reference = distill(all_queries, simple_retrieve, grade_llm, plan=WindowPlan(4, 4))
+        journal = tmp_path / "journal.log"
+        stopped = threading.Event()
+        answered = []
+
+        def teacher(query, window):
+            if query.query_id == "q002":
+                stopped.set()
+                raise BudgetError("budget exhausted")
+            if query.query_id == "q001":  # still being answered when q002 hits the budget
+                assert stopped.wait(5)
+                time.sleep(0.2)
+            answered.append(query.query_id)
+            return grade_llm(query, window)
+
+        with pytest.raises(BudgetError):
+            distill(all_queries, simple_retrieve, teacher, journal_path=journal,
+                    plan=WindowPlan(4, 4), max_in_flight=2)
+        journaled = read_journal(journal)
+        assert "q001" in answered and "q002" not in journaled
+        assert sorted(journaled) == sorted(answered)  # every paid answer is kept
+
+        asked = []
+
+        def counting_llm(query, window):
+            asked.append(query.query_id)
+            return grade_llm(query, window)
+
+        result = distill(all_queries, simple_retrieve, counting_llm, journal_path=journal,
+                         plan=WindowPlan(4, 4), max_in_flight=2)
+        assert sorted(asked) == sorted(q.query_id for q in all_queries
+                                       if q.query_id not in journaled)
+        assert result.n_labeled == len(asked)
+        assert result.examples == reference.examples
+
     def test_concurrent_run_matches_serial(self, tmp_path):
         serial = distill(queries(12), simple_retrieve, grade_llm, plan=WindowPlan(4, 4))
         threaded = distill(queries(12), simple_retrieve, grade_llm, plan=WindowPlan(4, 4),
@@ -307,3 +351,49 @@ class TestJournal:
         journal.write_text("".join(lines))
         with pytest.raises(JournalError, match="line 2"):
             read_journal(journal)
+
+    def test_line_torn_inside_a_character_is_dropped(self, tmp_path):
+        journal = tmp_path / "journal.log"
+        accented = [Query(f"q{i}", f"café numéro {i}", QueryKind.GENERATED) for i in range(3)]
+        distill(accented, simple_retrieve, grade_llm, journal_path=journal, plan=WindowPlan(4, 4))
+        raw = journal.read_bytes()
+        last_start = raw.rstrip(b"\n").rfind(b"\n") + 1
+        journal.write_bytes(raw[: raw.index("é".encode(), last_start) + 1])  # half of "é"
+        result = distill(accented, simple_retrieve, grade_llm, journal_path=journal,
+                         plan=WindowPlan(4, 4))
+        assert result.n_labeled == 1
+        assert sorted(read_journal(journal)) == ["q0", "q1", "q2"]
+
+    def test_whole_final_line_without_newline_is_kept(self, tmp_path):
+        journal = tmp_path / "journal.log"
+        distill(queries(3), simple_retrieve, grade_llm, journal_path=journal,
+                plan=WindowPlan(4, 4))
+        journal.write_bytes(journal.read_bytes()[:-1])  # the last append lost only its newline
+        result = distill(queries(4), simple_retrieve, grade_llm, journal_path=journal,
+                         plan=WindowPlan(4, 4))
+        assert result.n_labeled == 1
+        assert sorted(read_journal(journal)) == [q.query_id for q in queries(4)]
+
+    def test_resume_reads_the_journal_once(self, tmp_path, monkeypatch):
+        journal = tmp_path / "journal.log"
+        distill(queries(3), simple_retrieve, grade_llm, journal_path=journal,
+                plan=WindowPlan(4, 4))
+        with open(journal, "a", encoding="utf-8") as f:
+            f.write("deadbeef\t{\"torn")  # no trailing newline
+        modes = []
+        real_open = builtins.open
+
+        def watched_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == journal:
+                modes.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        # pathlib opens through io.open, the rest through the builtin
+        monkeypatch.setattr(builtins, "open", watched_open)
+        monkeypatch.setattr(io, "open", watched_open)
+        result = distill(queries(4), simple_retrieve, grade_llm, journal_path=journal,
+                         plan=WindowPlan(4, 4))
+        monkeypatch.undo()
+        assert [mode for mode in modes if "a" not in mode] == ["rb+"]
+        assert result.n_labeled == 1
+        assert sorted(read_journal(journal)) == [q.query_id for q in queries(4)]
