@@ -24,7 +24,6 @@ from distilrank import (
     synth_benchmark,
 )
 from distilrank.evaluation import model_score_fn
-from distilrank.io import run_from_ranked
 
 bench = synth_benchmark(n_topics=6, n_docs=180, n_train_queries=36, n_eval_queries=12, seed=42)
 corpus = {d.doc_id: d.text for d in bench.corpus}
@@ -51,13 +50,8 @@ params, history = fit(config, result.examples, [], corpus, params)
 print(f"train loss: {history[0].train_loss:.2f} -> {history[-1].train_loss:.2f} "
       f"over {config.epochs} epochs")
 
-# build the evaluation run and rerank it with the trained scorer
-ranked = {}
-for q in bench.eval_queries:
-    hits = search_bm25(index, q.text, 30)
-    if hits:
-        ranked[q.query_id] = [(h.doc_id, h.score) for h in hits]
-bm25_run = run_from_ranked(ranked, "bm25")
+# build the evaluation run (query_id -> ranked hits) and rerank it with the trained scorer
+bm25_run = {q.query_id: search_bm25(index, q.text, 30) for q in bench.eval_queries}
 
 eval_texts = {q.query_id: q.text for q in bench.eval_queries}
 student_run = rerank_run(bm25_run, model_score_fn(params, config.strategy, eval_texts, corpus),

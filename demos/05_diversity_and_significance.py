@@ -9,26 +9,20 @@ Run:  python3 demos/05_diversity_and_significance.py
 
 from distilrank import build_index, paired_t_test, search_bm25, synth_benchmark
 from distilrank.evaluation import evaluate_run, format_intersection_tsv, intersection_matrix
-from distilrank.io import run_from_ranked
 
 bench = synth_benchmark(n_topics=4, n_docs=120, n_train_queries=16, n_eval_queries=8, seed=5)
 
 
-def run_with(k1, b, tag):
+def run_with(k1, b):
     index = build_index(bench.corpus, k1=k1, b=b)
-    ranked = {}
-    for q in bench.eval_queries:
-        hits = search_bm25(index, q.text, 30)
-        if hits:
-            ranked[q.query_id] = [(h.doc_id, h.score) for h in hits]
-    return run_from_ranked(ranked, tag)
+    return {q.query_id: search_bm25(index, q.text, 30) for q in bench.eval_queries}
 
 
 runs = {
-    "bm25": run_with(0.9, 0.4, "bm25"),
-    "heavy-norm": run_with(1.5, 0.75, "heavy"),
-    "light-norm": run_with(0.4, 0.1, "light"),
-    "mid": run_with(1.2, 0.2, "mid"),
+    "bm25": run_with(0.9, 0.4),
+    "heavy-norm": run_with(1.5, 0.75),
+    "light-norm": run_with(0.4, 0.1),
+    "mid": run_with(1.2, 0.2),
 }
 
 labels, matrix = intersection_matrix(runs, n=30)

@@ -29,7 +29,6 @@ from .llm import LlmClient, LlmConfig, RetryPolicy, estimate_cost
 from .retrieval import (
     DenseStore,
     InvertedIndex,
-    ScoredDoc,
     bm25_score,
     build_index,
     compose_rerank,
@@ -65,6 +64,6 @@ from .training import (
     ranknet_loss,
     subsample_docs,
 )
-from .types import DistilledExample, Document, Qrels, Query, QueryKind, Run, RunEntry, Source
+from .types import DistilledExample, Document, Qrels, Query, QueryKind, Run, ScoredDoc, Source
 
 __version__ = "0.1.0"

@@ -64,7 +64,7 @@ from .scorer import (
     save_checkpoint,
 )
 from .training import KindFilter, TrainConfig, filter_examples, fit, write_history
-from .types import SOURCES, Query, Run, Source
+from .types import SOURCES, Query, Run, Source, validate_run
 from .synthetic import synth_benchmark
 
 
@@ -161,14 +161,15 @@ def _runfile_search(searcher):
     return lambda query, k: searcher.search(query.query_id, k)
 
 
-def _search_run(search, queries, k: int, tag: str) -> Run:
+def _search_run(search, queries, k: int) -> Run:
     """The run of a source's ``search(query, k)`` over the queries, less those without hits."""
-    ranked: dict[str, list[tuple[str, float]]] = {}
+    run: Run = {}
     for q in queries:
         hits = search(q, k)
         if hits:
-            ranked[q.query_id] = [(h.doc_id, h.score) for h in hits]
-    return io.run_from_ranked(ranked, tag)
+            run[q.query_id] = hits
+    validate_run(run)
+    return run
 
 
 def _cmd_retrieve(args, opts: dict) -> int:
@@ -194,10 +195,10 @@ def _cmd_retrieve(args, opts: dict) -> int:
             raise _UsageError("--method runfile requires --run")
         searcher = RunfileSearcher(io.load_run(args.run))
         search = _runfile_search(searcher)
-    run = _search_run(search, queries, opts["retrieve.k"], args.tag or args.method)
+    run = _search_run(search, queries, opts["retrieve.k"])
     if searcher and searcher.misses:
         print(f"warning: {searcher.misses} queries missing from {args.run}", file=sys.stderr)
-    io.save_text(args.out, io.write_run(run))
+    io.save_text(args.out, io.write_run(run, args.tag or args.method))
     print(f"retrieve: {len(run)} queries with results -> {args.out}")
     return 0
 
@@ -264,7 +265,7 @@ def _distill_backends(args, opts: dict, pending: list[Query], llm_config: LlmCon
         k_pool = opts["compose.k_pool"]
         score_map = load_score_map(io.lines_of(args.monot5_scores))
         monot5 = [q for q in pending if assignment.get(q.query_id, Source.BM25) is Source.MONOT5]
-        base = _search_run(searches[Source.BM25], monot5, k_pool, "bm25")
+        base = _search_run(searches[Source.BM25], monot5, k_pool)
         searches[Source.MONOT5] = _runfile_search(
             RunfileSearcher(compose_rerank(base, score_map, k_pool, k)))
 
@@ -399,8 +400,8 @@ def _cmd_rerank(args, opts: dict) -> int:
         score_fn = external_logit_score_fn(logits, strategy)
     else:
         raise _UsageError("rerank needs --checkpoint or --external-logits")
-    reranked = rerank_run(run, score_fn, k_in=k_in, k_out=k_out, tag=args.tag)
-    io.save_text(args.out, io.write_run(reranked))
+    reranked = rerank_run(run, score_fn, k_in=k_in, k_out=k_out)
+    io.save_text(args.out, io.write_run(reranked, args.tag))
     print(f"rerank: {len(reranked)} queries, top {k_in} -> top {k_out} -> {args.out}")
     return 0
 
@@ -501,7 +502,7 @@ def _cmd_ablate(args, opts: dict) -> int:
         params, history = fit(config, train_examples, [], corpus, copy.deepcopy(initial),
                               store, False)
         score_fn = model_score_fn(params, strategy, queries, corpus, store)
-        reranked = rerank_run(base_run, score_fn, k_in=k_in, k_out=k_in, tag="ablate")
+        reranked = rerank_run(base_run, score_fn, k_in=k_in, k_out=k_in)
         report = evaluate_run(reranked, qrels, opts["eval.k"])
         rows.append(f"{cell}\t{report.mean:.6f}\t{history[-1].train_loss:.6f}\n")
         if args.verbose:

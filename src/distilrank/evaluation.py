@@ -18,7 +18,6 @@ import numpy as np
 from scipy import special
 
 from .errors import DataError
-from .io import run_from_ranked
 from .scorer import (
     FeatureStore,
     ScorerParams,
@@ -28,7 +27,7 @@ from .scorer import (
     forward_rows,
     score_batch,
 )
-from .types import Qrels, Run
+from .types import Qrels, Run, ScoredDoc, validate_run
 
 logger = logging.getLogger(__name__)
 
@@ -68,8 +67,7 @@ def evaluate_run(run: Run, qrels: Qrels, k: int = 10) -> EvalReport:
     grouped = _qrels_by_query(qrels)
     per_query: dict[str, float] = {}
     for qid, grades in grouped.items():
-        entries = run.get(qid, [])
-        per_query[qid] = ndcg_at_k([e.doc_id for e in entries], grades, k)
+        per_query[qid] = ndcg_at_k([doc_id for doc_id, _ in run.get(qid, [])], grades, k)
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
     return EvalReport(per_query=per_query, mean=mean, k=k, n_queries=len(per_query))
 
@@ -80,6 +78,8 @@ def write_per_query(report: EvalReport) -> str:
 
 def intersection_rate(run_a: Run, run_b: Run, n: int = 30) -> float:
     """Mean over shared queries of |top-n(a) set intersect top-n(b) set| / n."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     shared = sorted(set(run_a) & set(run_b))
     if not shared:
         raise DataError("the two runs share no queries")
@@ -90,8 +90,8 @@ def intersection_rate(run_a: Run, run_b: Run, n: int = 30) -> float:
         )
     total = 0.0
     for qid in shared:
-        set_a = {e.doc_id for e in run_a[qid][:n]}
-        set_b = {e.doc_id for e in run_b[qid][:n]}
+        set_a = {doc_id for doc_id, _ in run_a[qid][:n]}
+        set_b = {doc_id for doc_id, _ in run_b[qid][:n]}
         total += len(set_a & set_b) / n
     return total / len(shared)
 
@@ -164,7 +164,6 @@ def rerank_run(
     score_fn: ScoreFn,
     k_in: int = 100,
     k_out: int | None = None,
-    tag: str = "reranked",
 ) -> Run:
     """Re-score the top-k_in of each query with one ``score_fn(query_id, doc_ids)``
     call and emit the top-k_out, ties broken by ascending doc_id."""
@@ -174,14 +173,15 @@ def rerank_run(
         raise ValueError(f"k_in and k_out must be >= 1, got k_in={k_in}, k_out={k_out}")
     if k_out > k_in:
         raise ValueError(f"k_out={k_out} must not exceed k_in={k_in}")
-    ranked: dict[str, list[tuple[str, float]]] = {}
-    for qid, entries in run.items():
-        doc_ids = [e.doc_id for e in entries[:k_in]]
+    reranked: Run = {}
+    for qid, docs in run.items():
+        doc_ids = [doc_id for doc_id, _ in docs[:k_in]]
         scores = score_fn(qid, doc_ids)
-        rescored = [(doc_id, float(s)) for doc_id, s in zip(doc_ids, scores, strict=True)]
-        rescored.sort(key=lambda d: (-d[1], d[0]))
-        ranked[qid] = rescored[:k_out]
-    return run_from_ranked(ranked, tag)
+        rescored = [ScoredDoc(doc_id, float(s)) for doc_id, s in zip(doc_ids, scores, strict=True)]
+        rescored.sort(key=lambda d: (-d.score, d.doc_id))
+        reranked[qid] = rescored[:k_out]
+    validate_run(reranked)
+    return reranked
 
 
 def model_score_fn(

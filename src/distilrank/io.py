@@ -12,7 +12,9 @@ Formats read here (README "Input files" lists every line format):
   queries.tsv     query_id<TAB>text<TAB>kind, kind in {cropped, generated};
                   query_id unique
   run files       TREC 6-column: qid Q0 docid rank score tag; per query, ranks
-                  1..n, each docid once, finite non-increasing scores
+                  1..n, each docid once, finite non-increasing scores. The
+                  tag is not kept: write_run takes it from the command that
+                  writes the run
   qrels           TREC 4-column: qid 0 docid rel; each (qid, docid) once, with
                   a non-negative integer rel (a repeat names the pair, not its
                   first line, so the parse keeps no line map)
@@ -20,7 +22,8 @@ Formats read here (README "Input files" lists every line format):
                   query_id unique
 
 Canonical run text uses a single space separator, %.6f scores, and queries
-sorted by query_id, so write_run(read_run(x)) == x byte-for-byte.
+sorted by query_id, so write_run(read_run(x), tag) == x byte-for-byte when
+every line of x carries that tag.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import DataError
-from .types import DistilledExample, Document, Qrels, Query, QueryKind, Run, RunEntry, Source, validate_run
+from .types import DistilledExample, Document, Qrels, Query, QueryKind, Run, ScoredDoc, Source, validate_run
 
 T = TypeVar("T")
 
@@ -132,37 +135,30 @@ def write_queries(queries: Iterable[Query]) -> str:
 
 
 def read_run(lines: Iterable[str]) -> Run:
-    """Parse a TREC run file; enforces validate_run's per-query invariants."""
+    """Parse a TREC run file into ranked lists; ranks must be 1..n per query,
+    and validate_run's per-query invariants hold."""
+    ranked: dict[str, list[tuple[int, ScoredDoc]]] = {}
+    for lineno, (qid, _q0, docid, rank, score, _tag) in records(lines, "run", 6, sep=None):
+        ranked.setdefault(qid, []).append((
+            number(rank, "run", lineno, "rank", int),
+            ScoredDoc(docid, number(score, "run", lineno, "score"))))
     run: Run = {}
-    for lineno, (qid, _q0, docid, rank, score, tag) in records(lines, "run", 6, sep=None):
-        run.setdefault(qid, []).append(RunEntry(
-            qid, docid, number(rank, "run", lineno, "rank", int),
-            number(score, "run", lineno, "score"), tag))
-    for entries in run.values():
-        entries.sort(key=lambda e: e.rank)
+    for qid, entries in ranked.items():
+        entries.sort(key=lambda e: e[0])
+        if [rank for rank, _ in entries] != list(range(1, len(entries) + 1)):
+            raise DataError(f"query {qid}: ranks are not 1..{len(entries)} without gaps")
+        run[qid] = [doc for _, doc in entries]
     validate_run(run)
     return run
 
 
-def write_run(run: Run, tag: str | None = None) -> str:
-    """Serialize a run in canonical form; tag overrides the per-entry tags when given."""
-    out: list[str] = []
-    for qid in sorted(run):
-        for e in sorted(run[qid], key=lambda e: e.rank):
-            out.append(f"{e.query_id} Q0 {e.doc_id} {e.rank} {e.score:.6f} {tag or e.tag}\n")
-    return "".join(out)
-
-
-def run_from_ranked(ranked: dict[str, list[tuple[str, float]]], tag: str) -> Run:
-    """Build a Run from per-query (doc_id, score) lists already in rank order."""
-    run: Run = {}
-    for qid, docs in ranked.items():
-        run[qid] = [
-            RunEntry(qid, doc_id, rank, score, tag)
-            for rank, (doc_id, score) in enumerate(docs, 1)
-        ]
-    validate_run(run)
-    return run
+def write_run(run: Run, tag: str) -> str:
+    """Serialize a run in canonical form, with tag in every line's last column."""
+    return "".join(
+        f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n"
+        for qid in sorted(run)
+        for rank, (doc_id, score) in enumerate(run[qid], 1)
+    )
 
 
 def read_qrels(lines: Iterable[str]) -> Qrels:

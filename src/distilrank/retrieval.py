@@ -28,15 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .io import json_records, number, records, require_new, run_from_ranked
+from .io import json_records, number, records, require_new
 from .tokenization import TokenizerConfig, tokenize
-from .types import Document, Run
-
-
-@dataclass(frozen=True)
-class ScoredDoc:
-    doc_id: str
-    score: float
+from .types import Document, Run, ScoredDoc, validate_run
 
 
 class Postings(Mapping):
@@ -358,12 +352,12 @@ class RunfileSearcher:
     def search(self, query_id: str, k: int = 30) -> list[ScoredDoc]:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        entries = self.run.get(query_id)
-        if entries is None:
+        docs = self.run.get(query_id)
+        if docs is None:
             with self._lock:
                 self.misses += 1
             return []
-        return [ScoredDoc(e.doc_id, e.score) for e in entries[:k]]
+        return docs[:k]
 
 
 def load_score_map(lines: Iterable[str]) -> dict[tuple[str, str], float]:
@@ -385,7 +379,6 @@ def compose_rerank(
     score_map: Mapping[tuple[str, str], float],
     k_pool: int = 100,
     k_out: int = 30,
-    tag: str = "composed",
 ) -> Run:
     """Reorder the top-k_pool of each query by external scores and keep the top k_out.
 
@@ -394,15 +387,15 @@ def compose_rerank(
     """
     if k_out > k_pool:
         raise ValueError(f"k_out={k_out} must not exceed k_pool={k_pool}")
-    ranked: dict[str, list[tuple[str, float]]] = {}
-    for qid, entries in base_run.items():
-        pool = entries[:k_pool]
-        rescored: list[tuple[str, float]] = []
-        for e in pool:
-            key = (qid, e.doc_id)
+    run: Run = {}
+    for qid, docs in base_run.items():
+        rescored: list[ScoredDoc] = []
+        for doc_id, _ in docs[:k_pool]:
+            key = (qid, doc_id)
             if key not in score_map:
-                raise DataError(f"score map missing pair ({qid}, {e.doc_id})")
-            rescored.append((e.doc_id, score_map[key]))
-        rescored.sort(key=lambda d: -d[1])
-        ranked[qid] = rescored[:k_out]
-    return run_from_ranked(ranked, tag)
+                raise DataError(f"score map missing pair ({qid}, {doc_id})")
+            rescored.append(ScoredDoc(doc_id, score_map[key]))
+        rescored.sort(key=lambda d: -d.score)
+        run[qid] = rescored[:k_out]
+    validate_run(run)
+    return run

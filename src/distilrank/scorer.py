@@ -465,16 +465,26 @@ def save_checkpoint(params: ScorerParams, strategy: ScoreStrategy, path: str | P
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+# the JSON type of each header field that the loader reads as a number or flag
+_HEADER_TYPES = {"hash_dim": int, "hidden": int, "interaction_cap": int,
+                 "lowercase": bool, "min_token_len": int}
+
+
 def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ScoreStrategy]:
     with open(path, "rb") as f:
         try:
             header = json.loads(f.readline().decode("utf-8"))
+            if not isinstance(header, dict):
+                raise ValueError("the header is not a JSON object")
+            for name, kind in _HEADER_TYPES.items():
+                if type(header[name]) is not kind:
+                    raise ValueError(f"{name} must be of type {kind.__name__}, "
+                                     f"got {header[name]!r}")
             strategy = ScoreStrategy(header["strategy"])
-            hash_dim = int(header["hash_dim"])
-            hidden = int(header["hidden"])
+            hash_dim, hidden = header["hash_dim"], header["hidden"]
             feature = FeatureConfig(
                 hash_dim=hash_dim,
-                interaction_cap=int(header["interaction_cap"]),
+                interaction_cap=header["interaction_cap"],
                 tokenizer=TokenizerConfig(header["lowercase"], header["min_token_len"]),
             )
             blob = f.read()

@@ -1,10 +1,15 @@
-"""Domain data model: documents, queries, runs, qrels, distilled examples."""
+"""Domain data model: documents, queries, runs, qrels, distilled examples.
+
+A run holds each query's ScoredDoc list, best first, so a document's rank is
+its position. A run file's tag column comes from the command that writes it
+and is not kept on read."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DataError
 
@@ -43,17 +48,13 @@ class Query:
     kind: QueryKind
 
 
-@dataclass(frozen=True)
-class RunEntry:
-    query_id: str
+class ScoredDoc(NamedTuple):
     doc_id: str
-    rank: int
     score: float
-    tag: str
 
 
-# A run maps query_id -> entries sorted by rank; the universal retrieval currency.
-Run = dict[str, list[RunEntry]]
+# A run maps query_id -> its ranked list, best first; the universal retrieval currency.
+Run = dict[str, list[ScoredDoc]]
 
 # Qrels map (query_id, doc_id) -> non-negative relevance grade.
 Qrels = dict[tuple[str, str], int]
@@ -91,20 +92,18 @@ class DistilledExample:
 
 
 def validate_run(run: Run) -> None:
-    """Check per query: contiguous ranks, each doc_id once, finite non-increasing
-    scores; raise DataError otherwise."""
-    for query_id, entries in run.items():
-        ranks = [e.rank for e in entries]
-        if ranks != list(range(1, len(entries) + 1)):
-            raise DataError(f"query {query_id}: ranks are not 1..{len(entries)} without gaps")
-        if len({e.doc_id for e in entries}) != len(entries):
-            doc_ids = [e.doc_id for e in entries]
+    """Check per query: each doc_id once, finite non-increasing scores; raise
+    DataError otherwise."""
+    for query_id, docs in run.items():
+        doc_ids = [doc_id for doc_id, _ in docs]
+        if len(set(doc_ids)) != len(doc_ids):
             doc_id = next(d for i, d in enumerate(doc_ids) if d in doc_ids[:i])
             raise DataError(f"query {query_id}: doc_id {doc_id!r} appears twice")
-        if not all(map(math.isfinite, [e.score for e in entries])):
+        scores = [score for _, score in docs]
+        if not all(map(math.isfinite, scores)):
             raise DataError(f"query {query_id}: non-finite score")
-        for prev, cur in zip(entries, entries[1:]):
-            if cur.score > prev.score:
+        for rank, (prev, cur) in enumerate(zip(scores, scores[1:]), 1):
+            if cur > prev:
                 raise DataError(
-                    f"query {query_id}: score increases from rank {prev.rank} to {cur.rank}"
+                    f"query {query_id}: score increases from rank {rank} to {rank + 1}"
                 )

@@ -28,12 +28,12 @@ from distilrank.distill import (
     parse_permutation,
 )
 from distilrank.evaluation import evaluate_run, intersection_matrix, intersection_rate, ndcg_at_k
-from distilrank.io import read_run, run_from_ranked, write_run
+from distilrank.io import read_run, write_run
 from distilrank.retrieval import bm25_score, build_index, search_bm25
 from distilrank.scorer import ScoreStrategy, score_batch
 from distilrank.tokenization import tokenize
 from distilrank.training import TrainConfig, adamw_step, init_adam_state, ranknet_grad, ranknet_loss
-from distilrank.types import SOURCES, DistilledExample, Document, Query, QueryKind, Source
+from distilrank.types import SOURCES, DistilledExample, Document, Query, QueryKind, ScoredDoc, Source
 
 
 def _report(number: int, text: str) -> None:
@@ -122,15 +122,13 @@ def test_criterion_4_ndcg_fixture_and_run_round_trip():
         "q1 Q0 d2 2 1.250000 tag\n"
         "q2 Q0 d9 1 0.000000 tag\n"
     )
-    assert write_run(read_run(canonical.splitlines(keepends=True))) == canonical
+    assert write_run(read_run(canonical.splitlines(keepends=True)), "tag") == canonical
     _report(4, "0.834009 fixture, ideal orderings exact 1.0, bit-exact run round-trip")
 
 
 def test_criterion_5_intersection_statistic():
     def run_of(docs):
-        return run_from_ranked(
-            {"q1": [(d, float(len(docs) - i)) for i, d in enumerate(docs)]}, "t"
-        )
+        return {"q1": [ScoredDoc(d, float(len(docs) - i)) for i, d in enumerate(docs)]}
 
     identical = run_of([f"d{i}" for i in range(30)])
     assert intersection_rate(identical, identical, 30) == 1.0
@@ -500,8 +498,10 @@ def test_golden_outputs(e2e):
 
     reranked = io.load_run(root / "reranked.trec")
     golden = io.load_run(GOLDEN / "e2e-reranked.trec")
-    triples = [(e.query_id, e.doc_id, e.rank) for q in sorted(reranked) for e in reranked[q]]
-    assert triples == [(e.query_id, e.doc_id, e.rank) for q in sorted(golden) for e in golden[q]]
+    triples = [(q, d.doc_id, rank) for q in sorted(reranked)
+               for rank, d in enumerate(reranked[q], 1)]
+    assert triples == [(q, d.doc_id, rank) for q in sorted(golden)
+                       for rank, d in enumerate(golden[q], 1)]
     np.testing.assert_allclose([e.score for q in sorted(reranked) for e in reranked[q]],
                                [e.score for q in sorted(golden) for e in golden[q]],
                                rtol=0, atol=1e-6)

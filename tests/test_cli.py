@@ -180,6 +180,43 @@ class TestDispatchBasics:
         ]) == 1
         assert "'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_intersection_n_below_one_exits_2(self, tmp_path, capsys, n):
+        run = tmp_path / "a.trec"
+        run.write_text("q1 Q0 d1 1 2.0 a\n")
+        out = tmp_path / "matrix.tsv"
+        assert dispatch(["eval", "intersection", "--run", f"a={run}", "--run", f"b={run}",
+                         "--n", n, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"n must be >= 1, got {n}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header, message", [
+        ([1], "not a JSON object"),
+        ({"min_token_len": "x"}, "min_token_len must be of type int, got 'x'"),
+        ({"lowercase": "yes"}, "lowercase must be of type bool, got 'yes'"),
+        ({"hidden": 2.5}, "hidden must be of type int, got 2.5"),
+    ], ids=["not-an-object", "mistyped-min-token-len", "mistyped-lowercase", "mistyped-hidden"])
+    def test_rerank_rejects_mistyped_checkpoint_header(self, tmp_path, capsys, header, message):
+        params = scorer.init_params(scorer.FeatureConfig(hash_dim=1 << 4), hidden=2, seed=0)
+        ckpt = tmp_path / "scorer.ckpt"
+        scorer.save_checkpoint(params, scorer.ScoreStrategy.LOGIT_DIFFERENCE, ckpt)
+        first, payload = ckpt.read_bytes().split(b"\n", 1)
+        if isinstance(header, dict):
+            header = json.loads(first) | header
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        (tmp_path / "run.trec").write_text("q1 Q0 d1 1 2.0 bm25\n")
+        (tmp_path / "corpus.jsonl").write_text('{"doc_id": "d1", "text": "alpha beta"}\n')
+        (tmp_path / "queries.tsv").write_text("q1\talpha\tcropped\n")
+        out = tmp_path / "reranked.trec"
+        assert dispatch(["rerank", "--run", str(tmp_path / "run.trec"),
+                         "--corpus", str(tmp_path / "corpus.jsonl"),
+                         "--queries", str(tmp_path / "queries.tsv"),
+                         "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read checkpoint {ckpt}") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", ["legacy-json", "truncated"])
     def test_unreadable_index_exits_2(self, workdir, tmp_path, capsys, damage):
         index = tmp_path / "index.json"
@@ -304,8 +341,8 @@ class TestRetrievalGlue:
         captured = capsys.readouterr()
         assert f"warning: 2 queries missing from {run}" in captured.err
         assert "retrieve: 1 queries with results" in captured.out
-        assert [(e.doc_id, e.rank, e.tag) for e in io.load_run(out)["qb"]] == [
-            ("d1", 1, "runfile"), ("d2", 2, "runfile")]
+        assert out.read_text().splitlines() == [
+            "qb Q0 d1 1 2.000000 runfile", "qb Q0 d2 2 1.000000 runfile"]
 
     @pytest.mark.parametrize("source, message", [
         ("SPLADE", "a query is assigned to SPLADE but no run was given"),
@@ -556,6 +593,20 @@ def test_cli_import_leaves_out_scipy_stats():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+def test_perfbench_finds_every_name_it_traces():
+    # perfbench/spans.py wraps program functions by their module-global names,
+    # so renaming or removing one of them must fail here, not only in perfbench
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "perfbench"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import distilrank.cli; import spans; spans.install(spans.Tracer('t'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestPipelineThroughCli(object):

@@ -20,7 +20,7 @@ from distilrank.llm import LlmConfig, RetryPolicy
 from distilrank.retrieval import build_index, save_index
 from distilrank.scorer import FeatureConfig, ScoreStrategy
 from distilrank.training import KindFilter, TrainConfig
-from distilrank.types import DistilledExample, Document, Query, QueryKind, RunEntry, Source
+from distilrank.types import DistilledExample, Document, Query, QueryKind, ScoredDoc, Source
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +35,8 @@ def ws(tmp_path_factory):
     io.save_text(root / "queries.tsv", io.write_queries(queries))
     io.save_text(root / "qrels.txt", io.write_qrels({("q1", "d1"): 1, ("q2", "d2"): 1}))
     io.save_text(root / "run.trec", io.write_run({
-        q.query_id: [RunEntry(q.query_id, "d1", 1, 2.0, "bm25"),
-                     RunEntry(q.query_id, "d2", 2, 1.0, "bm25")]
-        for q in queries
-    }))
+        q.query_id: [ScoredDoc("d1", 2.0), ScoredDoc("d2", 1.0)] for q in queries
+    }, "bm25"))
     io.save_text(root / "distilled.jsonl", io.write_distilled([
         DistilledExample(q.query_id, q.text, q.kind, Source.BM25, ("d1", "d2"), (1, 2))
         for q in queries
@@ -181,7 +179,7 @@ class TestDefaults:
 
     def test_rerank(self, ws, monkeypatch):
         calls = _pin(monkeypatch, _argv(ws)["rerank"], "rerank_run")
-        assert calls["rerank_run"][1] == {"k_in": 100, "k_out": 100, "tag": "reranked"}
+        assert calls["rerank_run"][1] == {"k_in": 100, "k_out": 100}
 
     def test_eval_ndcg(self, ws, monkeypatch):
         calls = _pin(monkeypatch, _argv(ws)["eval ndcg"], "evaluate_run")
@@ -200,7 +198,7 @@ class TestDefaults:
             strategy=ScoreStrategy.LOGIT_DIFFERENCE, kind_filter=KindFilter.MIXED,
             excluded_source=None,
         )
-        assert calls["rerank_run"][1] == {"k_in": 30, "k_out": 30, "tag": "ablate"}
+        assert calls["rerank_run"][1] == {"k_in": 30, "k_out": 30}
         assert calls["evaluate_run"][0][2] == 10
 
 

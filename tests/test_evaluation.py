@@ -16,7 +16,6 @@ from distilrank.evaluation import (
     rerank_run,
     write_per_query,
 )
-from distilrank.io import run_from_ranked
 from distilrank.scorer import (
     FeatureConfig,
     FeatureStore,
@@ -26,6 +25,7 @@ from distilrank.scorer import (
     init_params,
     score_batch,
 )
+from distilrank.types import ScoredDoc
 
 
 class TestNdcg:
@@ -64,7 +64,7 @@ class TestNdcg:
 
 class TestEvaluateRun:
     def test_mean_over_judged_queries(self):
-        run = run_from_ranked({"q1": [("d1", 2.0)], "q2": [("x", 1.0)]}, "t")
+        run = {"q1": [ScoredDoc("d1", 2.0)], "q2": [ScoredDoc("x", 1.0)]}
         qrels = {("q1", "d1"): 1, ("q2", "d2"): 1}
         report = evaluate_run(run, qrels, 10)
         assert report.per_query["q1"] == pytest.approx(1.0)
@@ -72,26 +72,23 @@ class TestEvaluateRun:
         assert report.mean == pytest.approx(0.5)
 
     def test_query_missing_from_run_scores_zero(self):
-        run = run_from_ranked({"q1": [("d1", 1.0)]}, "t")
+        run = {"q1": [ScoredDoc("d1", 1.0)]}
         qrels = {("q1", "d1"): 1, ("q9", "d1"): 2}
         report = evaluate_run(run, qrels, 10)
         assert report.per_query["q9"] == 0.0
         assert report.n_queries == 2
 
     def test_per_query_tsv(self):
-        run = run_from_ranked({"q1": [("d1", 1.0)]}, "t")
+        run = {"q1": [ScoredDoc("d1", 1.0)]}
         report = evaluate_run(run, {("q1", "d1"): 1}, 10)
         assert write_per_query(report) == "q1\t1.000000\n"
 
 
-def run_of(docs_by_query, tag="t"):
-    return run_from_ranked(
-        {
-            qid: [(doc, float(len(docs) - i)) for i, doc in enumerate(docs)]
-            for qid, docs in docs_by_query.items()
-        },
-        tag,
-    )
+def run_of(docs_by_query):
+    return {
+        qid: [ScoredDoc(doc, float(len(docs) - i)) for i, doc in enumerate(docs)]
+        for qid, docs in docs_by_query.items()
+    }
 
 
 class TestIntersection:
@@ -122,6 +119,12 @@ class TestIntersection:
         b = run_of({"q2": ["d1"]})
         with pytest.raises(DataError):
             intersection_rate(a, b, 30)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        run = run_of({"q1": ["d1", "d2"]})
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            intersection_rate(run, run, n)
 
     def test_matrix_symmetric_with_nan_diagonal(self):
         runs = {

@@ -11,12 +11,11 @@ from distilrank.io import (
     read_distilled,
     read_qrels,
     read_run,
-    run_from_ranked,
     write_distilled,
     write_queries,
     write_run,
 )
-from distilrank.types import DistilledExample, QueryKind, Source
+from distilrank.types import DistilledExample, QueryKind, ScoredDoc, Source, validate_run
 
 
 def lines(text):
@@ -68,9 +67,7 @@ class TestQueries:
 
 class TestRun:
     def test_single_entry(self):
-        run = read_run(["q1 Q0 d7 1 3.25 bm25\n"])
-        (entry,) = run["q1"]
-        assert (entry.doc_id, entry.rank, entry.score, entry.tag) == ("d7", 1, 3.25, "bm25")
+        assert read_run(["q1 Q0 d7 1 3.25 bm25\n"]) == {"q1": [ScoredDoc("d7", 3.25)]}
 
     def test_canonical_round_trip_bit_exact(self):
         canonical = (
@@ -78,7 +75,27 @@ class TestRun:
             "q1 Q0 d2 2 2.500000 t\n"
             "q2 Q0 d3 1 1.000000 t\n"
         )
-        assert write_run(read_run(lines(canonical))) == canonical
+        assert write_run(read_run(lines(canonical)), "t") == canonical
+
+    def test_lines_out_of_rank_order_round_trip_to_canonical(self):
+        shuffled = (
+            "q2 Q0 d3 1 1.000000 t\n"
+            "q1 Q0 d2 2 2.500000 t\n"
+            "q1 Q0 d1 1 3.000000 t\n"
+        )
+        canonical = (
+            "q1 Q0 d1 1 3.000000 t\n"
+            "q1 Q0 d2 2 2.500000 t\n"
+            "q2 Q0 d3 1 1.000000 t\n"
+        )
+        assert write_run(read_run(lines(shuffled)), "t") == canonical
+
+    def test_run_of_plain_tuples_equals_scored_docs(self):
+        plain = {"q1": [("d1", 2.0), ("d2", 1.0)]}
+        scored = {"q1": [ScoredDoc("d1", 2.0), ScoredDoc("d2", 1.0)]}
+        assert plain == scored
+        validate_run(plain)
+        assert write_run(plain, "t") == write_run(scored, "t")
 
     def test_rank_gap_rejected(self):
         with pytest.raises(DataError, match="q1"):
@@ -99,15 +116,16 @@ class TestRun:
     ], ids=["nan", "inf", "repeated-doc"])
     def test_built_run_is_validated(self, docs, error):
         with pytest.raises(DataError, match=f"query q1: {error}"):
-            run_from_ranked({"q1": docs}, "t")
+            validate_run({"q1": [ScoredDoc(*d) for d in docs]})
 
     def test_non_numeric_rank(self):
         with pytest.raises(DataError, match="line 1"):
             read_run(["q1 Q0 d1 one 1.0 t\n"])
 
     def test_tag_override(self):
-        run = run_from_ranked({"q1": [("d1", 1.0)]}, "orig")
-        assert "q1 Q0 d1 1 1.000000 new\n" == write_run(run, tag="new")
+        # the tag column is not kept on read; the writer supplies it
+        run = read_run(["q1 Q0 d1 1 1.0 orig\n"])
+        assert "q1 Q0 d1 1 1.000000 new\n" == write_run(run, "new")
 
 
 class TestQrels:
@@ -172,5 +190,6 @@ def test_run_write_read_round_trip(ranked):
               sorted(docs, key=lambda t: -t[1])]
         for qid, docs in ranked.items()
     }
-    run = run_from_ranked(prepared, "t")
-    assert read_run(lines(write_run(run))) == {q: run[q] for q in sorted(run)}
+    run = {qid: [ScoredDoc(*d) for d in docs] for qid, docs in prepared.items()}
+    validate_run(run)
+    assert read_run(lines(write_run(run, "t"))) == {q: run[q] for q in sorted(run)}

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from distilrank.errors import DataError
-from distilrank.io import run_from_ranked
 from distilrank.retrieval import (
     DenseStore,
     RunfileSearcher,
@@ -316,7 +315,7 @@ class TestDense:
 
 class TestRunfile:
     def run(self, n=100):
-        return run_from_ranked({"q1": [(f"d{i:03d}", float(n - i)) for i in range(n)]}, "ext")
+        return {"q1": [ScoredDoc(f"d{i:03d}", float(n - i)) for i in range(n)]}
 
     def test_truncates_at_k(self):
         hits = RunfileSearcher(self.run(100)).search("q1", 30)
@@ -353,7 +352,7 @@ class TestLoadScoreMap:
 
 class TestComposeRerank:
     def base(self):
-        return run_from_ranked({"q1": [("d1", 3.0), ("d2", 2.0), ("d3", 1.0)]}, "bm25")
+        return {"q1": [ScoredDoc("d1", 3.0), ScoredDoc("d2", 2.0), ScoredDoc("d3", 1.0)]}
 
     def test_reorders_by_external_scores(self):
         score_map = {("q1", "d1"): 0.1, ("q1", "d2"): 0.9, ("q1", "d3"): 0.5}
@@ -370,9 +369,7 @@ class TestComposeRerank:
             compose_rerank(self.base(), {("q1", "d1"): 1.0, ("q1", "d2"): 0.5}, 3, 3)
 
     def test_pool_and_output_depths(self):
-        base = run_from_ranked(
-            {"q1": [(f"d{i:03d}", float(100 - i)) for i in range(100)]}, "bm25"
-        )
+        base = {"q1": [ScoredDoc(f"d{i:03d}", float(100 - i)) for i in range(100)]}
         score_map = {("q1", f"d{i:03d}"): float(i) for i in range(100)}
         out = compose_rerank(base, score_map, k_pool=100, k_out=30)
         assert len(out["q1"]) == 30
