@@ -115,6 +115,33 @@ def _load_per_query_tsv(path: str) -> dict[str, float]:
     return values
 
 
+def _run_tag(tag: str) -> str:
+    """``tag``, if a run file written with it reads back: one field, not empty."""
+    if tag.split() != [tag]:
+        raise ValueError(f"--tag must be non-empty and hold no whitespace, got {tag!r}")
+    return tag
+
+
+def _train_config(opts: dict, seed: int, docs: int, strategy: ScoreStrategy, kind: KindFilter,
+                  source: Source | None) -> TrainConfig:
+    """The `TrainConfig` of the resolved ``train.*`` options, with the ablation
+    axes (documents per query, strategy, kind, excluded source) given."""
+    return TrainConfig(
+        batch_queries=opts["train.batch"],
+        docs_per_query=docs,
+        learning_rate=opts["train.lr"],
+        beta1=opts["train.beta1"],
+        beta2=opts["train.beta2"],
+        eps=opts["train.eps"],
+        weight_decay=opts["train.weight_decay"],
+        epochs=opts["train.epochs"],
+        seed=seed,
+        strategy=strategy,
+        kind_filter=kind,
+        excluded_source=source,
+    )
+
+
 # ---------------------------------------------------------------- handlers
 
 
@@ -173,6 +200,7 @@ def _search_run(search, queries, k: int) -> Run:
 
 
 def _cmd_retrieve(args, opts: dict) -> int:
+    tag = _run_tag(args.method if args.tag is None else args.tag)
     queries = io.load_queries(args.queries)
     searcher = None
     if args.method == "bm25":
@@ -198,7 +226,7 @@ def _cmd_retrieve(args, opts: dict) -> int:
     run = _search_run(search, queries, opts["retrieve.k"])
     if searcher and searcher.misses:
         print(f"warning: {searcher.misses} queries missing from {args.run}", file=sys.stderr)
-    io.save_text(args.out, io.write_run(run, args.tag or args.method))
+    io.save_text(args.out, io.write_run(run, tag))
     print(f"retrieve: {len(run)} queries with results -> {args.out}")
     return 0
 
@@ -299,6 +327,8 @@ def _cmd_distill(args, opts: dict) -> int:
         raise ValueError(f"--k must be >= 1, got {k}")
     if max_in_flight < 1:
         raise ValueError(f"--max-in-flight must be >= 1, got {max_in_flight}")
+    if opts["prompt.passage_word_budget"] < 1:
+        raise ValueError(f"--passage-words must be >= 1, got {opts['prompt.passage_word_budget']}")
     plan = WindowPlan(window=opts["window.size"], step=opts["window.step"])
     if args.monot5_scores:
         if args.run_monot5:
@@ -356,20 +386,10 @@ def _cmd_train(args, opts: dict) -> int:
     corpus = _corpus_map(args.corpus)
     feature = FeatureConfig(hash_dim=opts["feature.hash_dim"],
                             interaction_cap=opts["feature.interaction_cap"])
-    config = TrainConfig(
-        batch_queries=opts["train.batch"],
-        docs_per_query=opts["train.docs"],
-        learning_rate=opts["train.lr"],
-        beta1=opts["train.beta1"],
-        beta2=opts["train.beta2"],
-        eps=opts["train.eps"],
-        weight_decay=opts["train.weight_decay"],
-        epochs=opts["train.epochs"],
-        seed=args.seed,
-        strategy=_choice(ScoreStrategy, opts["train.strategy"]),
-        kind_filter=_choice(KindFilter, opts["train.kind"]),
-        excluded_source=_source_or_none(opts["train.exclude_source"]),
-    )
+    config = _train_config(opts, args.seed, opts["train.docs"],
+                           _choice(ScoreStrategy, opts["train.strategy"]),
+                           _choice(KindFilter, opts["train.kind"]),
+                           _source_or_none(opts["train.exclude_source"]))
     params = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
     params, history = fit(config, train_examples, val_examples, corpus, params)
     save_checkpoint(params, config.strategy, args.checkpoint)
@@ -383,6 +403,7 @@ def _cmd_train(args, opts: dict) -> int:
 
 
 def _cmd_rerank(args, opts: dict) -> int:
+    tag = _run_tag(args.tag)
     run = io.load_run(args.run)
     k_in = opts["rerank.k_in"]
     k_out = k_in if opts["rerank.k_out"] is None else opts["rerank.k_out"]
@@ -401,7 +422,7 @@ def _cmd_rerank(args, opts: dict) -> int:
     else:
         raise _UsageError("rerank needs --checkpoint or --external-logits")
     reranked = rerank_run(run, score_fn, k_in=k_in, k_out=k_out)
-    io.save_text(args.out, io.write_run(reranked, args.tag))
+    io.save_text(args.out, io.write_run(reranked, tag))
     print(f"rerank: {len(reranked)} queries, top {k_in} -> top {k_out} -> {args.out}")
     return 0
 
@@ -488,16 +509,7 @@ def _cmd_ablate(args, opts: dict) -> int:
                   f"kind/source filtering: {cell}", file=sys.stderr)
             rows.append(f"{cell}\tnan\tnan\n")
             continue
-        config = TrainConfig(
-            batch_queries=opts["train.batch"],
-            docs_per_query=docs,
-            learning_rate=opts["train.lr"],
-            epochs=opts["train.epochs"],
-            seed=args.seed,
-            strategy=strategy,
-            kind_filter=kind,
-            excluded_source=source,
-        )
+        config = _train_config(opts, args.seed, docs, strategy, kind, source)
         # the grid reads the final loss only, so fit evaluates no other epoch
         params, history = fit(config, train_examples, [], corpus, copy.deepcopy(initial),
                               store, False)
@@ -671,6 +683,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     # smaller defaults than train and rerank: the grid runs 90 fits
     _add_options(p, ["eval.k", "rerank.k_in", "train.batch", "train.lr", "train.epochs",
+                     "train.beta1", "train.beta2", "train.eps", "train.weight_decay",
                      "feature.hash_dim", "feature.hidden", "feature.interaction_cap"],
                  {"train.batch": 8, "train.epochs": 5, "feature.hash_dim": 1 << 14,
                   "feature.hidden": 32, "rerank.k_in": 30})

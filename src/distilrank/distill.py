@@ -83,6 +83,8 @@ def load_template(path: str | Path) -> PromptTemplate:
 
 
 def truncate_words(text: str, budget: int) -> str:
+    if budget < 1:
+        raise ValueError(f"passage word budget must be >= 1, got {budget}")
     words = text.split()
     if len(words) <= budget:
         return text

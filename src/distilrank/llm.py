@@ -40,6 +40,14 @@ class RetryPolicy:
     backoff_base: float = 1.0
     backoff_factor: float = 2.0
 
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        for name, value in (("backoff_base", self.backoff_base),
+                            ("backoff_factor", self.backoff_factor)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
 
 @dataclass(frozen=True)
 class LlmConfig:
@@ -62,6 +70,8 @@ class LlmConfig:
             raise ValueError("budget must be >= 0")
         if self.prompt_price_per_1k < 0 or self.completion_price_per_1k < 0:
             raise ValueError("prices must be >= 0")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
 
 
 def estimate_tokens(text_chars: int) -> int:

@@ -12,8 +12,8 @@ There is one featurizing path in the pipeline, `featurize_batch`: it builds a
 query's rows for many documents in one numpy pass over a `TermTable`, which
 resolves every term and document once. `featurize` is the per-pair reference
 it must match bit for bit. A `FeatureStore` holds the rows it has made as one
-resident CSR (column indices and values in two growing arrays, and a start and
-length per row), so each (query, document) pair is featurized once, and any
+resident CSR (column indices and values in two growing arrays, indexed by one
+growing indptr), so each (query, document) pair is featurized once, and any
 set of pairs comes back as one CSR matrix in a single numpy gather.
 
 The batched pass needs no per-key hashing because crc32 is affine over GF(2):
@@ -353,8 +353,8 @@ class FeatureStore:
     each pair featurized once, on its first request, and held as a row of
     one resident CSR.
 
-    The store keeps every row's column indices and values in two arrays, and
-    a start and length per row, all grown geometrically, plus a map from
+    The store appends each row's column indices and values to two arrays and
+    keeps one indptr over them, all grown geometrically, plus a map from
     (query, doc_id) to row id. `ids` hands a request's pairs not yet held to
     one `featurize_batch` call, over a `TermTable` that resolves each term
     and document once, and returns the pairs' row ids; `take` gathers rows
@@ -373,9 +373,7 @@ class FeatureStore:
         self._row_of: dict[tuple[str, str], int] = {}
         self._indices = np.empty(self.INITIAL_NNZ, dtype=np.int64)
         self._data = np.empty(self.INITIAL_NNZ)
-        self._starts = np.empty(self.INITIAL_ROWS, dtype=np.int64)
-        self._lengths = np.empty(self.INITIAL_ROWS, dtype=np.int64)
-        self._nnz = 0
+        self._indptr = np.zeros(self.INITIAL_ROWS + 1, dtype=np.int64)
 
     def __len__(self) -> int:
         """The number of pair rows held."""
@@ -393,7 +391,8 @@ class FeatureStore:
     def take(self, ids: np.ndarray) -> sp.csr_array:
         """The rows ``ids``, in order, as one (len(ids), hash_dim) CSR matrix."""
         ids = np.asarray(ids, dtype=np.int64)
-        positions, indptr = _ranges(self._starts[ids], self._lengths[ids])
+        lo = self._indptr[ids]
+        positions, indptr = _ranges(lo, self._indptr[ids + 1] - lo)
         return sp.csr_array((self._data[positions], self._indices[positions], indptr),
                             shape=(ids.size, self.config.hash_dim))
 
@@ -405,17 +404,15 @@ class FeatureStore:
         # scipy trusts the column indices; its products read out of bounds on a bad one
         if block.nnz and (block.indices.min() < 0 or block.indices.max() >= self.config.hash_dim):
             raise ValueError(f"feature index outside 0..{self.config.hash_dim - 1}")
-        first, at = len(self._row_of), self._nnz
+        first = len(self._row_of)
+        at = self._indptr[first]
         end_row, end = first + len(doc_ids), at + block.nnz
         self._indices = _reserve(self._indices, end)
         self._data = _reserve(self._data, end)
-        self._starts = _reserve(self._starts, end_row)
-        self._lengths = _reserve(self._lengths, end_row)
+        self._indptr = _reserve(self._indptr, end_row + 1)
         self._indices[at:end] = block.indices
         self._data[at:end] = block.data
-        self._starts[first:end_row] = at + block.indptr[:-1]
-        self._lengths[first:end_row] = np.diff(block.indptr)
-        self._nnz = end
+        self._indptr[first + 1:end_row + 1] = at + block.indptr[1:]
         self._row_of.update(zip([(query, d) for d in doc_ids], range(first, end_row)))
 
 

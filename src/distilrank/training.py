@@ -20,9 +20,10 @@ and leaves the rows bit-identical when weight_decay is 0 or no step was taken.
 Resident stacks: `prepare_example` resolves an example to the row ids of its
 documents in a `FeatureStore`, and `stack_examples` gathers a whole set
 (train, validation) from the store in one pass, as one `ExampleStack`: a CSR
-matrix of all its documents' rows, compacted to the active block once, with
-each example's row bounds and ranking. A batch is gathered from the train
-stack in one vectorised pass, and the history losses run on the whole stacks:
+matrix of all its documents' rows, compacted to the active block once, each
+example's row bounds, and each row's teacher rank within its example. A batch
+is gathered from the train stack in one vectorised pass, rows and ranks by the
+same row ids, and the history losses run on the whole stacks:
 the forward is ``X @ w1`` and the w1 gradient ``X.T @ dH``. The RankNet pair
 matrices are built once per batch for each distinct document count m, as
 (examples, m, m) arrays, and give each example's loss and gradient bit for bit
@@ -236,19 +237,6 @@ def subsample_docs(example: DistilledExample, m_prime: int, seed: int) -> Distil
     )
 
 
-@dataclass
-class PreparedExample:
-    """A distilled example resolved to features, ready for the loop.
-
-    ``row_ids`` holds the `FeatureStore` row id of each document's features;
-    ``ranking`` is a checked permutation of 1..m.
-    """
-
-    query_id: str
-    row_ids: np.ndarray
-    ranking: np.ndarray
-
-
 @dataclass(frozen=True)
 class HistoryRow:
     epoch: int
@@ -266,31 +254,33 @@ def prepare_example(
     example: DistilledExample,
     corpus: Mapping[str, str],
     store: FeatureStore,
-) -> PreparedExample:
-    row_ids = store.ids(example.query_text, example.doc_ids, corpus)
-    ranking = np.asarray(example.llm_ranking, dtype=np.int64)
-    _check_permutation(ranking, row_ids.size)
-    return PreparedExample(example.query_id, row_ids, ranking)
+) -> np.ndarray:
+    """The `FeatureStore` row id of each document of ``example``."""
+    return store.ids(example.query_text, example.doc_ids, corpus)
 
 
 @dataclass(frozen=True)
 class ExampleStack:
-    """Prepared examples as the rows of one CSR matrix: example i owns rows
-    ``bounds[i]:bounds[i + 1]`` and ranks them by ``rankings[i]``."""
+    """Examples as the rows of one CSR matrix: example i owns rows
+    ``bounds[i]:bounds[i + 1]``, and ``ranks`` holds each row's teacher rank
+    within its example."""
 
     rows: sp.csr_array
     bounds: np.ndarray
-    rankings: list[np.ndarray]
+    ranks: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.rankings)
+        return self.bounds.size - 1
 
 
-def stack_examples(prepared: Sequence[PreparedExample], store: FeatureStore) -> ExampleStack:
+def stack_examples(
+    examples: Sequence[DistilledExample], corpus: Mapping[str, str], store: FeatureStore
+) -> ExampleStack:
     """The examples' rows, in order, gathered from ``store`` as one stack."""
-    ids = np.concatenate([np.empty(0, dtype=np.int64)] + [ex.row_ids for ex in prepared])
-    bounds = _offsets([ex.row_ids.size for ex in prepared])
-    return ExampleStack(store.take(ids), bounds, [ex.ranking for ex in prepared])
+    ids = [prepare_example(ex, corpus, store) for ex in examples]
+    ranks = np.array([r for ex in examples for r in ex.llm_ranking], dtype=np.int64)
+    rows = store.take(np.concatenate([np.empty(0, dtype=np.int64)] + ids))
+    return ExampleStack(rows, _offsets([ex.m for ex in examples]), ranks)
 
 
 def take_examples(stack: ExampleStack, picks: Sequence[int]) -> ExampleStack:
@@ -298,7 +288,7 @@ def take_examples(stack: ExampleStack, picks: Sequence[int]) -> ExampleStack:
     picks = np.asarray(picks, dtype=np.int64)
     lo = stack.bounds[picks]
     row_ids, bounds = _ranges(lo, stack.bounds[picks + 1] - lo)
-    return ExampleStack(stack.rows[row_ids], bounds, [stack.rankings[i] for i in picks])
+    return ExampleStack(stack.rows[row_ids], bounds, stack.ranks[row_ids])
 
 
 def _compact(stack: ExampleStack, position: np.ndarray, n_active: int) -> ExampleStack:
@@ -327,8 +317,7 @@ def _ranknet(
     for m in np.unique(lengths):
         members = np.flatnonzero(lengths == m)
         rows = stack.bounds[members, None] + np.arange(m)  # (examples, m)
-        ranking = np.stack([stack.rankings[i] for i in members])
-        mask, diff = _pair_diffs(scores[rows], ranking)
+        mask, diff = _pair_diffs(scores[rows], stack.ranks[rows])
         losses[members] = _pair_losses(mask, diff)
         if with_grads:
             ds[rows] = _pair_grads(mask, diff)
@@ -427,8 +416,8 @@ def fit(
     elif store.config != params.feature:
         raise ValueError("the feature store and the scorer use different feature configs")
     hash_dim = params.feature.hash_dim
-    train = stack_examples([prepare_example(ex, corpus, store) for ex in train_reduced], store)
-    val = stack_examples([prepare_example(ex, corpus, store) for ex in val_reduced], store)
+    train = stack_examples(train_reduced, corpus, store)
+    val = stack_examples(val_reduced, corpus, store)
     del store  # the loop reads only the stacks; a store made here is freed now
 
     # the loop runs on the active rows of w1 only; see the module docstring

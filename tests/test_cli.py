@@ -344,6 +344,34 @@ class TestRetrievalGlue:
         assert out.read_text().splitlines() == [
             "qb Q0 d1 1 2.000000 runfile", "qb Q0 d2 2 1.000000 runfile"]
 
+    @pytest.mark.parametrize("tag", ["my run", "a\tb", ""])
+    @pytest.mark.parametrize("command", ["retrieve", "rerank"])
+    def test_unreadable_tag_exits_2_before_any_input_is_read(self, workdir, tmp_path, capsys,
+                                                             command, tag):
+        # a tag that is empty or holds whitespace writes a run no reader can parse
+        run = tmp_path / "base.trec"
+        run.write_text("qa Q0 d1 1 3.0 bm25\nqa Q0 d2 2 2.0 bm25\n")
+        logits = tmp_path / "logits.tsv"
+        logits.write_text("qa\td1\t0.0\t0.0\nqa\td2\t1.0\t0.0\n")
+        inputs = {
+            "retrieve": {"--method": "bm25", "--index": workdir / "index.json",
+                         "--queries": workdir / "queries-train.tsv"},
+            "rerank": {"--run": run, "--external-logits": logits,
+                       "--corpus": workdir / "corpus.jsonl"},
+        }[command]
+        out = tmp_path / "out.trec"
+        for given in (inputs, {flag: tmp_path / "absent" if flag != "--method" else value
+                               for flag, value in inputs.items()}):
+            argv = [command] + [str(x) for pair in given.items() for x in pair]
+            assert dispatch(argv + ["--tag", tag, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --tag must be non-empty and hold no whitespace, got {tag!r}\n"
+            assert not out.exists()
+        # the default tags are accepted
+        assert dispatch([command] + [str(x) for pair in inputs.items() for x in pair]
+                        + ["--out", str(out)]) == 0
+        assert out.read_text().split()[5] == {"retrieve": "bm25", "rerank": "reranked"}[command]
+
     @pytest.mark.parametrize("source, message", [
         ("SPLADE", "a query is assigned to SPLADE but no run was given"),
         ("BM25", "a query is assigned to BM25 but no --bm25-index was given"),
@@ -526,7 +554,9 @@ class TestDistillResume:
         assert not out.exists()
 
     @pytest.mark.parametrize("option, value", [("--k", "0"), ("--k", "-1"),
-                                               ("--max-in-flight", "0")])
+                                               ("--max-in-flight", "0"),
+                                               ("--passage-words", "0"),
+                                               ("--passage-words", "-3")])
     def test_option_below_one_exits_2_before_any_input_is_read(
             self, four_sources, fresh, tmp_path, capsys, option, value):
         code, out = self._resume(four_sources.inputs, tmp_path, fresh[0], option, value)
@@ -538,6 +568,32 @@ class TestDistillResume:
         assert dispatch(_four_source_argv(inputs, out, option, value)) == 2
         err = capsys.readouterr().err
         assert f"{option} must be >= 1" in err and "absent.tsv" not in err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("llm.retry_max_attempts = 0", "max_attempts must be >= 1, got 0"),
+        ("llm.backoff_base = -1", "backoff_base must be finite and >= 0, got -1.0"),
+        ("llm.backoff_factor = nan", "backoff_factor must be finite and >= 0, got nan"),
+        ("llm.timeout_s = 0", "timeout_s must be finite and > 0, got 0.0"),
+        ("llm.timeout_s = inf", "timeout_s must be finite and > 0, got inf"),
+    ])
+    def test_teacher_setting_that_fails_every_query_exits_2_before_any_input_is_read(
+            self, four_sources, fresh, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "distilrank.cfg"
+        cfg.write_text(setting + "\n")
+        teacher = ("--endpoint", "http://127.0.0.1:1/never-contacted")
+        inputs = {flag: path for flag, path in four_sources.inputs.items()
+                  if flag != "--mock-qrels"}
+        journal, out = tmp_path / "journal.log", tmp_path / "out.jsonl"
+        journal.write_bytes(fresh[0])
+        assert dispatch(["--config", str(cfg)] + _four_source_argv(
+            inputs, out, "--journal", str(journal), *teacher)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        # the check comes first even on a fresh run whose queries file is missing
+        inputs["--queries"] = tmp_path / "absent.tsv"
+        assert dispatch(["--config", str(cfg)] + _four_source_argv(inputs, out, *teacher)) == 2
+        err = capsys.readouterr().err
+        assert message in err and "absent.tsv" not in err
 
     def test_k_above_k_pool_exits_2_on_a_full_resume(self, four_sources, fresh, tmp_path,
                                                      capsys):

@@ -308,6 +308,14 @@ _CASES = [
           lambda c: _fit_config(c).batch_queries),
     _Case("ablate", "evaluate_run", "train.lr", "0.01", 0.01, ["--lr", "0.02"], 0.02,
           lambda c: _fit_config(c).learning_rate),
+    _Case("ablate", "evaluate_run", "train.weight_decay", "0.5", 0.5, ["--weight-decay", "0.2"], 0.2,
+          lambda c: _fit_config(c).weight_decay),
+    _Case("ablate", "evaluate_run", "train.beta1", "0.8", 0.8, None, None,
+          lambda c: _fit_config(c).beta1),
+    _Case("ablate", "evaluate_run", "train.beta2", "0.99", 0.99, None, None,
+          lambda c: _fit_config(c).beta2),
+    _Case("ablate", "evaluate_run", "train.eps", "0.1", 0.1, None, None,
+          lambda c: _fit_config(c).eps),
     _Case("ablate", "evaluate_run", "feature.hash_dim", "4096", 4096, ["--hash-dim", "2048"], 2048,
           lambda c: c["init_params"][0][0].hash_dim),
     _Case("ablate", "evaluate_run", "feature.interaction_cap", "8", 8,

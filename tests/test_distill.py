@@ -20,6 +20,7 @@ from distilrank.distill import (
     parse_permutation,
     ranks_from_order,
     read_journal,
+    truncate_words,
     window_rerank,
 )
 from distilrank.errors import BudgetError, DataError, JournalError
@@ -55,6 +56,18 @@ class TestBuildPrompt:
         messages = build_prompt("q", [long_text], passage_word_budget=120)
         assert "w119" in messages[1]["content"]
         assert "w120" not in messages[1]["content"]
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_word_budget_below_one_rejected(self, budget):
+        # a negative budget used to drop the last words, and 0 to send empty passages
+        with pytest.raises(ValueError, match=f"must be >= 1, got {budget}"):
+            truncate_words("one two three four five", budget)
+        with pytest.raises(ValueError, match=f"must be >= 1, got {budget}"):
+            build_prompt("q", ["one two three"], passage_word_budget=budget)
+
+    def test_word_budget_of_one_keeps_one_word(self):
+        assert truncate_words("one two three", 1) == "one"
+        assert truncate_words("one  two", 2) == "one  two"
 
     def test_template_missing_placeholder_rejected(self):
         with pytest.raises(DataError):

@@ -12,6 +12,30 @@ from distilrank.llm import LlmClient, LlmConfig, RetryPolicy, estimate_cost
 FAST_RETRY = RetryPolicy(max_attempts=5, backoff_base=0.001, backoff_factor=1.0)
 
 
+class TestSettings:
+    """Retry and timeout settings under which every request would fail."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_attempts": 0}, "max_attempts must be >= 1, got 0"),
+        ({"max_attempts": -1}, "max_attempts must be >= 1, got -1"),
+        ({"backoff_base": -1.0}, "backoff_base must be finite and >= 0, got -1.0"),
+        ({"backoff_base": float("inf")}, "backoff_base must be finite and >= 0, got inf"),
+        ({"backoff_factor": -0.5}, "backoff_factor must be finite and >= 0, got -0.5"),
+        ({"backoff_factor": float("nan")}, "backoff_factor must be finite and >= 0, got nan"),
+    ])
+    def test_retry_policy_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RetryPolicy(**kwargs)
+
+    def test_retry_policy_boundaries_accepted(self):
+        assert RetryPolicy(max_attempts=1, backoff_base=0.0, backoff_factor=0.0).max_attempts == 1
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("inf"), float("nan")])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match="timeout_s must be finite and > 0"):
+            LlmConfig(endpoint="http://127.0.0.1:1/unused", timeout_s=timeout)
+
+
 class _Script:
     """Serves a scripted sequence of (status, text) responses and records requests."""
 

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from distilrank.training import (
     ExampleStack,
     HistoryRow,
     KindFilter,
-    PreparedExample,
     TrainConfig,
     _compact,
     adamw_step,
@@ -278,8 +277,9 @@ def prepared_batch(params, rng, n_examples=3, m=5):
         doc_ids = [f"q{e}-d{i}" for i in range(m)]
         corpus.update((d, " ".join(rng.choice(vocab, size=6))) for d in doc_ids)
         ranking = np.asarray(rng.permutation(m) + 1)
-        batch.append(PreparedExample(f"q{e}", store.ids(query, doc_ids, corpus), ranking))
-    return stack_examples(batch, store)
+        batch.append(DistilledExample(f"q{e}", query, QueryKind.CROPPED, Source.BM25,
+                                      tuple(doc_ids), tuple(ranking.tolist())))
+    return stack_examples(batch, corpus, store)
 
 
 class TestBatchGradients:
@@ -324,9 +324,9 @@ def per_example_loss_and_grads(params, batch, strategy):
     scale = 1.0 / len(batch)
     total = 0.0
     ds = np.empty_like(scores)
-    for ranking, lo, hi in zip(batch.rankings, batch.bounds[:-1], batch.bounds[1:]):
-        total += ranknet_loss(scores[lo:hi], ranking)
-        ds[lo:hi] = ranknet_grad(scores[lo:hi], ranking) * scale
+    for lo, hi in zip(batch.bounds[:-1], batch.bounds[1:]):
+        total += ranknet_loss(scores[lo:hi], batch.ranks[lo:hi])
+        ds[lo:hi] = ranknet_grad(scores[lo:hi], batch.ranks[lo:hi]) * scale
     dz = ds[:, None] * score_batch_grad(z, strategy)
     dh_pre = (dz @ params.w2.T) * (h_pre > 0.0)
     grads = [rows.T @ dh_pre, dh_pre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
@@ -354,7 +354,7 @@ def test_batched_ranknet_matches_per_example_loop(doc_counts, strategy, seed):
     rows = sp.random_array((n, hash_dim), density=0.2, format="csr", rng=rng,
                            data_sampler=lambda size: rng.integers(-3, 4, size).astype(float))
     batch = ExampleStack(sp.csr_array(rows), np.cumsum([0] + doc_counts),
-                         [rng.permutation(m) + 1 for m in doc_counts])
+                         np.concatenate([rng.permutation(m) + 1 for m in doc_counts]))
 
     loss, grads = batch_loss_and_grads(params, batch, strategy)
     want_loss, want_grads = per_example_loss_and_grads(params, batch, strategy)
@@ -365,8 +365,8 @@ def test_batched_ranknet_matches_per_example_loop(doc_counts, strategy, seed):
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
     _, _, z = forward_rows(params, batch.rows)
     scores = score_batch(z, strategy)
-    want_mean = sum(ranknet_loss(scores[lo:hi], r) for r, lo, hi in
-                    zip(batch.rankings, batch.bounds[:-1], batch.bounds[1:])) / len(batch)
+    want_mean = sum(ranknet_loss(scores[lo:hi], batch.ranks[lo:hi]) for lo, hi in
+                    zip(batch.bounds[:-1], batch.bounds[1:])) / len(batch)
     assert batch_loss(params, batch, strategy) == want_mean
 
 
@@ -374,19 +374,18 @@ class TestExampleStack:
     def prepared(self):
         """Examples of 4, 2 and 3 documents: fewer than a docs_per_query of 4
         for two of them, and the second has a document with an empty row.
-        Returns the prepared examples, their store, and each example's rows
-        stacked from per-pair `featurize`."""
+        Returns the examples, their corpus, an empty store, and each
+        example's rows stacked from per-pair `featurize`."""
         corpus, examples = tiny_corpus_and_examples(n=3, m=4)
         corpus["q1-d1"] = ""
         examples[1] = subsample_docs(replace(examples[1], query_text=""), 2, seed=0)
         examples[2] = subsample_docs(examples[2], 3, seed=1)
         store = FeatureStore(tiny_feature())
-        prepared = [prepare_example(ex, corpus, store) for ex in examples]
         rows = [stack_rows([featurize(ex.query_text, corpus[d], tiny_feature())
                             for d in ex.doc_ids], tiny_feature().hash_dim) for ex in examples]
         assert [r.shape[0] for r in rows] == [4, 2, 3]
         assert any(np.diff(r.indptr).min() == 0 for r in rows)
-        return prepared, store, rows
+        return examples, corpus, store, rows
 
     @staticmethod
     def assert_same_csr(got, want):
@@ -394,25 +393,38 @@ class TestExampleStack:
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
+    def test_fields(self):
+        assert [f.name for f in fields(ExampleStack)] == ["rows", "bounds", "ranks"]
+
     def test_stack_matches_vstack(self):
-        prepared, store, rows = self.prepared()
-        stack = stack_examples(prepared, store)
+        examples, corpus, store, rows = self.prepared()
+        stack = stack_examples(examples, corpus, store)
         self.assert_same_csr(stack.rows, sp.vstack(rows, format="csr"))
         np.testing.assert_array_equal(stack.bounds, [0, 4, 6, 9])
         assert len(stack) == 3
-        for got, ex in zip(stack.rankings, prepared):
-            np.testing.assert_array_equal(got, ex.ranking)
+        assert stack.ranks.dtype == np.int64
+        np.testing.assert_array_equal(
+            stack.ranks, np.concatenate([ex.llm_ranking for ex in examples]))
+
+    def test_prepare_example_gives_store_row_ids(self):
+        examples, corpus, store, _ = self.prepared()
+        ids = prepare_example(examples[0], corpus, store)
+        np.testing.assert_array_equal(ids, [0, 1, 2, 3])
+        np.testing.assert_array_equal(
+            prepare_example(examples[0], corpus, store), ids)  # held rows are reused
+        assert len(store) == 4
 
     def test_empty_stack(self):
-        stack = stack_examples([], FeatureStore(tiny_feature()))
+        stack = stack_examples([], {}, FeatureStore(tiny_feature()))
         assert len(stack) == 0 and stack.rows.shape == (0, tiny_feature().hash_dim)
         np.testing.assert_array_equal(stack.bounds, [0])
+        assert stack.ranks.shape == (0,) and stack.ranks.dtype == np.int64
 
     @pytest.mark.parametrize("picks", [[2, 0, 1], [1], [1, 2], [0, 2, 1, 0]])
     def test_gathered_batch_matches_vstack_of_compacted_rows(self, picks):
-        prepared, store, rows = self.prepared()
+        examples, corpus, store, rows = self.prepared()
         hash_dim = tiny_feature().hash_dim
-        stack = stack_examples(prepared, store)
+        stack = stack_examples(examples, corpus, store)
         touched = np.zeros(hash_dim, dtype=bool)
         touched[stack.rows.indices] = True
         position = np.cumsum(touched) - 1
@@ -431,8 +443,8 @@ class TestExampleStack:
         self.assert_same_csr(batch.rows, want)
         np.testing.assert_array_equal(
             batch.bounds, np.cumsum([0] + [rows[i].shape[0] for i in picks]))
-        for got, i in zip(batch.rankings, picks):
-            np.testing.assert_array_equal(got, prepared[i].ranking)
+        np.testing.assert_array_equal(
+            batch.ranks, np.concatenate([examples[i].llm_ranking for i in picks]))
 
 
 def tiny_corpus_and_examples(n=12, m=4):
@@ -497,6 +509,26 @@ class TestFit:
             np.testing.assert_array_equal(a, b)
         assert len(full_history) == epochs + 1
         assert final_history == full_history[-1:]  # bitwise-identical floats
+
+    def test_prepares_each_example_once_through_the_module_name(self, monkeypatch):
+        # perfbench's training.prepare_example span wraps this module global
+        import distilrank.training as training
+
+        corpus, examples = tiny_corpus_and_examples()
+        calls = []
+        real = training.prepare_example
+
+        def counted(example, corpus, store):
+            calls.append(example.query_id)
+            return real(example, corpus, store)
+
+        monkeypatch.setattr(training, "prepare_example", counted)
+        config = TrainConfig(epochs=1, batch_queries=4, docs_per_query=3,
+                             kind_filter=KindFilter.CROPPED_ONLY)
+        fit(config, examples, examples[:3], corpus, init_params(tiny_feature(), hidden=8))
+        train = filter_examples(examples, KindFilter.CROPPED_ONLY, None)
+        assert 0 < len(train) < len(examples)
+        assert calls == [ex.query_id for ex in train + examples[:3]]
 
     def test_validation_set_does_not_perturb_training(self):
         corpus, examples = tiny_corpus_and_examples()
