@@ -31,7 +31,7 @@ from .distill import (
     mock_llm,
     read_journal,
 )
-from .errors import BudgetError, DataError, TransportError
+from .errors import BudgetError, DataError, NonFiniteError, TransportError
 from .evaluation import (
     evaluate_run,
     external_logit_score_fn,
@@ -63,7 +63,7 @@ from .scorer import (
     load_external_logits,
     save_checkpoint,
 )
-from .training import KindFilter, TrainConfig, filter_examples, fit, write_history
+from .training import KindFilter, TrainConfig, filter_examples, fit, prepare_fit, write_history
 from .types import SOURCES, Query, Run, Source, validate_run
 from .synthetic import synth_benchmark
 
@@ -493,34 +493,45 @@ def _cmd_ablate(args, opts: dict) -> int:
     # and starts from the same draw; fit updates it in place, so each cell copies it
     initial = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
 
-    rows = ["strategy\tdocs\tkind\texcluded_source\tndcg\tfinal_train_loss\n"]
-    cells = [
-        (strategy, docs, kind, source)
-        for strategy in _ABLATION_STRATEGIES
-        for docs in _ABLATION_DOCS
-        for kind in _ABLATION_KINDS
-        for source in _ABLATION_SOURCES
-    ]
-    for cell_no, (strategy, docs, kind, source) in enumerate(cells, 1):
-        cell = f"{strategy.value}\t{docs}\t{kind.value}\t{source.value if source else 'none'}"
-        # a filter that leaves no training examples skips its cell, not the grid
-        if not filter_examples(train_examples, kind, source):
-            print(f"[{cell_no}/{len(cells)}] skipped, no training examples left after "
-                  f"kind/source filtering: {cell}", file=sys.stderr)
-            rows.append(f"{cell}\tnan\tnan\n")
-            continue
-        config = _train_config(opts, args.seed, docs, strategy, kind, source)
-        # the grid reads the final loss only, so fit evaluates no other epoch
-        params, history = fit(config, train_examples, [], corpus, copy.deepcopy(initial),
-                              store, False)
-        score_fn = model_score_fn(params, strategy, queries, corpus, store)
-        reranked = rerank_run(base_run, score_fn, k_in=k_in, k_out=k_in)
-        report = evaluate_run(reranked, qrels, opts["eval.k"])
-        rows.append(f"{cell}\t{report.mean:.6f}\t{history[-1].train_loss:.6f}\n")
-        if args.verbose:
-            print(f"[{cell_no}/{len(cells)}] {rows[-1]}", end="", file=sys.stderr)
+    groups = [(docs, kind, source) for docs in _ABLATION_DOCS for kind in _ABLATION_KINDS
+              for source in _ABLATION_SOURCES]
+    n_cells = len(_ABLATION_STRATEGIES) * len(groups)
+    rows = ["strategy\tdocs\tkind\texcluded_source\tndcg\tfinal_train_loss\n"] + [""] * n_cells
+    trained = failed = 0
+    # grid.tsv lists the cells strategy by strategy, but they run group by group, so
+    # that the strategies of a (documents, kind, source) group share one preparation
+    for group_no, (docs, kind, source) in enumerate(groups):
+        prepared = None  # frees the previous group's before this one's is made
+        for i, strategy in enumerate(_ABLATION_STRATEGIES):
+            cell_no = 1 + i * len(groups) + group_no
+            cell = f"{strategy.value}\t{docs}\t{kind.value}\t{source.value if source else 'none'}"
+            rows[cell_no] = f"{cell}\tnan\tnan\n"  # unless the cell trains
+            # a filter that leaves no training examples skips its cell, not the grid
+            if not filter_examples(train_examples, kind, source):
+                print(f"[{cell_no}/{n_cells}] skipped, no training examples left after "
+                      f"kind/source filtering: {cell}", file=sys.stderr)
+                continue
+            trained += 1
+            config = _train_config(opts, args.seed, docs, strategy, kind, source)
+            prepared = prepared or prepare_fit(config, train_examples, [], corpus, store)
+            try:
+                # the grid reads the final loss only, so fit evaluates no other epoch
+                params, history = fit(config, train_examples, [], corpus,
+                                      copy.deepcopy(initial), store, False, prepared)
+                score_fn = model_score_fn(params, strategy, queries, corpus, store)
+                reranked = rerank_run(base_run, score_fn, k_in=k_in, k_out=k_in)
+            except NonFiniteError as exc:  # a diverged cell fails alone, like a skipped one
+                failed += 1
+                print(f"[{cell_no}/{n_cells}] failed, {exc}: {cell}", file=sys.stderr)
+                continue
+            report = evaluate_run(reranked, qrels, opts["eval.k"])
+            rows[cell_no] = f"{cell}\t{report.mean:.6f}\t{history[-1].train_loss:.6f}\n"
+            if args.verbose:
+                print(f"[{cell_no}/{n_cells}] {rows[cell_no]}", end="", file=sys.stderr)
     io.save_text(args.out, "".join(rows))
-    print(f"ablate: {len(cells)} cells -> {args.out}")
+    print(f"ablate: {n_cells} cells -> {args.out}")
+    if failed and failed == trained:
+        raise DataError(f"all {failed} trained cells failed, {n_cells - failed} skipped")
     return 0
 
 

@@ -9,6 +9,10 @@ class DataError(DistilrankError):
     """Malformed or inconsistent input data (bad line, duplicate id, broken invariant)."""
 
 
+class NonFiniteError(DataError, ValueError):
+    """A computation produced a non-finite value, as a diverged training run does."""
+
+
 class JournalError(DataError):
     """Distillation journal is corrupt beyond a torn final line."""
 

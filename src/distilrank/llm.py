@@ -64,12 +64,15 @@ class LlmConfig:
     def __post_init__(self) -> None:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.budget_usd < 0:
-            raise ValueError("budget must be >= 0")
-        if self.prompt_price_per_1k < 0 or self.completion_price_per_1k < 0:
-            raise ValueError("prices must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        # inf is the "no cap" default; nan would pass every cap check unseen
+        if not self.budget_usd >= 0:
+            raise ValueError(f"budget must be >= 0 (inf for no cap), got {self.budget_usd}")
+        for name, price in (("prompt_price_per_1k", self.prompt_price_per_1k),
+                            ("completion_price_per_1k", self.completion_price_per_1k)):
+            if not (math.isfinite(price) and price >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {price}")
         if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
             raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
 

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .errors import DataError
+from .errors import DataError, NonFiniteError
 from .io import number, records, require_new
 from .tokenization import TokenizerConfig, tokenize
 
@@ -195,7 +195,7 @@ def forward_rows(
     h = np.maximum(h_pre, 0.0)
     z = h @ params.w2 + params.b2
     if not np.all(np.isfinite(z)):
-        raise DataError("forward pass produced non-finite logits")
+        raise NonFiniteError("forward pass produced non-finite logits")
     return h_pre, h, z
 
 
@@ -362,6 +362,14 @@ class FeatureStore:
     doc_id stands for its text there. It keeps every pair row it has made for
     as long as it lives, so share one only between callers that request the
     same pairs again.
+
+    `rows` also keeps the matrix of each (query, doc_ids) request it has
+    served and hands the same matrix back when that request comes again, in
+    the same document order; callers must not modify it. `ablate` relies on
+    this: every cell's `model_score_fn` asks for the same evaluation lists,
+    and only the first cell gathers them. The memo holds a second copy of
+    the requested rows, so it suits a caller that repeats few requests many
+    times; training gathers through `ids` and `take` and adds nothing to it.
     """
 
     INITIAL_ROWS = 64
@@ -374,6 +382,7 @@ class FeatureStore:
         self._indices = np.empty(self.INITIAL_NNZ, dtype=np.int64)
         self._data = np.empty(self.INITIAL_NNZ)
         self._indptr = np.zeros(self.INITIAL_ROWS + 1, dtype=np.int64)
+        self._served: dict[tuple[str, tuple[str, ...]], sp.csr_array] = {}
 
     def __len__(self) -> int:
         """The number of pair rows held."""
@@ -397,8 +406,13 @@ class FeatureStore:
                             shape=(ids.size, self.config.hash_dim))
 
     def rows(self, query: str, doc_ids: Sequence[str], corpus: Mapping[str, str]) -> sp.csr_array:
-        """The features of ``query`` with each document, as the rows of one CSR matrix."""
-        return self.take(self.ids(query, doc_ids, corpus))
+        """The features of ``query`` with each document, as the rows of one
+        CSR matrix; a repeated request gets the matrix it got before."""
+        key = (query, tuple(doc_ids))
+        rows = self._served.get(key)
+        if rows is None:
+            rows = self._served[key] = self.take(self.ids(query, doc_ids, corpus))
+        return rows
 
     def _append(self, query: str, doc_ids: list[str], block: sp.csr_array) -> None:
         # scipy trusts the column indices; its products read out of bounds on a bad one

@@ -9,6 +9,11 @@ it pushes s_i above s_j.
 Per example the loss is summed over pairs; per batch it is averaged over
 queries, so histories are comparable only within one docs-per-query setting.
 
+Prepare, then train: `prepare_fit` does everything before the first epoch,
+and `fit` trains on its result, which it only reads. That result depends on
+no config field but the seed, documents per query, kind filter and excluded
+source, so the ablation grid's two strategies share one.
+
 Active rows: `fit` trains only the rows of w1 that some prepared train or
 validation document touches, as one compacted block with its own AdamW state,
 and writes the block back at the end. This is exact because AdamW decouples
@@ -46,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .errors import DataError
+from .errors import DataError, NonFiniteError
 from .scorer import (
     FeatureStore,
     ScorerParams,
@@ -107,7 +112,7 @@ def _check_permutation(ranking: np.ndarray, m: int) -> None:
 
 def _check_finite(scores: np.ndarray) -> None:
     if not np.all(np.isfinite(scores)):
-        raise ValueError("scores contain non-finite values")
+        raise NonFiniteError("scores contain non-finite values")
 
 
 def _checked(scores: Sequence[float], ranking: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +194,7 @@ def adamw_step(
     """
     for g in grads:
         if not np.all(np.isfinite(g)):
-            raise DataError("non-finite gradient passed to adamw_step")
+            raise NonFiniteError("non-finite gradient passed to adamw_step")
     state.t += 1
     lr, beta1, beta2 = config.learning_rate, config.beta1, config.beta2
     bc1 = 1.0 - beta1 ** state.t
@@ -369,6 +374,41 @@ def filter_examples(
     return kept
 
 
+def prepare_fit(
+    config: TrainConfig,
+    train_examples: Sequence[DistilledExample],
+    val_examples: Sequence[DistilledExample],
+    corpus: Mapping[str, str],
+    store: FeatureStore,
+) -> tuple[ExampleStack, ExampleStack, np.ndarray]:
+    """What `fit` trains on: the train and validation stacks, compacted to the
+    active block, and the w1 row of each block row."""
+    train_filtered = filter_examples(train_examples, config.kind_filter, config.excluded_source)
+    if not train_filtered:
+        raise DataError("no training examples left after kind/source filtering")
+
+    # independent streams so the validation set cannot perturb training
+    rng_train = np.random.default_rng([config.seed, 0])
+    rng_val = np.random.default_rng([config.seed, 1])
+
+    def reduce_all(examples, stream) -> list[DistilledExample]:
+        return [
+            subsample_docs(ex, min(config.docs_per_query, ex.m), int(stream.integers(2**63)))
+            for ex in examples
+        ]
+
+    train = stack_examples(reduce_all(train_filtered, rng_train), corpus, store)
+    val = stack_examples(reduce_all(val_examples, rng_val), corpus, store)
+
+    # the loop runs on the active rows of w1 only; see the module docstring
+    touched = np.zeros(store.config.hash_dim, dtype=bool)
+    touched[train.rows.indices] = True
+    touched[val.rows.indices] = True
+    active = np.flatnonzero(touched)
+    position = np.cumsum(touched) - 1  # row of w1 -> its row in the active block
+    return _compact(train, position, active.size), _compact(val, position, active.size), active
+
+
 def fit(
     config: TrainConfig,
     train_examples: Sequence[DistilledExample],
@@ -377,6 +417,7 @@ def fit(
     params: ScorerParams,
     store: FeatureStore | None = None,
     every_epoch: bool = True,
+    prepared: tuple[ExampleStack, ExampleStack, np.ndarray] | None = None,
 ) -> tuple[ScorerParams, list[HistoryRow]]:
     """Train the scorer with RankNet + AdamW; deterministic given the seed.
 
@@ -391,43 +432,18 @@ def fit(
     ``store`` supplies the features and must use ``params.feature``. Pass one
     to share features across fits; without one, a store local to this call
     featurizes each query's pairs in one batch and is freed before the first
-    epoch.
+    epoch. ``prepared``, what `prepare_fit` returned for these arguments under
+    a config that may differ in its strategy, skips the preparation; fit only
+    reads it.
     """
-    train_filtered = filter_examples(train_examples, config.kind_filter, config.excluded_source)
-    if not train_filtered:
-        raise DataError("no training examples left after kind/source filtering")
-
-    # independent streams so the validation set cannot perturb training
-    rng_train = np.random.default_rng([config.seed, 0])
-    rng_val = np.random.default_rng([config.seed, 1])
-    rng = np.random.default_rng([config.seed, 2])
-
-    def reduce_all(examples, stream) -> list[DistilledExample]:
-        return [
-            subsample_docs(ex, min(config.docs_per_query, ex.m), int(stream.integers(2**63)))
-            for ex in examples
-        ]
-
-    train_reduced = reduce_all(train_filtered, rng_train)
-    val_reduced = reduce_all(val_examples, rng_val)
-
     if store is None:
         store = FeatureStore(params.feature)
     elif store.config != params.feature:
         raise ValueError("the feature store and the scorer use different feature configs")
-    hash_dim = params.feature.hash_dim
-    train = stack_examples(train_reduced, corpus, store)
-    val = stack_examples(val_reduced, corpus, store)
+    prepared = prepared or prepare_fit(config, train_examples, val_examples, corpus, store)
+    train, val, active = prepared
     del store  # the loop reads only the stacks; a store made here is freed now
-
-    # the loop runs on the active rows of w1 only; see the module docstring
-    touched = np.zeros(hash_dim, dtype=bool)
-    touched[train.rows.indices] = True
-    touched[val.rows.indices] = True
-    active = np.flatnonzero(touched)
-    position = np.cumsum(touched) - 1  # row of w1 -> its row in the active block
-    train = _compact(train, position, active.size)
-    val = _compact(val, position, active.size)
+    rng = np.random.default_rng([config.seed, 2])
     full_w1 = params.w1
     params.w1 = full_w1[active]
 
@@ -445,13 +461,13 @@ def fit(
                 batch = take_examples(train, order[start: start + config.batch_queries])
                 try:
                     loss, grads = batch_loss_and_grads(params, batch, config.strategy)
-                except (ValueError, DataError) as exc:
-                    raise DataError(
+                    if not np.isfinite(loss):
+                        raise NonFiniteError("non-finite loss")
+                    adamw_step(params.arrays(), grads, state, config)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(
                         f"training diverged at epoch {epoch}, batch {batch_no}: {exc}"
                     ) from exc
-                if not np.isfinite(loss):
-                    raise DataError(f"training diverged at epoch {epoch}, batch {batch_no}")
-                adamw_step(params.arrays(), grads, state, config)
             if every_epoch or epoch == config.epochs:
                 history.append(HistoryRow(epoch, *eval_losses()))
     finally:
@@ -460,4 +476,3 @@ def fit(
             full_w1 *= (1.0 - config.learning_rate * config.weight_decay) ** state.t
         full_w1[active] = block
     return params, history
-

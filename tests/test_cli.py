@@ -10,7 +10,9 @@ import pytest
 from distilrank import io, scorer
 from distilrank.cli import build_parser, dispatch
 from distilrank.config import OPTIONS, CliConfig, resolve
-from distilrank.errors import DataError
+from distilrank.errors import DataError, NonFiniteError
+from distilrank.scorer import ScoreStrategy
+from distilrank.training import KindFilter, filter_examples
 from distilrank.types import Source
 
 
@@ -575,6 +577,11 @@ class TestDistillResume:
         ("llm.backoff_factor = nan", "backoff_factor must be finite and >= 0, got nan"),
         ("llm.timeout_s = 0", "timeout_s must be finite and > 0, got 0.0"),
         ("llm.timeout_s = inf", "timeout_s must be finite and > 0, got inf"),
+        ("llm.budget_usd = nan", "budget must be >= 0 (inf for no cap), got nan"),
+        ("llm.prompt_price_per_1k = nan", "prompt_price_per_1k must be finite and >= 0, got nan"),
+        ("llm.completion_price_per_1k = inf",
+         "completion_price_per_1k must be finite and >= 0, got inf"),
+        ("llm.temperature = nan", "temperature must be finite and >= 0, got nan"),
     ])
     def test_teacher_setting_that_fails_every_query_exits_2_before_any_input_is_read(
             self, four_sources, fresh, tmp_path, capsys, setting, message):
@@ -1038,6 +1045,112 @@ class TestPipelineThroughCli(object):
                   for e in entries}
         assert len(calls) == len(pairs)
         assert set(calls) == {(text, corpus[d]) for text, d in pairs}
+
+    @staticmethod
+    def _ablate(workdir, distilled, base_run, grid, *extra):
+        return dispatch([
+            "ablate", "--train", str(distilled), "--corpus", str(workdir / "corpus.jsonl"),
+            "--queries", str(workdir / "queries-eval.tsv"),
+            "--qrels", str(workdir / "qrels-eval.txt"), "--base-run", str(base_run),
+            "--epochs", "1", "--batch", "8", "--hash-dim", "1024", "--hidden", "8",
+            "--k-in", "10", "--out", str(grid), *extra,
+        ])
+
+    def test_ablate_prepares_each_group_once(self, workdir, tmp_path, monkeypatch):
+        # both strategies of a (documents, kind, source) group train on one preparation,
+        # each through fit
+        from distilrank import cli, training
+
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+        groups, prepared, fitted = [], [], []
+        prepare_fit, prepare_example, fit = cli.prepare_fit, training.prepare_example, cli.fit
+
+        def counted_prepare(config, train, val, corpus, store):
+            groups.append((config.docs_per_query, config.kind_filter, config.excluded_source))
+            return prepare_fit(config, train, val, corpus, store)
+
+        def counted_example(example, corpus, store):
+            prepared.append(example.query_id)
+            return prepare_example(example, corpus, store)
+
+        def counted_fit(config, *args):
+            fitted.append((config.docs_per_query, config.kind_filter, config.excluded_source))
+            return fit(config, *args)
+
+        monkeypatch.setattr(cli, "prepare_fit", counted_prepare)
+        monkeypatch.setattr(training, "prepare_example", counted_example)
+        monkeypatch.setattr(cli, "fit", counted_fit)
+        assert self._ablate(workdir, distilled, base_run, tmp_path / "grid.tsv") == 0
+        examples = io.load_distilled(distilled)
+        expected = [(docs, kind, source) for docs in (10, 20, 30) for kind in KindFilter
+                    for source in (None, *Source) if filter_examples(examples, kind, source)]
+        assert groups == expected and len(expected) < 45
+        assert fitted == [group for group in expected for _ in range(2)]
+        # a fit per cell prepared each kept example once per strategy
+        per_cell = 2 * sum(len(filter_examples(examples, kind, source))
+                           for _, kind, source in expected)
+        assert 2 * len(prepared) == per_cell
+
+    def test_ablate_writes_a_diverged_cell_as_nan(self, workdir, tmp_path, monkeypatch, capsys):
+        from distilrank import cli
+
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+        fit = cli.fit
+
+        def diverging(config, *args):
+            if config.strategy is ScoreStrategy.SINGLE_LOGIT:
+                raise NonFiniteError("training diverged at epoch 1, batch 0: non-finite loss")
+            return fit(config, *args)
+
+        monkeypatch.setattr(cli, "fit", diverging)
+        grid = tmp_path / "grid.tsv"
+        capsys.readouterr()
+        assert self._ablate(workdir, distilled, base_run, grid) == 0
+        rows = [line.split("\t") for line in grid.read_text().splitlines()[1:]]
+        assert len({tuple(r[:4]) for r in rows}) == 90
+        # the distilled set is BM25-only, so excluding BM25 skips a cell
+        trained = [r for r in rows if r[3] != Source.BM25.value]
+        failed = [r for r in trained if r[0] == ScoreStrategy.SINGLE_LOGIT.value]
+        assert failed and all(r[4:] == ["nan", "nan"] for r in failed)
+        assert all(0.0 <= float(r[4]) <= 1.0 and float(r[5]) >= 0.0
+                   for r in trained if r not in failed)
+        err = capsys.readouterr().err
+        assert err.count("failed") == len(failed)
+        for r in failed:
+            cell_no = rows.index(r) + 1
+            assert (f"[{cell_no}/90] failed, training diverged at epoch 1, batch 0: "
+                    "non-finite loss: " + "\t".join(r[:4])) in err
+
+    def test_ablate_ends_on_an_error_that_is_not_a_divergence(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        # a fault of the program, such as a shape mismatch, is no diverged cell
+        from distilrank import cli
+
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "fit", broken)
+        grid = tmp_path / "grid.tsv"
+        capsys.readouterr()
+        assert self._ablate(workdir, distilled, base_run, grid) == 2
+        assert not grid.exists()
+        err = capsys.readouterr().err
+        assert "operands could not be broadcast together" in err and "] failed, " not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_ablate_exits_2_when_every_trained_cell_diverges(self, workdir, tmp_path, capsys):
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+        grid = tmp_path / "grid.tsv"
+        capsys.readouterr()
+        assert self._ablate(workdir, distilled, base_run, grid, "--lr", "1e200") == 2
+        rows = [line.split("\t") for line in grid.read_text().splitlines()[1:]]
+        assert len(rows) == 90 and all(r[4:] == ["nan", "nan"] for r in rows)
+        err = capsys.readouterr().err
+        skipped = err.count("skipped, no training examples")
+        assert err.count("] failed, ") == 90 - skipped > 0
+        assert f"error: all {90 - skipped} trained cells failed, {skipped} skipped" in err
 
     def test_train_and_rerank_never_featurize_per_pair(self, workdir, tmp_path, monkeypatch):
         distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -13,7 +14,8 @@ FAST_RETRY = RetryPolicy(max_attempts=5, backoff_base=0.001, backoff_factor=1.0)
 
 
 class TestSettings:
-    """Retry and timeout settings under which every request would fail."""
+    """Teacher settings under which every request would fail, or the spend cap
+    and prices would be meaningless."""
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_attempts": 0}, "max_attempts must be >= 1, got 0"),
@@ -34,6 +36,30 @@ class TestSettings:
     def test_timeout_must_be_finite_and_positive(self, timeout):
         with pytest.raises(ValueError, match="timeout_s must be finite and > 0"):
             LlmConfig(endpoint="http://127.0.0.1:1/unused", timeout_s=timeout)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"budget_usd": float("nan")}, r"budget must be >= 0 \(inf for no cap\), got nan"),
+        ({"budget_usd": -1.0}, r"budget must be >= 0 \(inf for no cap\), got -1.0"),
+        ({"prompt_price_per_1k": float("nan")}, "prompt_price_per_1k must be finite and >= 0"),
+        ({"prompt_price_per_1k": float("inf")}, "prompt_price_per_1k must be finite and >= 0"),
+        ({"prompt_price_per_1k": -0.1}, "prompt_price_per_1k must be finite and >= 0"),
+        ({"completion_price_per_1k": float("nan")},
+         "completion_price_per_1k must be finite and >= 0"),
+        ({"completion_price_per_1k": float("-inf")},
+         "completion_price_per_1k must be finite and >= 0"),
+        ({"temperature": float("nan")}, "temperature must be finite and >= 0, got nan"),
+        ({"temperature": float("inf")}, "temperature must be finite and >= 0, got inf"),
+        ({"temperature": -0.5}, "temperature must be finite and >= 0, got -0.5"),
+    ])
+    def test_spend_and_sampling_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            LlmConfig(endpoint="http://127.0.0.1:1/unused", **kwargs)
+
+    def test_spend_and_sampling_boundaries_accepted(self):
+        config = LlmConfig(endpoint="http://127.0.0.1:1/unused", budget_usd=0.0, temperature=0.0,
+                           prompt_price_per_1k=0.0, completion_price_per_1k=0.0)
+        assert config.budget_usd == 0.0
+        assert LlmConfig(endpoint="http://127.0.0.1:1/unused").budget_usd == math.inf
 
 
 class _Script:

@@ -291,6 +291,27 @@ class TestFeatureStore:
         rows = FeatureStore(SMALL).take(np.empty(0, dtype=np.int64))
         assert rows.shape == (0, SMALL.hash_dim) and rows.nnz == 0
 
+    def test_repeated_request_gathers_nothing(self, monkeypatch):
+        # ablate's cells all request the same evaluation lists through model_score_fn
+        corpus = {"d1": "beta gamma", "d2": "gamma delta epsilon", "d3": "alpha"}
+        store = FeatureStore(SMALL)
+        first = store.rows("alpha gamma", ["d1", "d2", "d3"], corpus)
+        store.rows("other query", ["d2"], corpus)  # grows the store between the requests
+        takes = []
+        monkeypatch.setattr(store, "take", lambda ids: takes.append(ids))
+        again = store.rows("alpha gamma", ("d1", "d2", "d3"), corpus)
+        assert takes == []
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(first, name))
+
+    def test_other_document_order_gets_its_own_rows(self):
+        corpus = {"d1": "beta gamma", "d2": "gamma delta epsilon", "d3": "alpha"}
+        store = FeatureStore(SMALL)
+        store.rows("alpha gamma", ["d1", "d2", "d3"], corpus)
+        assert_rows_match_per_pair(store, "alpha gamma", ["d3", "d1", "d2"], corpus, SMALL)
+        assert_rows_match_per_pair(store, "alpha gamma", ["d3", "d1"], corpus, SMALL)
+        assert len(store) == 3
+
 
 def assert_rows_match_per_pair(store, query, doc_ids, corpus, config):
     """``store.rows`` equals the stacked per-pair `featurize` rows, bit for bit."""

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from dataclasses import fields, replace
@@ -8,7 +9,8 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distilrank.errors import DataError
+from distilrank import training
+from distilrank.errors import DataError, NonFiniteError
 from distilrank.scorer import (
     FeatureConfig,
     FeatureStore,
@@ -34,6 +36,7 @@ from distilrank.training import (
     fit,
     init_adam_state,
     prepare_example,
+    prepare_fit,
     ranknet_grad,
     ranknet_loss,
     stack_examples,
@@ -599,6 +602,53 @@ class TestFit:
         params = init_params(tiny_feature(), hidden=8, seed=0)
         with pytest.raises(DataError, match=examples[0].doc_ids[0]):
             fit(TrainConfig(epochs=1, docs_per_query=4), examples, [], corpus, params)
+
+
+class TestPreparedFit:
+    def test_both_strategies_on_one_preparation_match_two_fits(self):
+        # ablate prepares each (documents, kind, source) once for both strategies
+        corpus, examples = tiny_corpus_and_examples()
+        base = TrainConfig(epochs=2, batch_queries=4, docs_per_query=3, seed=9)
+        initial = init_params(tiny_feature(), hidden=8, seed=0)
+        store = FeatureStore(tiny_feature())
+        prepared = prepare_fit(base, examples, examples[:4], corpus, store)
+        before = copy.deepcopy(prepared)
+        for strategy in (ScoreStrategy.LOGIT_DIFFERENCE, ScoreStrategy.SINGLE_LOGIT):
+            config = replace(base, strategy=strategy)
+            shared, shared_history = fit(config, examples, examples[:4], corpus,
+                                         copy.deepcopy(initial), store, True, prepared)
+            fresh, fresh_history = fit(config, examples, examples[:4], corpus,
+                                       copy.deepcopy(initial))
+            for a, b in zip(shared.arrays(), fresh.arrays()):
+                np.testing.assert_array_equal(a, b)
+            assert shared_history == fresh_history  # bitwise-identical floats
+        for got, want in zip(prepared[:2], before[:2]):
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got.rows, name), getattr(want.rows, name))
+            np.testing.assert_array_equal(got.bounds, want.bounds)
+            np.testing.assert_array_equal(got.ranks, want.ranks)
+        np.testing.assert_array_equal(prepared[2], before[2])
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_diverged_fit_raises_non_finite_error(self):
+        corpus, examples = tiny_corpus_and_examples()
+        config = TrainConfig(epochs=3, batch_queries=4, docs_per_query=4, learning_rate=1e200)
+        with pytest.raises(NonFiniteError, match="training diverged at epoch"):
+            fit(config, examples, [], corpus, init_params(tiny_feature(), hidden=8, seed=0))
+
+    def test_other_errors_in_a_step_are_not_divergence(self, monkeypatch):
+        corpus, examples = tiny_corpus_and_examples()
+
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(training, "batch_loss_and_grads", broken)
+        with pytest.raises(ValueError, match="broadcast") as info:
+            fit(TrainConfig(epochs=1, docs_per_query=4), examples, [], corpus,
+                init_params(tiny_feature(), hidden=8, seed=0))
+        assert not isinstance(info.value, NonFiniteError)
 
 
 def dense_reference_fit(config, train_examples, val_examples, corpus, params):
