@@ -9,6 +9,7 @@ Run:  python3 demos/04_end_to_end_pipeline.py   (~10 seconds)
 
 from distilrank import (
     FeatureConfig,
+    FeatureStore,
     ScoreStrategy,
     Source,
     TrainConfig,
@@ -19,6 +20,7 @@ from distilrank import (
     fit,
     init_params,
     mock_llm,
+    prepare_fit,
     rerank_run,
     search_bm25,
     synth_benchmark,
@@ -46,7 +48,9 @@ print(f"labeled {len(result.examples)} training examples "
 params = init_params(FeatureConfig(hash_dim=1 << 14), hidden=64, seed=0)
 config = TrainConfig(batch_queries=8, docs_per_query=30, epochs=15, seed=42,
                      strategy=ScoreStrategy.LOGIT_DIFFERENCE)
-params, history = fit(config, result.examples, [], corpus, params)
+# filter, subsample and featurize the examples once, then train on the result
+prepared = prepare_fit(config, result.examples, [], corpus, FeatureStore(params.feature))
+params, history = fit(config, prepared, params)
 print(f"train loss: {history[0].train_loss:.2f} -> {history[-1].train_loss:.2f} "
       f"over {config.epochs} epochs")
 

@@ -60,6 +60,7 @@ from .training import (
     adamw_step,
     fit,
     init_adam_state,
+    prepare_fit,
     ranknet_grad,
     ranknet_loss,
     subsample_docs,

@@ -345,7 +345,6 @@ def _cmd_distill(args, opts: dict) -> int:
             endpoint=opts["llm.endpoint"],
             model=opts["llm.model"],
             temperature=opts["llm.temperature"],
-            max_in_flight=max_in_flight,
             retry=RetryPolicy(
                 max_attempts=opts["llm.retry_max_attempts"],
                 backoff_base=opts["llm.backoff_base"],
@@ -391,7 +390,9 @@ def _cmd_train(args, opts: dict) -> int:
                            _choice(KindFilter, opts["train.kind"]),
                            _source_or_none(opts["train.exclude_source"]))
     params = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
-    params, history = fit(config, train_examples, val_examples, corpus, params)
+    # no name holds the store or the preparation, so each is freed once it is done with
+    params, history = fit(config, prepare_fit(config, train_examples, val_examples, corpus,
+                                              FeatureStore(feature)), params)
     save_checkpoint(params, config.strategy, args.checkpoint)
     if args.history:
         io.save_text(args.history, write_history(history))
@@ -499,8 +500,10 @@ def _cmd_ablate(args, opts: dict) -> int:
     rows = ["strategy\tdocs\tkind\texcluded_source\tndcg\tfinal_train_loss\n"] + [""] * n_cells
     trained = failed = 0
     # grid.tsv lists the cells strategy by strategy, but they run group by group, so
-    # that the strategies of a (documents, kind, source) group share one preparation
-    for group_no, (docs, kind, source) in enumerate(groups):
+    # that the strategies of a (documents, kind, source) group share one preparation,
+    # and from the most documents down, so that the first group featurizes each pool
+    # whole and the smaller subsets find their pairs in the store
+    for group_no, (docs, kind, source) in sorted(enumerate(groups), key=lambda g: -g[1][0]):
         prepared = None  # frees the previous group's before this one's is made
         for i, strategy in enumerate(_ABLATION_STRATEGIES):
             cell_no = 1 + i * len(groups) + group_no
@@ -514,15 +517,16 @@ def _cmd_ablate(args, opts: dict) -> int:
             trained += 1
             config = _train_config(opts, args.seed, docs, strategy, kind, source)
             prepared = prepared or prepare_fit(config, train_examples, [], corpus, store)
+            stage = ""
             try:
                 # the grid reads the final loss only, so fit evaluates no other epoch
-                params, history = fit(config, train_examples, [], corpus,
-                                      copy.deepcopy(initial), store, False, prepared)
+                params, history = fit(config, prepared, copy.deepcopy(initial), False)
+                stage = "in the rerank, "
                 score_fn = model_score_fn(params, strategy, queries, corpus, store)
                 reranked = rerank_run(base_run, score_fn, k_in=k_in, k_out=k_in)
             except NonFiniteError as exc:  # a diverged cell fails alone, like a skipped one
                 failed += 1
-                print(f"[{cell_no}/{n_cells}] failed, {exc}: {cell}", file=sys.stderr)
+                print(f"[{cell_no}/{n_cells}] failed, {stage}{exc}: {cell}", file=sys.stderr)
                 continue
             report = evaluate_run(reranked, qrels, opts["eval.k"])
             rows[cell_no] = f"{cell}\t{report.mean:.6f}\t{history[-1].train_loss:.6f}\n"

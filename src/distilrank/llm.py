@@ -54,7 +54,6 @@ class LlmConfig:
     endpoint: str
     model: str = "gpt-3.5-turbo-16k-0613"
     temperature: float = 0.0
-    max_in_flight: int = 4
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     budget_usd: float = math.inf
     prompt_price_per_1k: float = 0.003
@@ -62,8 +61,6 @@ class LlmConfig:
     timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         # inf is the "no cap" default; nan would pass every cap check unseen

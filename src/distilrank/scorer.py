@@ -191,9 +191,10 @@ def forward_rows(
     Returns the hidden pre-activations (n, hidden), the relu activations
     (n, hidden) and the logits (n, 2); rejects non-finite logits.
     """
-    h_pre = rows @ params.w1 + params.b1
-    h = np.maximum(h_pre, 0.0)
-    z = h @ params.w2 + params.b2
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects the logits
+        h_pre = rows @ params.w1 + params.b1
+        h = np.maximum(h_pre, 0.0)
+        z = h @ params.w2 + params.b2
     if not np.all(np.isfinite(z)):
         raise NonFiniteError("forward pass produced non-finite logits")
     return h_pre, h, z

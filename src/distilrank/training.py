@@ -10,9 +10,10 @@ Per example the loss is summed over pairs; per batch it is averaged over
 queries, so histories are comparable only within one docs-per-query setting.
 
 Prepare, then train: `prepare_fit` does everything before the first epoch,
-and `fit` trains on its result, which it only reads. That result depends on
-no config field but the seed, documents per query, kind filter and excluded
-source, so the ablation grid's two strategies share one.
+and `fit` trains on its result alone, which it only reads. That result
+depends on no config field but the seed, documents per query, kind filter and
+excluded source, so the ablation grid's two strategies share one. It holds no
+reference to the `FeatureStore` it was gathered from.
 
 Active rows: `fit` trains only the rows of w1 that some prepared train or
 validation document touches, as one compacted block with its own AdamW state,
@@ -53,6 +54,7 @@ from scipy.special import expit
 
 from .errors import DataError, NonFiniteError
 from .scorer import (
+    FeatureConfig,
     FeatureStore,
     ScorerParams,
     ScoreStrategy,
@@ -110,17 +112,17 @@ def _check_permutation(ranking: np.ndarray, m: int) -> None:
         raise ValueError(f"ranking is not a permutation of 1..{m}")
 
 
-def _check_finite(scores: np.ndarray) -> None:
-    if not np.all(np.isfinite(scores)):
-        raise NonFiniteError("scores contain non-finite values")
+def _finite(values, message: str = "scores contain non-finite values"):
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(message)
+    return values
 
 
 def _checked(scores: Sequence[float], ranking: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=np.float64)
     r = np.asarray(ranking, dtype=np.int64)
     _check_permutation(r, s.shape[0])
-    _check_finite(s)
-    return s, r
+    return _finite(s), r
 
 
 def _pair_diffs(scores: np.ndarray, ranking: np.ndarray):
@@ -128,7 +130,8 @@ def _pair_diffs(scores: np.ndarray, ranking: np.ndarray):
     (shape (B, m)): each is (..., m, m)."""
     # mask[..., i, j] is True where document i is ranked strictly better than j
     mask = ranking[..., :, None] < ranking[..., None, :]
-    diff = scores[..., None, :] - scores[..., :, None]  # diff[..., i, j] = s_j - s_i
+    with np.errstate(over="ignore"):  # an infinite difference makes an infinite loss
+        diff = scores[..., None, :] - scores[..., :, None]  # diff[..., i, j] = s_j - s_i
     return mask, diff
 
 
@@ -332,10 +335,9 @@ def _ranknet(
 def batch_loss(params: ScorerParams, batch: ExampleStack, strategy: ScoreStrategy) -> float:
     """Mean over queries of the per-example pair-summed RankNet loss."""
     _, _, z = forward_rows(params, batch.rows)
-    scores = score_batch(z, strategy)
-    _check_finite(scores)
+    scores = _finite(score_batch(z, strategy))
     losses, _ = _ranknet(scores, batch, with_grads=False)
-    return sum(losses.tolist()) / len(batch)
+    return _finite(sum(losses.tolist()) / len(batch), "non-finite loss")
 
 
 def batch_loss_and_grads(
@@ -345,18 +347,18 @@ def batch_loss_and_grads(
     backpropagated through the scorer in one batched sparse forward and backward."""
     rows = batch.rows
     h_pre, h, z = forward_rows(params, rows)
-    scores = score_batch(z, strategy)
-    _check_finite(scores)
+    scores = _finite(score_batch(z, strategy))
     scale = 1.0 / len(batch)
     losses, ds = _ranknet(scores, batch, with_grads=True)
     total = 0.0
     for loss in losses.tolist():  # in example order, uncompensated (unlike sum on 3.12+)
         total += loss
     ds *= scale
-    dz = ds[:, None] * score_batch_grad(z, strategy)  # (n, 2)
-    dh_pre = (dz @ params.w2.T) * (h_pre > 0.0)
-    grads = [rows.T @ dh_pre, dh_pre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
-    return total * scale, grads
+    with np.errstate(over="ignore", invalid="ignore"):  # adamw_step rejects non-finite grads
+        dz = ds[:, None] * score_batch_grad(z, strategy)  # (n, 2)
+        dh_pre = (dz @ params.w2.T) * (h_pre > 0.0)
+        grads = [rows.T @ dh_pre, dh_pre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
+    return _finite(total * scale, "non-finite loss"), grads
 
 
 def filter_examples(
@@ -380,9 +382,13 @@ def prepare_fit(
     val_examples: Sequence[DistilledExample],
     corpus: Mapping[str, str],
     store: FeatureStore,
-) -> tuple[ExampleStack, ExampleStack, np.ndarray]:
+) -> tuple[ExampleStack, ExampleStack, np.ndarray, FeatureConfig]:
     """What `fit` trains on: the train and validation stacks, compacted to the
-    active block, and the w1 row of each block row."""
+    active block, the w1 row of each block row, and the store's feature config.
+
+    The kind filter and source exclusion apply to the training set only. Each
+    example is reduced to ``docs_per_query`` documents with a seed derived
+    from the config seed."""
     train_filtered = filter_examples(train_examples, config.kind_filter, config.excluded_source)
     if not train_filtered:
         raise DataError("no training examples left after kind/source filtering")
@@ -406,70 +412,57 @@ def prepare_fit(
     touched[val.rows.indices] = True
     active = np.flatnonzero(touched)
     position = np.cumsum(touched) - 1  # row of w1 -> its row in the active block
-    return _compact(train, position, active.size), _compact(val, position, active.size), active
+    return (_compact(train, position, active.size), _compact(val, position, active.size),
+            active, store.config)
 
 
 def fit(
     config: TrainConfig,
-    train_examples: Sequence[DistilledExample],
-    val_examples: Sequence[DistilledExample],
-    corpus: Mapping[str, str],
+    prepared: tuple[ExampleStack, ExampleStack, np.ndarray, FeatureConfig],
     params: ScorerParams,
-    store: FeatureStore | None = None,
     every_epoch: bool = True,
-    prepared: tuple[ExampleStack, ExampleStack, np.ndarray] | None = None,
 ) -> tuple[ScorerParams, list[HistoryRow]]:
-    """Train the scorer with RankNet + AdamW; deterministic given the seed.
+    """Train the scorer with RankNet + AdamW on what `prepare_fit` returned;
+    deterministic given the seed.
 
-    The kind filter and source exclusion apply to the training set only. Each
-    example is reduced to ``docs_per_query`` documents once, up front, with a
-    seed derived from the config seed. History row 0 holds the pre-training
-    losses; row e holds the losses after epoch e, all evaluated on the reduced
-    examples. With ``every_epoch`` False the history is the final row alone,
-    for a caller that reads no other: the losses are evaluated only there,
-    and training is unchanged, because evaluating them changes no state.
-
-    ``store`` supplies the features and must use ``params.feature``. Pass one
-    to share features across fits; without one, a store local to this call
-    featurizes each query's pairs in one batch and is freed before the first
-    epoch. ``prepared``, what `prepare_fit` returned for these arguments under
-    a config that may differ in its strategy, skips the preparation; fit only
-    reads it.
+    ``prepared`` may come from a config that differs from ``config`` in its
+    strategy alone, and its feature config must be ``params.feature``; fit
+    only reads it. History row 0 holds the pre-training losses; row e holds
+    the losses after epoch e, all evaluated on the prepared examples. With
+    ``every_epoch`` False the history is the final row alone, for a caller
+    that reads no other: the losses are evaluated only there, and training is
+    unchanged, because evaluating them changes no state. A non-finite loss,
+    score or gradient in an epoch's batches or in its history evaluation
+    raises `NonFiniteError` naming the epoch and where in it.
     """
-    if store is None:
-        store = FeatureStore(params.feature)
-    elif store.config != params.feature:
+    train, val, active, feature = prepared
+    if feature != params.feature:
         raise ValueError("the feature store and the scorer use different feature configs")
-    prepared = prepared or prepare_fit(config, train_examples, val_examples, corpus, store)
-    train, val, active = prepared
-    del store  # the loop reads only the stacks; a store made here is freed now
     rng = np.random.default_rng([config.seed, 2])
     full_w1 = params.w1
     params.w1 = full_w1[active]
 
-    def eval_losses() -> tuple[float, float]:
+    def history_row(epoch: int) -> HistoryRow:
         train_loss = batch_loss(params, train, config.strategy)
         val_loss = batch_loss(params, val, config.strategy) if len(val) else float("nan")
-        return train_loss, val_loss
+        return HistoryRow(epoch, train_loss, val_loss)
 
     state = init_adam_state(params.arrays())
     try:
-        history = [HistoryRow(0, *eval_losses())] if every_epoch or not config.epochs else []
+        history = [history_row(0)] if every_epoch or not config.epochs else []
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(train))
-            for batch_no, start in enumerate(range(0, len(order), config.batch_queries)):
-                batch = take_examples(train, order[start: start + config.batch_queries])
-                try:
-                    loss, grads = batch_loss_and_grads(params, batch, config.strategy)
-                    if not np.isfinite(loss):
-                        raise NonFiniteError("non-finite loss")
+            try:
+                for batch_no, start in enumerate(range(0, len(order), config.batch_queries)):
+                    where = f"batch {batch_no}"
+                    batch = take_examples(train, order[start: start + config.batch_queries])
+                    _, grads = batch_loss_and_grads(params, batch, config.strategy)
                     adamw_step(params.arrays(), grads, state, config)
-                except NonFiniteError as exc:
-                    raise NonFiniteError(
-                        f"training diverged at epoch {epoch}, batch {batch_no}: {exc}"
-                    ) from exc
-            if every_epoch or epoch == config.epochs:
-                history.append(HistoryRow(epoch, *eval_losses()))
+                if every_epoch or epoch == config.epochs:
+                    where = "in the history evaluation"
+                    history.append(history_row(epoch))
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"training diverged at epoch {epoch}, {where}: {exc}") from exc
     finally:
         block, params.w1 = params.w1, full_w1
         if config.weight_decay != 0.0 and state.t:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1082,7 +1083,8 @@ class TestPipelineThroughCli(object):
         monkeypatch.setattr(cli, "fit", counted_fit)
         assert self._ablate(workdir, distilled, base_run, tmp_path / "grid.tsv") == 0
         examples = io.load_distilled(distilled)
-        expected = [(docs, kind, source) for docs in (10, 20, 30) for kind in KindFilter
+        # from the most documents down, so that the smaller subsets find their pairs featurized
+        expected = [(docs, kind, source) for docs in (30, 20, 10) for kind in KindFilter
                     for source in (None, *Source) if filter_examples(examples, kind, source)]
         assert groups == expected and len(expected) < 45
         assert fitted == [group for group in expected for _ in range(2)]
@@ -1139,18 +1141,39 @@ class TestPipelineThroughCli(object):
         err = capsys.readouterr().err
         assert "operands could not be broadcast together" in err and "] failed, " not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_ablate_exits_2_when_every_trained_cell_diverges(self, workdir, tmp_path, capsys):
         distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
         grid = tmp_path / "grid.tsv"
         capsys.readouterr()
-        assert self._ablate(workdir, distilled, base_run, grid, "--lr", "1e200") == 2
+        assert self._ablate(workdir, distilled, base_run, grid, "--lr", "1e200") == 2  # 1 epoch
         rows = [line.split("\t") for line in grid.read_text().splitlines()[1:]]
         assert len(rows) == 90 and all(r[4:] == ["nan", "nan"] for r in rows)
         err = capsys.readouterr().err
         skipped = err.count("skipped, no training examples")
-        assert err.count("] failed, ") == 90 - skipped > 0
+        failed = [line for line in err.splitlines() if "] failed, " in line]
+        assert len(failed) == 90 - skipped > 0
+        # each line says where its cell diverged: in a batch or in the history evaluation
+        where = re.compile(r"\] failed, training diverged at epoch 1, "
+                           r"(batch \d+|in the history evaluation): ")
+        assert [line for line in failed if not where.search(line)] == []
         assert f"error: all {90 - skipped} trained cells failed, {skipped} skipped" in err
+
+    def test_ablate_names_a_cell_that_fails_in_its_rerank(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        from distilrank import cli
+
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+
+        def diverging(run, score_fn, **kwargs):
+            raise NonFiniteError("forward pass produced non-finite logits")
+
+        monkeypatch.setattr(cli, "rerank_run", diverging)
+        grid = tmp_path / "grid.tsv"
+        capsys.readouterr()
+        assert self._ablate(workdir, distilled, base_run, grid) == 2
+        failed = [line for line in capsys.readouterr().err.splitlines() if "] failed, " in line]
+        assert failed and all("] failed, in the rerank, forward pass produced non-finite "
+                              "logits: " in line for line in failed)
 
     def test_train_and_rerank_never_featurize_per_pair(self, workdir, tmp_path, monkeypatch):
         distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)

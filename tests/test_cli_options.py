@@ -73,7 +73,7 @@ def _pin(monkeypatch, argv, stop_at):
                  "intersection_matrix", "compose_rerank"):
         recorder(name)
     recorder("distill", lambda queries, retrieve, llm, **kw: retrieve(queries[0]))
-    recorder("fit", lambda config, train, val, corpus, params, *rest:
+    recorder("fit", lambda config, prepared, params, *rest:
              (params, [SimpleNamespace(train_loss=0.0)]))
     with pytest.raises(_Reached):
         dispatch(argv)
@@ -154,7 +154,6 @@ class TestDefaults:
             endpoint="http://127.0.0.1:1/never-contacted",
             model="gpt-3.5-turbo-16k-0613",
             temperature=0.0,
-            max_in_flight=4,
             retry=RetryPolicy(max_attempts=5, backoff_base=1.0, backoff_factor=2.0),
             budget_usd=math.inf,
             prompt_price_per_1k=0.003,
@@ -193,8 +192,9 @@ class TestDefaults:
         calls = _pin(monkeypatch, _argv(ws)["ablate"], "evaluate_run")
         assert calls["init_params"] == (
             (FeatureConfig(hash_dim=1 << 14, interaction_cap=16),), {"hidden": 32, "seed": 0})
+        # the grid trains its 30-document cells first
         assert calls["fit"][0][0] == TrainConfig(
-            batch_queries=8, docs_per_query=10, learning_rate=1e-3, epochs=5, seed=0,
+            batch_queries=8, docs_per_query=30, learning_rate=1e-3, epochs=5, seed=0,
             strategy=ScoreStrategy.LOGIT_DIFFERENCE, kind_filter=KindFilter.MIXED,
             excluded_source=None,
         )

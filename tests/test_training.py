@@ -476,12 +476,19 @@ def tiny_corpus_and_examples(n=12, m=4):
     return corpus, examples
 
 
+def prepare_and_fit(config, train_examples, val_examples, corpus, params, every_epoch=True):
+    """`prepare_fit` on a fresh store, then `fit`: what `distilrank train` does."""
+    prepared = prepare_fit(config, train_examples, val_examples, corpus,
+                           FeatureStore(params.feature))
+    return fit(config, prepared, params, every_epoch)
+
+
 class TestFit:
     def test_zero_epochs_returns_params_unchanged(self):
         corpus, examples = tiny_corpus_and_examples()
         params = init_params(tiny_feature(), hidden=8, seed=0)
         before = [a.copy() for a in params.arrays()]
-        params, history = fit(
+        params, history = prepare_and_fit(
             TrainConfig(epochs=0, batch_queries=4, docs_per_query=4),
             examples, [], corpus, params,
         )
@@ -495,7 +502,7 @@ class TestFit:
         runs = []
         for _ in range(2):
             params = init_params(tiny_feature(), hidden=8, seed=0)
-            _, history = fit(config, examples, examples[:4], corpus, params)
+            _, history = prepare_and_fit(config, examples, examples[:4], corpus, params)
             runs.append(history)
         assert runs[0] == runs[1]  # bitwise-identical floats
 
@@ -504,8 +511,8 @@ class TestFit:
         corpus, examples = tiny_corpus_and_examples()
         config = TrainConfig(epochs=epochs, batch_queries=4, docs_per_query=4, seed=9)
         (full, full_history), (final, final_history) = [
-            fit(config, examples, examples[:4], corpus,
-                init_params(tiny_feature(), hidden=8, seed=0), every_epoch=every_epoch)
+            prepare_and_fit(config, examples, examples[:4], corpus,
+                            init_params(tiny_feature(), hidden=8, seed=0), every_epoch)
             for every_epoch in (True, False)
         ]
         for a, b in zip(full.arrays(), final.arrays()):
@@ -528,7 +535,8 @@ class TestFit:
         monkeypatch.setattr(training, "prepare_example", counted)
         config = TrainConfig(epochs=1, batch_queries=4, docs_per_query=3,
                              kind_filter=KindFilter.CROPPED_ONLY)
-        fit(config, examples, examples[:3], corpus, init_params(tiny_feature(), hidden=8))
+        prepare_and_fit(config, examples, examples[:3], corpus,
+                        init_params(tiny_feature(), hidden=8))
         train = filter_examples(examples, KindFilter.CROPPED_ONLY, None)
         assert 0 < len(train) < len(examples)
         assert calls == [ex.query_id for ex in train + examples[:3]]
@@ -539,7 +547,7 @@ class TestFit:
         trained = []
         for val in ([], examples[:4]):
             params = init_params(tiny_feature(), hidden=8, seed=0)
-            params, history = fit(config, examples, val, corpus, params)
+            params, history = prepare_and_fit(config, examples, val, corpus, params)
             trained.append((params, history))
         np.testing.assert_array_equal(trained[0][0].w1, trained[1][0].w1)
         assert [h.train_loss for h in trained[0][1]] == [h.train_loss for h in trained[1][1]]
@@ -550,7 +558,7 @@ class TestFit:
     def test_both_strategies_terminate_finite(self, strategy):
         corpus, examples = tiny_corpus_and_examples()
         params = init_params(tiny_feature(), hidden=8, seed=0)
-        _, history = fit(
+        _, history = prepare_and_fit(
             TrainConfig(epochs=2, batch_queries=4, docs_per_query=4, strategy=strategy),
             examples, [], corpus, params,
         )
@@ -566,24 +574,23 @@ class TestFit:
     def test_empty_filtered_set_rejected(self):
         corpus, examples = tiny_corpus_and_examples()
         only_cropped = [ex for ex in examples if ex.kind is QueryKind.CROPPED]
-        params = init_params(tiny_feature(), hidden=8, seed=0)
         with pytest.raises(DataError):
-            fit(
-                TrainConfig(kind_filter=KindFilter.GENERATED_ONLY),
-                only_cropped, [], corpus, params,
-            )
+            prepare_fit(TrainConfig(kind_filter=KindFilter.GENERATED_ONLY),
+                        only_cropped, [], corpus, FeatureStore(tiny_feature()))
 
     def test_store_filled_by_an_earlier_fit_changes_nothing(self):
         corpus, examples = tiny_corpus_and_examples()
         config = TrainConfig(epochs=2, batch_queries=4, docs_per_query=3, seed=9)
         shared = FeatureStore(tiny_feature())
         # an earlier fit on other settings fills the shared store
-        fit(replace(config, docs_per_query=4, seed=1), examples, examples[:4], corpus,
-            init_params(tiny_feature(), hidden=8, seed=5), shared)
+        earlier = replace(config, docs_per_query=4, seed=1)
+        fit(earlier, prepare_fit(earlier, examples, examples[:4], corpus, shared),
+            init_params(tiny_feature(), hidden=8, seed=5))
         trained = []
         for store in (FeatureStore(tiny_feature()), shared):
             params = init_params(tiny_feature(), hidden=8, seed=0)
-            trained.append(fit(config, examples, examples[:4], corpus, params, store))
+            prepared = prepare_fit(config, examples, examples[:4], corpus, store)
+            trained.append(fit(config, prepared, params))
         (fresh, fresh_history), (reused, reused_history) = trained
         for a, b in zip(fresh.arrays(), reused.arrays()):
             np.testing.assert_array_equal(a, b)
@@ -591,17 +598,18 @@ class TestFit:
 
     def test_store_with_other_feature_config_rejected(self):
         corpus, examples = tiny_corpus_and_examples()
-        params = init_params(tiny_feature(), hidden=8, seed=0)
+        config = TrainConfig(epochs=1, docs_per_query=4)
+        prepared = prepare_fit(config, examples, [], corpus,
+                               FeatureStore(FeatureConfig(hash_dim=1 << 11)))
         with pytest.raises(ValueError, match="feature config"):
-            fit(TrainConfig(epochs=1, docs_per_query=4), examples, [], corpus, params,
-                FeatureStore(FeatureConfig(hash_dim=1 << 11)))
+            fit(config, prepared, init_params(tiny_feature(), hidden=8, seed=0))
 
     def test_missing_document_named(self):
         corpus, examples = tiny_corpus_and_examples()
         del corpus[examples[0].doc_ids[0]]
-        params = init_params(tiny_feature(), hidden=8, seed=0)
         with pytest.raises(DataError, match=examples[0].doc_ids[0]):
-            fit(TrainConfig(epochs=1, docs_per_query=4), examples, [], corpus, params)
+            prepare_fit(TrainConfig(epochs=1, docs_per_query=4), examples, [], corpus,
+                        FeatureStore(tiny_feature()))
 
 
 class TestPreparedFit:
@@ -610,15 +618,13 @@ class TestPreparedFit:
         corpus, examples = tiny_corpus_and_examples()
         base = TrainConfig(epochs=2, batch_queries=4, docs_per_query=3, seed=9)
         initial = init_params(tiny_feature(), hidden=8, seed=0)
-        store = FeatureStore(tiny_feature())
-        prepared = prepare_fit(base, examples, examples[:4], corpus, store)
+        prepared = prepare_fit(base, examples, examples[:4], corpus, FeatureStore(tiny_feature()))
         before = copy.deepcopy(prepared)
         for strategy in (ScoreStrategy.LOGIT_DIFFERENCE, ScoreStrategy.SINGLE_LOGIT):
             config = replace(base, strategy=strategy)
-            shared, shared_history = fit(config, examples, examples[:4], corpus,
-                                         copy.deepcopy(initial), store, True, prepared)
-            fresh, fresh_history = fit(config, examples, examples[:4], corpus,
-                                       copy.deepcopy(initial))
+            shared, shared_history = fit(config, prepared, copy.deepcopy(initial))
+            fresh, fresh_history = prepare_and_fit(config, examples, examples[:4], corpus,
+                                                   copy.deepcopy(initial))
             for a, b in zip(shared.arrays(), fresh.arrays()):
                 np.testing.assert_array_equal(a, b)
             assert shared_history == fresh_history  # bitwise-identical floats
@@ -628,15 +634,50 @@ class TestPreparedFit:
             np.testing.assert_array_equal(got.bounds, want.bounds)
             np.testing.assert_array_equal(got.ranks, want.ranks)
         np.testing.assert_array_equal(prepared[2], before[2])
+        assert prepared[3] == before[3] == tiny_feature()
 
 
 class TestDivergence:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_a_diverged_fit_raises_non_finite_error(self):
         corpus, examples = tiny_corpus_and_examples()
         config = TrainConfig(epochs=3, batch_queries=4, docs_per_query=4, learning_rate=1e200)
         with pytest.raises(NonFiniteError, match="training diverged at epoch"):
-            fit(config, examples, [], corpus, init_params(tiny_feature(), hidden=8, seed=0))
+            prepare_and_fit(config, examples, [], corpus,
+                            init_params(tiny_feature(), hidden=8, seed=0))
+
+    @pytest.mark.parametrize("every_epoch", [True, False])
+    def test_a_diverged_history_evaluation_names_its_epoch(self, monkeypatch, every_epoch):
+        # the last step of an epoch can leave parameters that only its history row reads
+        corpus, examples = tiny_corpus_and_examples()
+        config = TrainConfig(epochs=2, batch_queries=4, docs_per_query=4)
+        real, calls = training.batch_loss, []
+
+        def diverging_at_the_last(params, stack, strategy):
+            calls.append(stack)
+            if len(calls) == 1 + 2 * every_epoch:  # the row after epoch 2
+                raise NonFiniteError("forward pass produced non-finite logits")
+            return real(params, stack, strategy)
+
+        monkeypatch.setattr(training, "batch_loss", diverging_at_the_last)
+        with pytest.raises(NonFiniteError) as info:
+            prepare_and_fit(config, examples, [], corpus,
+                            init_params(tiny_feature(), hidden=8, seed=0), every_epoch)
+        assert str(info.value) == ("training diverged at epoch 2, in the history evaluation: "
+                                   "forward pass produced non-finite logits")
+
+    def test_overflowing_scores_raise_without_a_warning(self, recwarn):
+        corpus, examples = tiny_corpus_and_examples()
+        params = init_params(tiny_feature(), hidden=8, seed=0)
+        batch, _, _, _ = prepare_fit(TrainConfig(docs_per_query=4), examples, [], corpus,
+                                     FeatureStore(tiny_feature()))
+        params.w1 = np.full((batch.rows.shape[1], 8), 1e200)
+        params.w2 = np.full((8, 2), 1e200)
+        for call in (forward_rows, batch_loss, batch_loss_and_grads):
+            args = (params, batch.rows) if call is forward_rows else (
+                params, batch, ScoreStrategy.LOGIT_DIFFERENCE)
+            with pytest.raises(NonFiniteError):
+                call(*args)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_other_errors_in_a_step_are_not_divergence(self, monkeypatch):
         corpus, examples = tiny_corpus_and_examples()
@@ -646,8 +687,8 @@ class TestDivergence:
 
         monkeypatch.setattr(training, "batch_loss_and_grads", broken)
         with pytest.raises(ValueError, match="broadcast") as info:
-            fit(TrainConfig(epochs=1, docs_per_query=4), examples, [], corpus,
-                init_params(tiny_feature(), hidden=8, seed=0))
+            prepare_and_fit(TrainConfig(epochs=1, docs_per_query=4), examples, [], corpus,
+                            init_params(tiny_feature(), hidden=8, seed=0))
         assert not isinstance(info.value, NonFiniteError)
 
 
@@ -724,7 +765,8 @@ class TestActiveRowFit:
 
         ref, ref_history, steps = dense_reference_fit(
             config, train, val, corpus, init_params(tiny_feature(), hidden=8, seed=0))
-        got, history = fit(config, train, val, corpus, init_params(tiny_feature(), hidden=8, seed=0))
+        got, history = prepare_and_fit(config, train, val, corpus,
+                                       init_params(tiny_feature(), hidden=8, seed=0))
 
         assert steps == 9
         for a, b in zip(got.arrays(), ref.arrays()):
