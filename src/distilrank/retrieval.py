@@ -11,6 +11,8 @@ BM25 uses the Lucene idf variant with Anserini's MS MARCO defaults
 The index keeps its postings as CSR arrays and precomputes each posting's
 term (its impact) at build time, so a search is one scatter-add of the query
 tokens' impacts (eager sparse scoring, as in BM25S, arXiv:2407.03618). The
+build tokenizes each document once and counts all postings in one numpy
+pass (``np.unique`` over ``term row * N + ordinal``). The
 dense store is one (N, d) matrix, so a search is one matrix-vector product.
 
 Ties are broken by ascending doc_id so all searches are reproducible.
@@ -155,31 +157,29 @@ def build_index(
     k1: float = 0.9,
     b: float = 0.4,
 ) -> InvertedIndex:
-    """Build an inverted index over the corpus; deterministic for fixed input order."""
+    """Build an inverted index over the corpus; deterministic for fixed input order.
+
+    Terms get their rows in order of first occurrence. Each token occurrence
+    becomes the key ``row * N + ordinal``, and one ``np.unique`` over the keys
+    gives the postings sorted by row, then by ordinal, with their tfs.
+    """
     rows: dict[str, int] = {}
+    setdefault = rows.setdefault
     term_rows: list[int] = []
-    ordinals: list[int] = []
-    tfs: list[int] = []
     doc_lengths: list[int] = []
     doc_ids: list[str] = []
-    for ordinal, doc in enumerate(corpus):
+    for doc in corpus:
         tokens = tokenize(doc.text, tokenizer)
         doc_ids.append(doc.doc_id)
         doc_lengths.append(len(tokens))
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        for token, tf in counts.items():
-            term_rows.append(rows.setdefault(token, len(rows)))
-            ordinals.append(ordinal)
-            tfs.append(tf)
-    # a stable sort by term row keeps each row's ordinals ascending
-    term_rows_arr = np.array(term_rows, dtype=np.int64)
-    by_row = np.argsort(term_rows_arr, kind="stable")
+        term_rows += [setdefault(t, len(rows)) for t in tokens]
+    n = max(len(doc_ids), 1)
+    keys = np.array(term_rows, dtype=np.int64) * n
+    keys += np.repeat(np.arange(len(doc_ids), dtype=np.int64), doc_lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(term_rows_arr, minlength=len(rows)), out=offsets[1:])
-    postings = Postings(rows, offsets, np.array(ordinals, dtype=np.int32)[by_row],
-                        np.array(tfs, dtype=np.int32)[by_row])
+    np.cumsum(np.bincount(keys // n, minlength=len(rows)), out=offsets[1:])
+    postings = Postings(rows, offsets, keys % n, tfs)
     return InvertedIndex(postings=postings, doc_lengths=doc_lengths, doc_ids=doc_ids,
                          k1=k1, b=b, tokenizer=tokenizer)
 
@@ -239,7 +239,14 @@ _NPZ_MAGIC = b"PK\x03\x04"
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Write the index as an uncompressed ``.npz`` archive at exactly ``path``."""
+    """Write the index as an uncompressed ``.npz`` archive at exactly ``path``.
+
+    A doc_id ending in NUL is refused before the file is opened: numpy's str
+    arrays drop trailing NULs, so it would read back as another id.
+    """
+    for doc_id in index.doc_ids:
+        if doc_id.endswith("\0"):
+            raise DataError(f"doc_id {doc_id!r} ends in NUL, which an index file cannot hold")
     postings = index.postings
     with open(path, "wb") as f:  # a file handle, because np.savez(path) appends ".npz"
         np.savez(

@@ -1,4 +1,11 @@
-"""Unicode-alphanumeric-run tokenizer used by indexing, cropping, and featurization."""
+"""Unicode-alphanumeric-run tokenizer used by indexing, cropping, and featurization.
+
+A token is a maximal run of characters for which ``str.isalnum`` holds
+(``[^\\W_]``). ASCII text, after lowercasing, takes a fast path: one
+``bytes.translate`` maps every byte outside ``[0-9A-Za-z]`` to a space and
+``split`` cuts the runs. For ASCII, ``[^\\W_]`` is exactly ``[0-9A-Za-z]``,
+so both paths give the same tokens; any other text goes through the regex.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +14,9 @@ from dataclasses import dataclass
 
 # Maximal runs of Unicode alphanumerics (\w minus underscore).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# Keeps the ASCII alphanumerics and turns every other byte into a space.
+_ASCII_RUNS = bytes(b if b < 128 and chr(b).isalnum() else ord(" ") for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -19,7 +29,10 @@ def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str
     """Split text into alphanumeric runs; idempotent under space-join of its output."""
     if config.lowercase:
         text = text.lower()
-    tokens = _TOKEN_RE.findall(text)
+    if text.isascii():
+        tokens = text.encode("ascii").translate(_ASCII_RUNS).decode("ascii").split()
+    else:
+        tokens = _TOKEN_RE.findall(text)
     if config.min_token_len > 1:
         tokens = [t for t in tokens if len(t) >= config.min_token_len]
     return tokens

@@ -325,7 +325,7 @@ def test_criterion_9_end_to_end_distillation(e2e):
     student = evaluate_run(io.load_run(f"{root}/reranked.trec"), qrels, 10)
 
     history = [line.split("\t") for line in
-               open(f"{root}/history.tsv").read().splitlines()[1:]]
+               Path(f"{root}/history.tsv").read_text().splitlines()[1:]]
     initial_loss = float(history[0][1])
     final_loss = float(history[-1][1])
 

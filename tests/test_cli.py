@@ -145,6 +145,15 @@ class TestDispatchBasics:
             "index", "build", "--corpus", str(bad), "--out", str(tmp_path / "i.json"),
         ]) == 2
 
+    def test_doc_id_ending_in_nul_refused(self, tmp_path, capsys):
+        # an index file would read the id back as "d1", a document not in the corpus
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"doc_id": "d1\u0000", "text": "apple pie"}) + "\n")
+        out = tmp_path / "index.npz"
+        assert dispatch(["index", "build", "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert "'d1\\x00'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert dispatch([
             "index", "build", "--corpus", str(tmp_path / "absent.jsonl"),

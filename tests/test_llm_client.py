@@ -102,6 +102,7 @@ def server():
     thread.start()
     yield script, f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions"
     httpd.shutdown()
+    httpd.server_close()
 
 
 MESSAGES = [{"role": "user", "content": "rank these passages"}]

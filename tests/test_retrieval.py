@@ -1,9 +1,12 @@
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from distilrank.errors import DataError
 from distilrank.retrieval import (
@@ -20,6 +23,7 @@ from distilrank.retrieval import (
     search_bm25,
     search_dense,
 )
+from distilrank import retrieval
 from distilrank.tokenization import tokenize
 from distilrank.types import Document
 
@@ -49,6 +53,40 @@ class TestBuildIndex:
         for k1 in (math.nan, math.inf):  # would score every document nan or drop it
             with pytest.raises(DataError):
                 build_index(docs("a"), k1=k1)
+
+    @given(st.lists(st.one_of(
+        st.text(max_size=40),
+        st.lists(st.sampled_from(["a", "A", "b", "c d", "", "é", "Ä"]), max_size=12).map(" ".join),
+    ), max_size=12))
+    @example([])
+    @example(["", "a a a", "", "b a", "é É e"])
+    def test_matches_counting_oracle(self, texts):
+        corpus = docs(*texts)
+        with mock.patch.object(retrieval, "tokenize", wraps=tokenize) as spy:
+            index = build_index(corpus)
+        assert spy.call_count == len(corpus)
+        # the reference: count each document's tokens, then sort the
+        # postings stably by term row
+        rows, term_rows, ordinals, tfs, doc_lengths = {}, [], [], [], []
+        for ordinal, doc in enumerate(corpus):
+            tokens = tokenize(doc.text)
+            doc_lengths.append(len(tokens))
+            counts = {}
+            for t in tokens:
+                counts[t] = counts.get(t, 0) + 1
+            for token, tf in counts.items():
+                term_rows.append(rows.setdefault(token, len(rows)))
+                ordinals.append(ordinal)
+                tfs.append(tf)
+        by_row = np.argsort(np.array(term_rows, dtype=np.int64), kind="stable")
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(term_rows, minlength=len(rows)))])
+        postings = index.postings
+        assert list(postings.rows.items()) == list(rows.items())
+        np.testing.assert_array_equal(postings.offsets, offsets)
+        np.testing.assert_array_equal(postings.ordinals, np.array(ordinals, dtype=np.int32)[by_row])
+        np.testing.assert_array_equal(postings.tfs, np.array(tfs, dtype=np.int32)[by_row])
+        np.testing.assert_array_equal(index.doc_lengths, doc_lengths)
+        assert index.doc_ids == [d.doc_id for d in corpus]
 
 
 class TestBm25Score:
