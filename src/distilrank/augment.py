@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .io import records, require_new
+from .io import repeated, wrong_columns
 from .tokenization import TokenizerConfig, tokenize
 from .types import SOURCES, DistilledExample, Document, Query, QueryKind, Source
 
@@ -78,7 +78,17 @@ def crop_sentences(
 
 def parse_generated_pool(lines: Iterable[str]) -> list[tuple[str, str]]:
     """Parse a generated-query pool: TSV doc_id<TAB>query_text, one query per line."""
-    return [(doc_id, text) for _, (doc_id, text) in records(lines, "generated pool", 2)]
+    pool: list[tuple[str, str]] = []
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        fields = line.rstrip("\n").split("\t")
+        try:
+            doc_id, text = fields
+        except ValueError:
+            raise wrong_columns("generated pool", lineno, 2, fields) from None
+        pool.append((doc_id, text))
+    return pool
 
 
 def load_generated(lines: Iterable[str], n: int = 10_000, seed: int = 0) -> list[Query]:
@@ -118,8 +128,17 @@ def parse_assignment(lines: Iterable[str]) -> dict[str, Source]:
     """Parse query_id<TAB>source lines; each query may be assigned once."""
     assignment: dict[str, Source] = {}
     line_of: dict[str, int] = {}
-    for lineno, (query_id, source) in records(lines, "assignment", 2):
-        require_new(line_of, query_id, lineno, "assignment", "query", "assigned")
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        fields = line.rstrip("\n").split("\t")
+        try:
+            query_id, source = fields
+        except ValueError:
+            raise wrong_columns("assignment", lineno, 2, fields) from None
+        first = line_of.setdefault(query_id, lineno)
+        if first != lineno:
+            raise repeated("assignment", lineno, "query", query_id, first, "assigned")
         try:
             assignment[query_id] = Source(source)
         except ValueError:

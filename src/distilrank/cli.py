@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
+import math
 import sys
 from pathlib import Path
 
@@ -109,9 +111,24 @@ def _source_or_none(name: str) -> Source | None:
 def _load_per_query_tsv(path: str) -> dict[str, float]:
     values: dict[str, float] = {}
     line_of: dict[str, int] = {}
-    for lineno, (query_id, raw) in io.records(io.lines_of(path), path, 2):
-        io.require_new(line_of, query_id, lineno, path, "query")
-        values[query_id] = io.number(raw, path, lineno, "value")
+    for lineno, line in enumerate(io.lines_of(path), 1):
+        if line.isspace() or not line:
+            continue
+        fields = line.rstrip("\n").split("\t")
+        try:
+            query_id, raw = fields
+        except ValueError:
+            raise io.wrong_columns(path, lineno, 2, fields) from None
+        first = line_of.setdefault(query_id, lineno)
+        if first != lineno:
+            raise io.repeated(path, lineno, "query", query_id, first)
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise io.bad_number(path, lineno, "value", raw)
+        values[query_id] = value
     return values
 
 
@@ -707,9 +724,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser tree, built on the first dispatch and reused by every later
+    one: argparse keeps no state between parses, and every parse starts from
+    a new namespace filled with the declared defaults. The tree holds each
+    subcommand's handler as it was when the tree was built."""
+    return build_parser()
+
+
 def dispatch(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the process exit status."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .errors import BudgetError, DataError, JournalError
-from .io import _example_from_obj, _example_to_obj, json_record
+from .io import RECORD_ERRORS, _example_from_obj, _example_to_obj, malformed
 from .llm import LlmClient, Message
 from .types import DistilledExample, Query, Source
 
@@ -257,7 +257,11 @@ def read_journal(path: str | Path) -> dict[str, DistilledExample]:
         for i, line in enumerate(lines):
             checksum, sep, payload = line.partition(b"\t")
             if sep and hashlib.sha256(payload).hexdigest()[:12].encode("ascii") == checksum:
-                example = json_record(payload.decode("utf-8"), "journal", i + 1, _example_from_obj)
+                text = payload.decode("utf-8")
+                try:
+                    example = _example_from_obj(json.loads(text))
+                except RECORD_ERRORS as exc:
+                    raise malformed("journal", i + 1, exc) from exc
                 completed.setdefault(example.query_id, example)
             elif i == len(lines) - 1 and not raw.endswith(b"\n"):
                 logger.warning("dropping torn final journal line %d", i + 1)

@@ -1,14 +1,28 @@
-"""Codecs for the pipeline's files, and the record reader that every
-line-oriented input goes through.
+"""Codecs for the pipeline's files.
 
-records() splits each non-blank line into a fixed number of fields, on tabs
-or (for TREC files) on any whitespace; json_records() parses each non-blank
-line as one JSON object. number() parses a field as a finite number, and
-require_new() rejects a repeated key. Each DataError they raise names the
-kind of file and the line, and a repeated key also names its first line.
+Every line-oriented reader has one shape: a single loop over
+``enumerate(lines, 1)`` that skips a blank line (empty or whitespace only),
+splits the line, and converts and checks its fields inline. A JSON line is
+parsed with ``json.loads``; a TSV line is split on tabs after its newline is
+stripped, so a field may hold spaces; a TREC line is split on any
+whitespace. A reader reads ``lines`` once, keeping what a later error must
+name (such as the first line of each key), so it takes a one-shot iterator
+such as ``lines_of(path)`` as well as a list.
+
+Every message a reader raises is worded once, by the functions below. They
+run only when a line is rejected, and each DataError names the kind of file
+and the line:
+
+  wrong_columns() a line with the wrong number of fields
+  malformed()     a JSON line that does not parse, lacks a field or holds a
+                  value of the wrong type (RECORD_ERRORS are the exceptions
+                  turned into it)
+  bad_number()    a field that is not a number, or a number that is not finite
+  repeated()      a key given before, with the line of its first appearance
 
 Formats read here (README "Input files" lists every line format):
-  corpus.jsonl    {"doc_id": ..., "text": ...} per line; doc_id unique
+  corpus.jsonl    {"doc_id": ..., "text": ...} per line, both strings; doc_id
+                  unique
   queries.tsv     query_id<TAB>text<TAB>kind, kind in {cropped, generated};
                   query_id unique
   run files       TREC 6-column: qid Q0 docid rank score tag; per query, ranks
@@ -19,6 +33,7 @@ Formats read here (README "Input files" lists every line format):
                   a non-negative integer rel (a repeat names the pair, not its
                   first line, so the parse keeps no line map)
   distilled.jsonl one JSON object per line with all DistilledExample fields;
+                  query_id and query_text strings, doc_ids a list of strings;
                   query_id unique
 
 Canonical run text uses a single space separator, %.6f scores, and queries
@@ -29,14 +44,26 @@ every line of x carries that tag.
 from __future__ import annotations
 
 import json
-import math
+from math import isfinite, nan
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Hashable, Iterable, Iterator
 
 from .errors import DataError
-from .types import DistilledExample, Document, Qrels, Query, QueryKind, Run, ScoredDoc, Source, validate_run
+from .types import (
+    DistilledExample,
+    Document,
+    Qrels,
+    Query,
+    QueryKind,
+    Run,
+    ScoredDoc,
+    Source,
+    not_a_string,
+    validate_run,
+)
 
-T = TypeVar("T")
+# the exceptions a JSON record's parse or build raises for a malformed line
+RECORD_ERRORS = (KeyError, TypeError, ValueError, DataError)
 
 
 def lines_of(path: str | Path) -> Iterator[str]:
@@ -45,68 +72,44 @@ def lines_of(path: str | Path) -> Iterator[str]:
         yield from f
 
 
-def records(lines: Iterable[str], what: str, n_fields: int,
-            sep: str | None = "\t") -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each non-blank line, split on sep.
-
-    ``sep=None`` splits on runs of whitespace (TREC runs and qrels); otherwise
-    only the newline is stripped, so a field may hold spaces.
-    """
-    for lineno, line in enumerate(lines, 1):
-        if sep is None:
-            fields = line.split()
-            if not fields:
-                continue
-        elif line.strip():
-            fields = line.rstrip("\n").split(sep)
-        else:
-            continue
-        if len(fields) != n_fields:
-            raise DataError(f"{what} line {lineno}: expected {n_fields} columns, got {len(fields)}")
-        yield lineno, fields
+def wrong_columns(what: str, lineno: int, n_fields: int, fields: list[str]) -> DataError:
+    return DataError(f"{what} line {lineno}: expected {n_fields} columns, got {len(fields)}")
 
 
-def json_record(text: str, what: str, lineno: int, build: Callable[[dict], T]) -> T:
-    """build(the JSON object in text); any failure is a DataError naming the line."""
+def malformed(what: str, lineno: int, reason: object) -> DataError:
+    return DataError(f"{what} line {lineno}: malformed record ({reason})")
+
+
+def bad_number(what: str, lineno: int, field: str, raw: str, kind: type = float) -> DataError:
+    """The error for a field that does not parse as ``kind``, or parses as a
+    float that is not finite."""
     try:
-        return build(json.loads(text))
-    except (KeyError, TypeError, ValueError, DataError) as exc:
-        raise DataError(f"{what} line {lineno}: malformed record ({exc})") from exc
-
-
-def json_records(lines: Iterable[str], what: str,
-                 build: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
-    """Yield (line number, json_record(line)) for each non-blank JSON line."""
-    for lineno, line in enumerate(lines, 1):
-        if line.strip():
-            yield lineno, json_record(line, what, lineno, build)
-
-
-def number(raw: str, what: str, lineno: int, field: str, kind: type = float) -> float:
-    """raw parsed as a finite float (or an int); a DataError naming the line otherwise."""
-    try:
-        value = kind(raw)
+        kind(raw)
     except ValueError:
-        raise DataError(f"{what} line {lineno}: non-numeric {field} {raw!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise DataError(f"{what} line {lineno}: non-finite {field} {raw!r}")
-    return value
+        return DataError(f"{what} line {lineno}: non-numeric {field} {raw!r}")
+    return DataError(f"{what} line {lineno}: non-finite {field} {raw!r}")
 
 
-def require_new(line_of: dict, key: Hashable, lineno: int, what: str, noun: str,
-                verb: str = "given") -> None:
-    """Record key's first line in line_of; a repeated key is a DataError naming both lines."""
-    first = line_of.setdefault(key, lineno)
-    if first != lineno:
-        raise DataError(f"{what} line {lineno}: {noun} {key!r} already {verb} on line {first}")
+def repeated(what: str, lineno: int, noun: str, key: Hashable, first: int,
+             verb: str = "given") -> DataError:
+    return DataError(f"{what} line {lineno}: {noun} {key!r} already {verb} on line {first}")
 
 
 def parse_corpus(lines: Iterable[str]) -> list[Document]:
     """Parse corpus.jsonl lines; each doc_id may appear once."""
     line_of: dict[str, int] = {}
     docs: list[Document] = []
-    for lineno, doc in json_records(lines, "corpus", lambda o: Document(o["doc_id"], o["text"])):
-        require_new(line_of, doc.doc_id, lineno, "corpus", "doc_id")
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        try:
+            obj = json.loads(line)
+            doc = Document(obj["doc_id"], obj["text"])
+        except RECORD_ERRORS as exc:
+            raise malformed("corpus", lineno, exc) from exc
+        first = line_of.setdefault(doc.doc_id, lineno)
+        if first != lineno:
+            raise repeated("corpus", lineno, "doc_id", doc.doc_id, first)
         docs.append(doc)
     return docs
 
@@ -121,8 +124,17 @@ def parse_queries(lines: Iterable[str]) -> list[Query]:
     """Parse queries.tsv lines into Query values; each query_id may appear once."""
     line_of: dict[str, int] = {}
     queries: list[Query] = []
-    for lineno, (query_id, text, kind) in records(lines, "queries", 3):
-        require_new(line_of, query_id, lineno, "queries", "query")
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        fields = line.rstrip("\n").split("\t")
+        try:
+            query_id, text, kind = fields
+        except ValueError:
+            raise wrong_columns("queries", lineno, 3, fields) from None
+        first = line_of.setdefault(query_id, lineno)
+        if first != lineno:
+            raise repeated("queries", lineno, "query", query_id, first)
         try:
             queries.append(Query(query_id=query_id, text=text, kind=QueryKind(kind)))
         except ValueError:
@@ -138,10 +150,25 @@ def read_run(lines: Iterable[str]) -> Run:
     """Parse a TREC run file into ranked lists; ranks must be 1..n per query,
     and validate_run's per-query invariants hold."""
     ranked: dict[str, list[tuple[int, ScoredDoc]]] = {}
-    for lineno, (qid, _q0, docid, rank, score, _tag) in records(lines, "run", 6, sep=None):
-        ranked.setdefault(qid, []).append((
-            number(rank, "run", lineno, "rank", int),
-            ScoredDoc(docid, number(score, "run", lineno, "score"))))
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        fields = line.split()
+        try:
+            qid, _q0, docid, raw_rank, raw_score, _tag = fields
+        except ValueError:
+            raise wrong_columns("run", lineno, 6, fields) from None
+        try:
+            rank = int(raw_rank)
+        except ValueError:
+            raise bad_number("run", lineno, "rank", raw_rank, int) from None
+        try:
+            score = float(raw_score)
+        except ValueError:
+            score = nan
+        if not isfinite(score):
+            raise bad_number("run", lineno, "score", raw_score)
+        ranked.setdefault(qid, []).append((rank, ScoredDoc(docid, score)))
     run: Run = {}
     for qid, entries in ranked.items():
         entries.sort(key=lambda e: e[0])
@@ -164,13 +191,24 @@ def write_run(run: Run, tag: str) -> str:
 def read_qrels(lines: Iterable[str]) -> Qrels:
     """Parse TREC qrels; duplicate pairs and negative grades are rejected."""
     qrels: Qrels = {}
-    for lineno, (qid, _iter, docid, rel) in records(lines, "qrels", 4, sep=None):
-        grade = number(rel, "qrels", lineno, "relevance", int)
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        fields = line.split()
+        try:
+            qid, _iter, docid, rel = fields
+        except ValueError:
+            raise wrong_columns("qrels", lineno, 4, fields) from None
+        try:
+            grade = int(rel)
+        except ValueError:
+            raise bad_number("qrels", lineno, "relevance", rel, int) from None
         if grade < 0:
             raise DataError(f"qrels line {lineno}: negative relevance grade {grade}")
-        if (qid, docid) in qrels:
+        key = (qid, docid)
+        if key in qrels:
             raise DataError(f"qrels line {lineno}: duplicate pair ({qid}, {docid})")
-        qrels[(qid, docid)] = grade
+        qrels[key] = grade
     return qrels
 
 
@@ -192,12 +230,21 @@ def _example_to_obj(ex: DistilledExample) -> dict:
 
 
 def _example_from_obj(obj: dict) -> DistilledExample:
+    """The example of one distilled or journal JSON object; a field of the
+    wrong type is a TypeError."""
+    query_id, query_text, doc_ids = obj["query_id"], obj["query_text"], obj["doc_ids"]
+    if not isinstance(query_id, str):
+        raise not_a_string("query_id", query_id)
+    if not isinstance(query_text, str):
+        raise not_a_string("query_text", query_text)
+    if type(doc_ids) is not list or not set(map(type, doc_ids)) <= {str}:
+        raise TypeError(f"doc_ids {doc_ids!r} is not a list of strings")
     return DistilledExample(
-        query_id=obj["query_id"],
-        query_text=obj["query_text"],
+        query_id=query_id,
+        query_text=query_text,
         kind=QueryKind(obj["kind"]),
         source_retriever=Source(obj["source_retriever"]),
-        doc_ids=tuple(obj["doc_ids"]),
+        doc_ids=tuple(doc_ids),
         llm_ranking=tuple(obj["llm_ranking"]),
         raw_response=obj.get("raw_response", ""),
         repaired=bool(obj.get("repaired", False)),
@@ -214,8 +261,16 @@ def read_distilled(lines: Iterable[str]) -> list[DistilledExample]:
     """Parse distilled.jsonl; rankings that are not permutations are rejected."""
     line_of: dict[str, int] = {}
     examples: list[DistilledExample] = []
-    for lineno, ex in json_records(lines, "distilled", _example_from_obj):
-        require_new(line_of, ex.query_id, lineno, "distilled", "query")
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        try:
+            ex = _example_from_obj(json.loads(line))
+        except RECORD_ERRORS as exc:
+            raise malformed("distilled", lineno, exc) from exc
+        first = line_of.setdefault(ex.query_id, lineno)
+        if first != lineno:
+            raise repeated("distilled", lineno, "query", ex.query_id, first)
         examples.append(ex)
     return examples
 

@@ -20,6 +20,7 @@ Ties are broken by ascending doc_id so all searches are reproducible.
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 import zipfile
@@ -30,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .io import json_records, number, records, require_new
+from .io import RECORD_ERRORS, bad_number, malformed, repeated, wrong_columns
 from .tokenization import TokenizerConfig, tokenize
-from .types import Document, Run, ScoredDoc, validate_run
+from .types import Document, Run, ScoredDoc, not_a_string, validate_run
 
 
 class Postings(Mapping):
@@ -309,30 +310,66 @@ class DenseStore:
         self.doc_rank = _ranks(self.doc_ids)
 
 
-def _dense_row(obj: dict) -> tuple[str, np.ndarray]:
-    doc_id = obj["doc_id"]
-    if not isinstance(doc_id, str):
-        raise TypeError(f"doc_id {doc_id!r} is not a string")
-    vec = np.asarray(obj["vector"], dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValueError("vector is not one-dimensional")
-    if not np.isfinite(vec).all():
-        raise ValueError("vector has a non-finite component")
-    return doc_id, vec
+def _first_bad_vector(linenos: list[int], doc_ids: list[str], vectors: list) -> DataError | None:
+    """The error of the first row that fails the per-row checks, in file
+    order: its vector is not a finite 1-D number list, its length is not the
+    first row's, or its doc_id came before. Only a rejected store gets here."""
+    line_of: dict[str, int] = {}
+    dimension = None
+    for lineno, doc_id, vector in zip(linenos, doc_ids, vectors):
+        try:
+            row = np.asarray(vector, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return malformed("dense store", lineno, exc)
+        if row.ndim != 1:
+            return malformed("dense store", lineno, "vector is not one-dimensional")
+        if not np.isfinite(row).all():
+            return malformed("dense store", lineno, "vector has a non-finite component")
+        if dimension is None:
+            dimension = row.shape[0]
+        elif row.shape[0] != dimension:
+            return DataError(f"dense store line {lineno}: dimension {row.shape[0]} != {dimension}")
+        first = line_of.setdefault(doc_id, lineno)
+        if first != lineno:
+            return repeated("dense store", lineno, "doc_id", doc_id, first)
+    return None
 
 
 def load_dense_store(lines: Iterable[str]) -> DenseStore:
-    """Parse line-delimited JSON {"doc_id": ..., "vector": [...]} into a DenseStore."""
-    rows: list[np.ndarray] = []
-    line_of: dict[str, int] = {}  # doc_id -> its line, in file order
-    for lineno, (doc_id, vec) in json_records(lines, "dense store", _dense_row):
-        if rows and vec.shape != rows[0].shape:
-            raise DataError(
-                f"dense store line {lineno}: dimension {vec.shape[0]} != {rows[0].shape[0]}")
-        require_new(line_of, doc_id, lineno, "dense store", "doc_id")
-        rows.append(vec)
-    matrix = np.stack(rows) if rows else np.zeros((0, 0))
-    return DenseStore(doc_ids=list(line_of), matrix=matrix)
+    """Parse line-delimited JSON {"doc_id": ..., "vector": [...]} into a DenseStore.
+
+    The vectors become one float64 matrix in one ``np.array`` call; only when
+    that fails, or the matrix or the doc_ids break a rule, are the rows
+    checked one by one to name the first bad line.
+    """
+    linenos: list[int] = []
+    doc_ids: list[str] = []
+    vectors: list = []
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        try:
+            obj = json.loads(line)
+            doc_id = obj["doc_id"]
+            if not isinstance(doc_id, str):
+                raise not_a_string("doc_id", doc_id)
+            vector = obj["vector"]
+        except RECORD_ERRORS as exc:
+            # an earlier row's vector or doc_id may already be bad
+            raise _first_bad_vector(linenos, doc_ids, vectors) or malformed(
+                "dense store", lineno, exc) from exc
+        linenos.append(lineno)
+        doc_ids.append(doc_id)
+        vectors.append(vector)
+    try:
+        matrix = np.array(vectors, dtype=np.float64) if vectors else np.zeros((0, 0))
+        valid = (matrix.ndim == 2 and bool(np.isfinite(matrix).all())
+                 and len(set(doc_ids)) == len(doc_ids))
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise _first_bad_vector(linenos, doc_ids, vectors)
+    return DenseStore(doc_ids=doc_ids, matrix=matrix)
 
 
 def search_dense(store: DenseStore, query_vector: Sequence[float], k: int = 30) -> list[ScoredDoc]:
@@ -374,10 +411,25 @@ def load_score_map(lines: Iterable[str]) -> dict[tuple[str, str], float]:
     """
     scores: dict[tuple[str, str], float] = {}
     line_of: dict[tuple[str, str], int] = {}
-    for lineno, (qid, docid, value) in records(lines, "score map", 3):
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        fields = line.rstrip("\n").split("\t")
+        try:
+            qid, docid, raw = fields
+        except ValueError:
+            raise wrong_columns("score map", lineno, 3, fields) from None
         key = (qid, docid)
-        require_new(line_of, key, lineno, "score map", "pair")
-        scores[key] = number(value, "score map", lineno, "score")
+        first = line_of.setdefault(key, lineno)
+        if first != lineno:
+            raise repeated("score map", lineno, "pair", key, first)
+        try:
+            score = float(raw)
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise bad_number("score map", lineno, "score", raw)
+        scores[key] = score
     return scores
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite, nan
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 from zlib import crc32
@@ -42,7 +43,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import DataError, NonFiniteError
-from .io import number, records, require_new
+from .io import bad_number, repeated, wrong_columns
 from .tokenization import TokenizerConfig, tokenize
 
 
@@ -527,9 +528,29 @@ def load_external_logits(lines: Iterable[str]) -> dict[tuple[str, str], tuple[fl
     model, as ``{(qid, docid): (z_true, z_false)}``."""
     logits: dict[tuple[str, str], tuple[float, float]] = {}
     line_of: dict[tuple[str, str], int] = {}
-    for lineno, (qid, docid, z_true, z_false) in records(lines, "logits", 4):
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        fields = line.rstrip("\n").split("\t")
+        try:
+            qid, docid, raw_true, raw_false = fields
+        except ValueError:
+            raise wrong_columns("logits", lineno, 4, fields) from None
         key = (qid, docid)
-        require_new(line_of, key, lineno, "logits", "pair")
-        logits[key] = (number(z_true, "logits", lineno, "z_true"),
-                       number(z_false, "logits", lineno, "z_false"))
+        first = line_of.setdefault(key, lineno)
+        if first != lineno:
+            raise repeated("logits", lineno, "pair", key, first)
+        try:
+            z_true = float(raw_true)
+        except ValueError:
+            z_true = nan
+        if not isfinite(z_true):
+            raise bad_number("logits", lineno, "z_true", raw_true)
+        try:
+            z_false = float(raw_false)
+        except ValueError:
+            z_false = nan
+        if not isfinite(z_false):
+            raise bad_number("logits", lineno, "z_false", raw_false)
+        logits[key] = (z_true, z_false)
     return logits

@@ -31,13 +31,22 @@ class Source(Enum):
 SOURCES = (Source.BM25, Source.SPLADE, Source.DRAGON, Source.MONOT5)
 
 
+def not_a_string(field: str, value: object) -> TypeError:
+    return TypeError(f"{field} {value!r} is not a string")
+
+
 @dataclass(frozen=True)
 class Document:
     doc_id: str
     text: str
 
     def __post_init__(self) -> None:
-        if not self.doc_id or any(c.isspace() for c in self.doc_id):
+        if not isinstance(self.doc_id, str):
+            raise not_a_string("doc_id", self.doc_id)
+        if not isinstance(self.text, str):
+            raise not_a_string("text", self.text)
+        # split() breaks on exactly the characters str.isspace() accepts
+        if self.doc_id.split() != [self.doc_id]:
             raise DataError(f"doc_id must be non-empty with no whitespace: {self.doc_id!r}")
 
 

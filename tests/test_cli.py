@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from distilrank import io, scorer
+from distilrank import cli, io, scorer
 from distilrank.cli import build_parser, dispatch
 from distilrank.config import OPTIONS, CliConfig, resolve
 from distilrank.errors import DataError, NonFiniteError
@@ -145,6 +145,48 @@ class TestDispatchBasics:
             "index", "build", "--corpus", str(bad), "--out", str(tmp_path / "i.json"),
         ]) == 2
 
+    @pytest.mark.parametrize("record, field", [
+        ({"doc_id": ["d1"], "text": "a"}, "doc_id ['d1']"),
+        ({"doc_id": "d1", "text": 5}, "text 5"),
+    ], ids=["list-doc-id", "number-text"])
+    def test_corpus_field_of_wrong_type_exits_2(self, tmp_path, capsys, record, field):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in ({"doc_id": "d0", "text": "b"}, record)))
+        assert dispatch(["index", "build", "--corpus", str(corpus),
+                         "--out", str(tmp_path / "i.npz")]) == 2
+        assert f"error: corpus line 2: malformed record ({field} is not a string)" in \
+            capsys.readouterr().err
+
+    def test_dispatches_share_one_parser_and_carry_no_flag(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"doc_id": "d1", "text": "apple pie"}) + "\n")
+        argv = ["index", "build", "--corpus", str(corpus), "--out", str(tmp_path / "i.npz")]
+        k1, b = OPTIONS["bm25.k1"].default, OPTIONS["bm25.b"].default
+        assert dispatch(argv + ["--k1", "1.5", "--b", "0.75"]) == 0
+        assert "k1=1.5 b=0.75" in capsys.readouterr().out
+        assert dispatch(argv) == 0
+        assert f"k1={k1} b={b}" in capsys.readouterr().out
+        assert dispatch(argv + ["--k1", "soon"]) == 1
+        assert dispatch(argv[:2] + ["--k1", "2.0"]) == 1
+        capsys.readouterr()
+        assert dispatch(argv + ["--b", "0.5"]) == 0
+        assert f"k1={k1} b=0.5" in capsys.readouterr().out
+
+        runs = {}
+        for label in "abc":
+            runs[label] = tmp_path / f"{label}.trec"
+            runs[label].write_text(f"q1 Q0 d{label} 1 1.0 t\n")
+        assert dispatch(["eval", "intersection", "--run", f"a={runs['a']}",
+                         "--run", f"b={runs['b']}"]) == 0
+        capsys.readouterr()
+        assert dispatch(["eval", "intersection", "--run", f"a={runs['a']}",
+                         "--run", f"c={runs['c']}"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "\ta\tc"
+        assert built == [1]
+
     def test_doc_id_ending_in_nul_refused(self, tmp_path, capsys):
         # an index file would read the id back as "d1", a document not in the corpus
         corpus = tmp_path / "corpus.jsonl"
@@ -250,7 +292,8 @@ class TestDispatchBasics:
     @pytest.mark.parametrize("records", [
         [("d1", "[1.0, 0.0]"), ("d2", "[0.0, 1.0]"), ("d1", "[0.5, 0.5]")],
         [("d1", "[1.0, 0.0]"), ("d2", "[NaN, 1.0]")],
-    ], ids=["repeated-doc-id", "nan"])
+        [("d1", "[1.0, 0.0]"), ("d2", "[1" + "0" * 400 + ", 1.0]")],
+    ], ids=["repeated-doc-id", "nan", "int-beyond-float"])
     def test_retrieve_dense_rejects_bad_store(self, tmp_path, capsys, records):
         store = tmp_path / "store.jsonl"
         store.write_text("".join(f'{{"doc_id": "{d}", "vector": {v}}}\n' for d, v in records))

@@ -42,6 +42,34 @@ class TestCorpus:
         with pytest.raises(DataError):
             parse_corpus(['{"doc_id":"d 1","text":"a"}\n'])
 
+    @pytest.mark.parametrize("doc_id", ["d\u00a01", "d\u20031", "d\t1", "d\x1c", " ", ""],
+                             ids=["nbsp", "em-space", "tab", "file-separator", "space", "empty"])
+    def test_doc_id_holding_whitespace_names_line(self, doc_id):
+        record = json.dumps({"doc_id": doc_id, "text": "a"}) + "\n"
+        with pytest.raises(DataError, match="corpus line 2: malformed record .*non-empty with no "
+                                            "whitespace"):
+            parse_corpus(['{"doc_id":"d0","text":"a"}\n', record])
+
+    def test_doc_id_with_non_space_format_character_kept(self):
+        # U+200B is a format character, not whitespace, to str.isspace()
+        assert parse_corpus(['{"doc_id":"d\u200b1","text":"a"}\n'])[0].doc_id == "d\u200b1"
+
+    @given(st.text(max_size=6))
+    def test_split_rule_is_the_isspace_rule(self, doc_id):
+        assert (doc_id.split() != [doc_id]) == (not doc_id or any(c.isspace() for c in doc_id))
+
+    @pytest.mark.parametrize("record, field", [
+        ('{"doc_id": 5, "text": "a"}', "doc_id 5"),
+        ('{"doc_id": null, "text": "a"}', "doc_id None"),
+        ('{"doc_id": ["d1"], "text": "a"}', r"doc_id \['d1'\]"),
+        ('{"doc_id": "d2", "text": 5}', "text 5"),
+        ('{"doc_id": "d2", "text": ["a"]}', r"text \['a'\]"),
+    ], ids=["number", "null", "list", "number-text", "list-text"])
+    def test_non_string_field_names_line(self, record, field):
+        with pytest.raises(DataError, match=f"corpus line 2: malformed record \\({field} is not a "
+                                            "string\\)"):
+            parse_corpus(["\n", record + "\n"])
+
 
 class TestQueries:
     def test_generated(self):
@@ -163,6 +191,23 @@ class TestDistilled:
         obj["llm_ranking"] = [1, 1, 2]
         with pytest.raises(DataError, match="q1"):
             read_distilled([json.dumps(obj) + "\n"])
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("doc_ids", "ab", "doc_ids 'ab' is not a list of strings"),
+        ("doc_ids", ["d0", 1, "d2"], r"doc_ids \['d0', 1, 'd2'\] is not a list of strings"),
+        ("doc_ids", None, "doc_ids None is not a list of strings"),
+        ("query_text", 7, "query_text 7 is not a string"),
+        ("query_id", 7, "query_id 7 is not a string"),
+        ("query_id", ["q1"], r"query_id \['q1'\] is not a string"),
+    ], ids=["doc-ids-string", "doc-ids-number", "doc-ids-null", "query-text-number",
+            "query-id-number", "query-id-list"])
+    def test_field_of_wrong_type_names_line(self, field, value, error):
+        obj = json.loads(write_distilled([make_example()]))
+        if field == "doc_ids" and isinstance(value, str):
+            obj["llm_ranking"] = [2, 1]  # "ab" would pass as two documents
+        obj[field] = value
+        with pytest.raises(DataError, match=f"distilled line 2: malformed record \\({error}\\)"):
+            read_distilled(["\n", json.dumps(obj) + "\n"])
 
     def test_round_trip(self):
         examples = [make_example("q1"), make_example("q2", ranking=(3, 1, 2))]

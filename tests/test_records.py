@@ -2,7 +2,9 @@
 
 Each reader skips blank lines, names its kind of file and the line in a
 DataError for a wrong field count, names both lines when a key repeats, and
-rejects a non-finite number in any numeric field.
+rejects a non-finite number in any numeric field. Every case runs on a
+one-shot iterator, as ``io.lines_of`` gives, and on a list, with the same
+outcome: a reader reads its lines once.
 """
 
 import json
@@ -90,23 +92,46 @@ def readers(has=lambda r: True):
         "reader", [pytest.param(r, id=r.name) for r in READERS if has(r)], indirect=True)
 
 
-@pytest.fixture
-def reader(request, tmp_path):
-    r = request.param
-    if r.parse is None:  # `eval ttest` reads its per-query values from a path
-        path = tmp_path / "per-query.tsv"
-
-        def parse(lines):
-            path.write_text("".join(lines))
-            return cli._load_per_query_tsv(str(path))
-        return Reader(str(path), parse, r.rows, r.short, r.repeat, r.repeat_error, r.non_finite)
-    return r
-
-
 def _plain(parsed):
     if isinstance(parsed, DenseStore):  # compared by identity
         return parsed.doc_ids, parsed.matrix.tolist()
     return parsed
+
+
+def _outcome(parse, lines):
+    try:
+        return _plain(parse(lines)), None
+    except DataError as exc:
+        return None, str(exc)
+
+
+def _on_both_feeds(parse):
+    """parse, run on a one-shot iterator over the lines and on a list of
+    them; both must give the same result or the same error."""
+    def run(lines):
+        once, listed = _outcome(parse, iter(lines)), _outcome(parse, list(lines))
+        assert once == listed, f"one-shot iterator gave {once}, list gave {listed}"
+        parsed, error = listed
+        if error is not None:
+            raise DataError(error)
+        return parsed
+    return run
+
+
+@pytest.fixture
+def reader(request, tmp_path):
+    r = request.param
+    parse = r.parse
+    name = r.name
+    if parse is None:  # `eval ttest` reads its per-query values from a path
+        name = str(tmp_path / "per-query.tsv")
+
+        def parse(lines):
+            with open(name, "w", encoding="utf-8") as f:
+                f.writelines(lines)
+            return cli._load_per_query_tsv(name)
+    return Reader(name, _on_both_feeds(parse), r.rows, r.short, r.repeat, r.repeat_error,
+                  r.non_finite)
 
 
 @readers()
@@ -134,16 +159,19 @@ def test_non_finite_number_names_line(reader):
             reader.parse([reader.rows[0], "\n", bad])
 
 
-def test_records_whitespace_split_and_field_count():
-    assert list(io.records(["a  b\tc\n", "\n", " d e f \n"], "x", 3, sep=None)) == [
-        (1, ["a", "b", "c"]), (3, ["d", "e", "f"])]
-    assert list(io.records(["a b\tc\n"], "x", 2)) == [(1, ["a b", "c"])]
+def test_trec_splits_on_whitespace_and_tsv_on_tabs_only():
+    assert io.read_qrels(["q1  0\td1 2\n", "\n", " q2 0 d1 1 \n"]) == {
+        ("q1", "d1"): 2, ("q2", "d1"): 1}
+    assert parse_generated_pool(["d1\ta query with spaces \n"]) == [("d1", "a query with spaces ")]
+    with pytest.raises(DataError, match="generated pool line 1: expected 2 columns, got 3"):
+        parse_generated_pool(["d1\tq\tr\n"])
 
 
-def test_number_parses_finite_floats_and_ints():
-    assert io.number("2.5", "x", 1, "score") == 2.5
-    assert io.number("3", "x", 1, "rank", int) == 3
-    with pytest.raises(DataError, match="x line 4: non-numeric rank '2.0'"):
-        io.number("2.0", "x", 4, "rank", int)
-    with pytest.raises(DataError, match="x line 5: non-finite score 'nan'"):
-        io.number("nan", "x", 5, "score")
+def test_bad_number_words_non_numeric_and_non_finite():
+    assert str(io.bad_number("x", 4, "rank", "2.0", int)) == "x line 4: non-numeric rank '2.0'"
+    assert str(io.bad_number("x", 5, "score", "nan")) == "x line 5: non-finite score 'nan'"
+    assert str(io.bad_number("x", 6, "score", "1e")) == "x line 6: non-numeric score '1e'"
+    assert io.read_run(["q1 Q0 d1 3 2.5 t\n", "q1 Q0 d2 1 4 t\n", "q1 Q0 d3 2 3 t\n"]) == {
+        "q1": [("d2", 4.0), ("d3", 3.0), ("d1", 2.5)]}
+    with pytest.raises(DataError, match="run line 1: non-numeric rank '2.0'"):
+        io.read_run(["q1 Q0 d1 2.0 1 t\n"])

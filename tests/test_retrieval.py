@@ -350,6 +350,19 @@ class TestDense:
             load_dense_store(['{"doc_id": "a", "vector": [1]}\n',
                               '{"doc_id": "b", "vector": [1, 2]}\n'])
 
+    @pytest.mark.parametrize("later", [
+        '{"doc_id": "a", "vector": [3, 4]}\n', '{"doc_id": "c", "vector": [5]}\n', '{oops\n',
+    ], ids=["repeated-doc-id", "dimension", "bad-json"])
+    @pytest.mark.parametrize("bad, error", [
+        ('{"doc_id": "b", "vector": [1, NaN]}\n', "non-finite component"),
+        ('{"doc_id": "b", "vector": [[1, 2]]}\n', "not one-dimensional"),
+        ('{"doc_id": "b", "vector": ["x", 2]}\n', "could not convert"),
+    ], ids=["nan", "nested", "text"])
+    def test_load_store_names_first_bad_line(self, bad, error, later):
+        # the vectors are converted in one batch, yet the first bad line is named
+        with pytest.raises(DataError, match=f"dense store line 2: malformed record .*{error}"):
+            load_dense_store(['{"doc_id": "a", "vector": [1, 2]}\n', bad, "\n", later])
+
 
 class TestRunfile:
     def run(self, n=100):
