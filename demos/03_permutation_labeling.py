@@ -7,7 +7,7 @@ whether it had to repair anything.
 Run:  python3 demos/03_permutation_labeling.py
 """
 
-from distilrank import Query, QueryKind, build_prompt, mock_llm, parse_permutation
+from distilrank import Qrels, Query, QueryKind, build_prompt, mock_llm, parse_permutation
 from distilrank.distill import format_order, order_from_ranks
 
 passages = [
@@ -33,7 +33,7 @@ for reply in [
     print(f"  {reply!r:40} -> {format_order(order)}  repaired={repaired}")
 
 # an oracle teacher backed by relevance judgments, used for offline runs
-qrels = {("q1", "p1"): 3, ("q1", "p2"): 0, ("q1", "p3"): 2}
+qrels = Qrels({"q1": {"p1": 3, "p2": 0, "p3": 2}})
 teacher = mock_llm(qrels)
 query = Query("q1", "which fruit is a berry", QueryKind.GENERATED)
 reply = teacher(query, [("p1", passages[0]), ("p2", passages[1]), ("p3", passages[2])])

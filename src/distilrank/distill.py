@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import BudgetError, DataError, JournalError
 from .io import RECORD_ERRORS, _example_from_obj, _example_to_obj, malformed
 from .llm import LlmClient, Message
-from .types import DistilledExample, Query, Source
+from .types import DistilledExample, Qrels, Query, Source
 
 logger = logging.getLogger(__name__)
 
@@ -209,12 +209,13 @@ def window_rerank(
     return WindowResult(tuple(ranks), "\n".join(responses), repaired, len(responses))
 
 
-def mock_llm(qrels: dict[tuple[str, str], int]) -> LlmFn:
+def mock_llm(qrels: Qrels) -> LlmFn:
     """Oracle teacher: orders indices by descending relevance grade, ties by
     input position, and always answers in well-formed bracket notation."""
 
     def fn(query: Query, passages: Sequence[tuple[str, str]]) -> str:
-        grades = [qrels.get((query.query_id, doc_id), 0) for doc_id, _text in passages]
+        judged = qrels.by_query.get(query.query_id, {})
+        grades = [judged.get(doc_id, 0) for doc_id, _text in passages]
         order = sorted(range(1, len(passages) + 1), key=lambda i: (-grades[i - 1], i))
         return format_order(order)
 

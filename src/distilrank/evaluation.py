@@ -55,18 +55,10 @@ def ndcg_at_k(ranked_doc_ids: Sequence[str], query_qrels: Mapping[str, int], k: 
     return dcg / idcg
 
 
-def _qrels_by_query(qrels: Qrels) -> dict[str, dict[str, int]]:
-    grouped: dict[str, dict[str, int]] = {}
-    for (qid, doc_id), rel in qrels.items():
-        grouped.setdefault(qid, {})[doc_id] = rel
-    return grouped
-
-
 def evaluate_run(run: Run, qrels: Qrels, k: int = 10) -> EvalReport:
     """nDCG@k per judged query; queries missing from the run contribute 0."""
-    grouped = _qrels_by_query(qrels)
     per_query: dict[str, float] = {}
-    for qid, grades in grouped.items():
+    for qid, grades in qrels.by_query.items():
         per_query[qid] = ndcg_at_k([doc_id for doc_id, _ in run.get(qid, [])], grades, k)
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
     return EvalReport(per_query=per_query, mean=mean, k=k, n_queries=len(per_query))
@@ -217,19 +209,20 @@ def model_score_fn(
 
 
 def external_logit_score_fn(
-    logit_map: Mapping[tuple[str, str], tuple[float, float]],
+    logit_map: Mapping[str, Mapping[str, tuple[float, float]]],
     strategy: ScoreStrategy,
 ) -> ScoreFn:
-    """Score function over externally computed (z_true, z_false) pairs, scored
-    as one (n, 2) array per query like the student's."""
+    """Score function over externally computed ``{qid: {docid: (z_true,
+    z_false)}}``, scored as one (n, 2) array per query like the student's."""
 
     def fn(query_id: str, doc_ids: Sequence[str]) -> np.ndarray:
+        logits = logit_map.get(query_id, {})
         z = np.empty((len(doc_ids), 2))
         for i, doc_id in enumerate(doc_ids):
-            key = (query_id, doc_id)
-            if key not in logit_map:
-                raise DataError(f"external logits missing pair {key}")
-            z[i] = logit_map[key]
+            pair = logits.get(doc_id)
+            if pair is None:
+                raise DataError(f"external logits missing pair {(query_id, doc_id)}")
+            z[i] = pair
         return score_batch(z, strategy)
 
     return fn

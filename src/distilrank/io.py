@@ -31,10 +31,12 @@ Formats read here (README "Input files" lists every line format):
                   writes the run
   qrels           TREC 4-column: qid 0 docid rel; each (qid, docid) once, with
                   a non-negative integer rel (a repeat names the pair, not its
-                  first line, so the parse keeps no line map)
+                  first line, so the parse keeps no line map); read into
+                  Qrels, held per query
   distilled.jsonl one JSON object per line with all DistilledExample fields;
-                  query_id and query_text strings, doc_ids a list of strings;
-                  query_id unique
+                  query_id, query_text and raw_response strings, doc_ids a
+                  list of strings, llm_ranking a list of integers, repaired a
+                  boolean; query_id unique
 
 Canonical run text uses a single space separator, %.6f scores, and queries
 sorted by query_id, so write_run(read_run(x), tag) == x byte-for-byte when
@@ -190,7 +192,7 @@ def write_run(run: Run, tag: str) -> str:
 
 def read_qrels(lines: Iterable[str]) -> Qrels:
     """Parse TREC qrels; duplicate pairs and negative grades are rejected."""
-    qrels: Qrels = {}
+    by_query: dict[str, dict[str, int]] = {}
     for lineno, line in enumerate(lines, 1):
         if line.isspace() or not line:
             continue
@@ -205,15 +207,22 @@ def read_qrels(lines: Iterable[str]) -> Qrels:
             raise bad_number("qrels", lineno, "relevance", rel, int) from None
         if grade < 0:
             raise DataError(f"qrels line {lineno}: negative relevance grade {grade}")
-        key = (qid, docid)
-        if key in qrels:
+        grades = by_query.get(qid)
+        if grades is None:
+            grades = by_query[qid] = {}
+        elif docid in grades:
             raise DataError(f"qrels line {lineno}: duplicate pair ({qid}, {docid})")
-        qrels[key] = grade
-    return qrels
+        grades[docid] = grade
+    return Qrels(by_query)
 
 
 def write_qrels(qrels: Qrels) -> str:
-    return "".join(f"{qid} 0 {docid} {rel}\n" for (qid, docid), rel in sorted(qrels.items()))
+    """Serialize qrels sorted by query_id, then by doc_id within a query."""
+    return "".join(
+        f"{qid} 0 {docid} {rel}\n"
+        for qid in sorted(qrels.by_query)
+        for docid, rel in sorted(qrels.by_query[qid].items())
+    )
 
 
 def _example_to_obj(ex: DistilledExample) -> dict:
@@ -239,15 +248,24 @@ def _example_from_obj(obj: dict) -> DistilledExample:
         raise not_a_string("query_text", query_text)
     if type(doc_ids) is not list or not set(map(type, doc_ids)) <= {str}:
         raise TypeError(f"doc_ids {doc_ids!r} is not a list of strings")
+    ranking, raw_response = obj["llm_ranking"], obj.get("raw_response", "")
+    repaired = obj.get("repaired", False)
+    # type() rather than isinstance(): a JSON true is a bool, and bool is an int
+    if type(ranking) is not list or not set(map(type, ranking)) <= {int}:
+        raise TypeError(f"llm_ranking {ranking!r} is not a list of integers")
+    if not isinstance(raw_response, str):
+        raise not_a_string("raw_response", raw_response)
+    if type(repaired) is not bool:
+        raise TypeError(f"repaired {repaired!r} is not a boolean")
     return DistilledExample(
         query_id=query_id,
         query_text=query_text,
         kind=QueryKind(obj["kind"]),
         source_retriever=Source(obj["source_retriever"]),
         doc_ids=tuple(doc_ids),
-        llm_ranking=tuple(obj["llm_ranking"]),
-        raw_response=obj.get("raw_response", ""),
-        repaired=bool(obj.get("repaired", False)),
+        llm_ranking=tuple(ranking),
+        raw_response=raw_response,
+        repaired=repaired,
     )
 
 

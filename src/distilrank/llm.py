@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import requests
-
 from .errors import BudgetError, TransportError
 
 logger = logging.getLogger(__name__)
@@ -155,6 +153,8 @@ class LlmClient:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
+        import requests
+
         last_error = "no attempt made"
         for attempt in range(1, cfg.retry.max_attempts + 1):
             try:
@@ -180,3 +180,13 @@ class LlmClient:
         raise TransportError(
             f"gave up after {cfg.retry.max_attempts} attempts: {last_error}"
         )
+
+
+def __getattr__(name: str):
+    # requests is imported when a client first posts (PEP 562), so only a
+    # run with an endpoint pays for the import; `distilrank.llm.requests`
+    # still names the module, for callers and tests that patch it
+    if name == "requests":
+        import requests
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

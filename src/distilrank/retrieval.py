@@ -404,13 +404,14 @@ class RunfileSearcher:
         return docs[:k]
 
 
-def load_score_map(lines: Iterable[str]) -> dict[tuple[str, str], float]:
-    """Parse a TSV score map qid<TAB>docid<TAB>score for compose_rerank.
+def load_score_map(lines: Iterable[str]) -> dict[str, dict[str, float]]:
+    """Parse a TSV score map qid<TAB>docid<TAB>score for compose_rerank, as
+    ``{qid: {docid: score}}``.
 
     Each (qid, docid) pair may appear once, with a finite score.
     """
-    scores: dict[tuple[str, str], float] = {}
-    line_of: dict[tuple[str, str], int] = {}
+    scores: dict[str, dict[str, float]] = {}
+    line_of: dict[str, dict[str, int]] = {}
     for lineno, line in enumerate(lines, 1):
         if line.isspace() or not line:
             continue
@@ -419,23 +420,26 @@ def load_score_map(lines: Iterable[str]) -> dict[tuple[str, str], float]:
             qid, docid, raw = fields
         except ValueError:
             raise wrong_columns("score map", lineno, 3, fields) from None
-        key = (qid, docid)
-        first = line_of.setdefault(key, lineno)
+        firsts = line_of.get(qid)
+        if firsts is None:
+            firsts = line_of[qid] = {}
+            scores[qid] = {}
+        first = firsts.setdefault(docid, lineno)
         if first != lineno:
-            raise repeated("score map", lineno, "pair", key, first)
+            raise repeated("score map", lineno, "pair", (qid, docid), first)
         try:
             score = float(raw)
         except ValueError:
             score = math.nan
         if not math.isfinite(score):
             raise bad_number("score map", lineno, "score", raw)
-        scores[key] = score
+        scores[qid][docid] = score
     return scores
 
 
 def compose_rerank(
     base_run: Run,
-    score_map: Mapping[tuple[str, str], float],
+    score_map: Mapping[str, Mapping[str, float]],
     k_pool: int = 100,
     k_out: int = 30,
 ) -> Run:
@@ -448,12 +452,13 @@ def compose_rerank(
         raise ValueError(f"k_out={k_out} must not exceed k_pool={k_pool}")
     run: Run = {}
     for qid, docs in base_run.items():
+        scores = score_map.get(qid, {})
         rescored: list[ScoredDoc] = []
         for doc_id, _ in docs[:k_pool]:
-            key = (qid, doc_id)
-            if key not in score_map:
+            score = scores.get(doc_id)
+            if score is None:
                 raise DataError(f"score map missing pair ({qid}, {doc_id})")
-            rescored.append(ScoredDoc(doc_id, score_map[key]))
+            rescored.append(ScoredDoc(doc_id, score))
         rescored.sort(key=lambda d: -d.score)
         run[qid] = rescored[:k_out]
     validate_run(run)

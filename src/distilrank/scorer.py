@@ -523,11 +523,11 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ScoreStrategy]:
     return params, strategy
 
 
-def load_external_logits(lines: Iterable[str]) -> dict[tuple[str, str], tuple[float, float]]:
+def load_external_logits(lines: Iterable[str]) -> dict[str, dict[str, tuple[float, float]]]:
     """Parse TSV qid<TAB>docid<TAB>z_true<TAB>z_false produced by an external
-    model, as ``{(qid, docid): (z_true, z_false)}``."""
-    logits: dict[tuple[str, str], tuple[float, float]] = {}
-    line_of: dict[tuple[str, str], int] = {}
+    model, as ``{qid: {docid: (z_true, z_false)}}``."""
+    logits: dict[str, dict[str, tuple[float, float]]] = {}
+    line_of: dict[str, dict[str, int]] = {}
     for lineno, line in enumerate(lines, 1):
         if line.isspace() or not line:
             continue
@@ -536,10 +536,13 @@ def load_external_logits(lines: Iterable[str]) -> dict[tuple[str, str], tuple[fl
             qid, docid, raw_true, raw_false = fields
         except ValueError:
             raise wrong_columns("logits", lineno, 4, fields) from None
-        key = (qid, docid)
-        first = line_of.setdefault(key, lineno)
+        firsts = line_of.get(qid)
+        if firsts is None:
+            firsts = line_of[qid] = {}
+            logits[qid] = {}
+        first = firsts.setdefault(docid, lineno)
         if first != lineno:
-            raise repeated("logits", lineno, "pair", key, first)
+            raise repeated("logits", lineno, "pair", (qid, docid), first)
         try:
             z_true = float(raw_true)
         except ValueError:
@@ -552,5 +555,5 @@ def load_external_logits(lines: Iterable[str]) -> dict[tuple[str, str], tuple[fl
             z_false = nan
         if not isfinite(z_false):
             raise bad_number("logits", lineno, "z_false", raw_false)
-        logits[key] = (z_true, z_false)
+        logits[qid][docid] = (z_true, z_false)
     return logits

@@ -31,7 +31,7 @@ class SynthBenchmark:
 
     def _restrict(self, queries: list[Query]) -> Qrels:
         ids = {q.query_id for q in queries}
-        return {key: rel for key, rel in self.qrels.items() if key[0] in ids}
+        return Qrels({qid: grades for qid, grades in self.qrels.by_query.items() if qid in ids})
 
     @property
     def train_qrels(self) -> Qrels:
@@ -105,18 +105,19 @@ def synth_benchmark(
         queries.append(Query(f"sq{qi:04d}", " ".join(words), kind))
         query_topics.append(topic)
 
-    qrels: Qrels = {}
+    off_topic = [[d for d in range(n_docs) if doc_topics[d] != t] for t in range(n_topics)]
+    by_query: dict[str, dict[str, int]] = {}
     for query, topic in zip(queries, query_topics):
-        for d in docs_by_topic[topic]:
-            qrels[(query.query_id, corpus[d].doc_id)] = doc_grades[d]
-        others = [d for d in range(n_docs) if doc_topics[d] != topic]
+        grades = by_query[query.query_id] = {
+            corpus[d].doc_id: doc_grades[d] for d in docs_by_topic[topic]}
+        others = off_topic[topic]
         for d in rng.sample(others, min(_OFF_TOPIC_JUDGMENTS, len(others))):
-            qrels[(query.query_id, corpus[d].doc_id)] = 0
+            grades[corpus[d].doc_id] = 0
 
     return SynthBenchmark(
         corpus=corpus,
         train_queries=queries[:n_train_queries],
         eval_queries=queries[n_train_queries:],
-        qrels=qrels,
+        qrels=Qrels(by_query),
         generated_pool=generated_pool,
     )

@@ -2,11 +2,19 @@
 
 A run holds each query's ScoredDoc list, best first, so a document's rank is
 its position. A run file's tag column comes from the command that writes it
-and is not kept on read."""
+and is not kept on read.
+
+Judged and scored pairs are held per query, ``{query_id: {doc_id: value}}``,
+so a consumer looks up one query's values and each pair costs one inner-dict
+entry rather than a ``(query_id, doc_id)`` tuple key. Qrels wrap that shape in
+a read-only Mapping that still presents the pairs of the qrels file: its keys
+are ``(query_id, doc_id)`` pairs and its length is the number of judged pairs.
+The MonoT5 score map and external logits are plain nested dicts."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -65,8 +73,41 @@ class ScoredDoc(NamedTuple):
 # A run maps query_id -> its ranked list, best first; the universal retrieval currency.
 Run = dict[str, list[ScoredDoc]]
 
-# Qrels map (query_id, doc_id) -> non-negative relevance grade.
-Qrels = dict[tuple[str, str], int]
+
+class Qrels(Mapping[tuple[str, str], int]):
+    """Non-negative relevance grades, held as ``by_query[query_id][doc_id]``.
+
+    As a Mapping it is the pair view: keys are ``(query_id, doc_id)`` pairs,
+    grouped by query in the order each query was first read, and ``len``
+    counts judged pairs."""
+
+    __slots__ = ("by_query",)
+
+    def __init__(self, by_query: dict[str, dict[str, int]]) -> None:
+        self.by_query = by_query
+
+    def __getitem__(self, pair: tuple[str, str]) -> int:
+        query_id, doc_id = pair
+        return self.by_query[query_id][doc_id]
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return ((qid, doc_id) for qid, grades in self.by_query.items() for doc_id in grades)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.by_query.values()))
+
+    def items(self) -> ItemsView[tuple[str, str], int]:
+        return _PairItems(self)
+
+    def __repr__(self) -> str:
+        return f"Qrels({self.by_query!r})"
+
+
+class _PairItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[tuple[str, str], int]]:
+        for qid, grades in self._mapping.by_query.items():
+            for doc_id, grade in grades.items():
+                yield (qid, doc_id), grade
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ from distilrank.retrieval import bm25_score, build_index, search_bm25
 from distilrank.scorer import ScoreStrategy, score_batch
 from distilrank.tokenization import tokenize
 from distilrank.training import TrainConfig, adamw_step, init_adam_state, ranknet_grad, ranknet_loss
-from distilrank.types import SOURCES, DistilledExample, Document, Query, QueryKind, ScoredDoc, Source
+from distilrank.types import (
+    SOURCES, DistilledExample, Document, Qrels, Query, QueryKind, ScoredDoc, Source)
 
 
 def _report(number: int, text: str) -> None:
@@ -189,7 +190,7 @@ def test_criterion_6_permutation_labeling():
         assert not repaired_again
     assert len(MALFORMED_RESPONSES) == 20
 
-    qrels = {("q1", f"d{i}"): (i * 7) % 4 for i in range(30)}
+    qrels = Qrels({"q1": {f"d{i}": (i * 7) % 4 for i in range(30)}})
     llm = mock_llm(qrels)
     query = Query("q1", "text", QueryKind.CROPPED)
     passages = [(f"d{i}", "body") for i in range(30)]

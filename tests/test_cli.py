@@ -711,6 +711,34 @@ def test_cli_import_leaves_out_scipy_stats():
     assert proc.stdout.strip() == "[]"
 
 
+def test_eval_and_mock_distill_leave_out_requests(workdir, tmp_path):
+    # only a teacher behind an endpoint posts, so only `distill --endpoint`
+    # pays for importing requests
+    run = tmp_path / "run.trec"
+    assert dispatch(["retrieve", "--method", "bm25", "--index", str(workdir / "index.json"),
+                     "--queries", str(workdir / "queries-eval.tsv"), "--out", str(run)]) == 0
+    argvs = [
+        ["eval", "ndcg", "--run", str(run), "--qrels", str(workdir / "qrels-eval.txt")],
+        ["distill", "--queries", str(workdir / "queries-train.tsv"),
+         "--corpus", str(workdir / "corpus.jsonl"), "--bm25-index", str(workdir / "index.json"),
+         "--mock-qrels", str(workdir / "qrels-train.txt"), "--k", "10",
+         "--out", str(tmp_path / "distilled.jsonl")],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; from distilrank.cli import dispatch\n"
+         "seen = [(dispatch(argv), 'requests' in sys.modules) for argv in json.loads(sys.argv[1])]\n"
+         "print(json.dumps(seen))",
+         json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    # each pair is (exit status, requests imported) after that dispatch
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, False], [0, False]]
+
+
 def test_perfbench_finds_every_name_it_traces():
     # perfbench/spans.py wraps program functions by their module-global names,
     # so renaming or removing one of them must fail here, not only in perfbench

@@ -20,7 +20,7 @@ from distilrank.llm import LlmConfig, RetryPolicy
 from distilrank.retrieval import build_index, save_index
 from distilrank.scorer import FeatureConfig, ScoreStrategy
 from distilrank.training import KindFilter, TrainConfig
-from distilrank.types import DistilledExample, Document, Query, QueryKind, ScoredDoc, Source
+from distilrank.types import DistilledExample, Document, Qrels, Query, QueryKind, ScoredDoc, Source
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ def ws(tmp_path_factory):
                Query("q2", "theta iota", QueryKind.GENERATED)]
     io.save_text(root / "corpus.jsonl", io.write_corpus(docs))
     io.save_text(root / "queries.tsv", io.write_queries(queries))
-    io.save_text(root / "qrels.txt", io.write_qrels({("q1", "d1"): 1, ("q2", "d2"): 1}))
+    io.save_text(root / "qrels.txt", io.write_qrels(Qrels({"q1": {"d1": 1}, "q2": {"d2": 1}})))
     io.save_text(root / "run.trec", io.write_run({
         q.query_id: [ScoredDoc("d1", 2.0), ScoredDoc("d2", 1.0)] for q in queries
     }, "bm25"))

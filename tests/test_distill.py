@@ -24,7 +24,7 @@ from distilrank.distill import (
     window_rerank,
 )
 from distilrank.errors import BudgetError, DataError, JournalError
-from distilrank.types import Query, QueryKind, Source
+from distilrank.types import Qrels, Query, QueryKind, Source
 
 
 QUERY = Query("q1", "which fruit is a berry", QueryKind.GENERATED)
@@ -177,16 +177,16 @@ class TestWindowRerank:
 
 class TestMockLlm:
     def test_orders_by_grade_then_position(self):
-        qrels = {("q1", "d0"): 0, ("q1", "d1"): 3, ("q1", "d2"): 1}
+        qrels = Qrels({"q1": {"d0": 0, "d1": 3, "d2": 1}})
         llm = mock_llm(qrels)
         assert llm(QUERY, passages(3)) == "[2] > [3] > [1]"
 
     def test_all_equal_grades_identity(self):
-        llm = mock_llm({})
+        llm = mock_llm(Qrels({}))
         assert llm(QUERY, passages(3)) == "[1] > [2] > [3]"
 
     def test_output_parses_clean(self):
-        qrels = {("q1", f"d{i}"): i % 4 for i in range(30)}
+        qrels = Qrels({"q1": {f"d{i}": i % 4 for i in range(30)}})
         llm = mock_llm(qrels)
         _, repaired = parse_permutation(llm(QUERY, passages(30)), 30)
         assert not repaired
@@ -333,10 +333,10 @@ class TestDistill:
         import random
 
         rng = random.Random(17)
-        qrels = {
-            (f"q{i:03d}", f"q{i:03d}-d{j}"): rng.randint(0, 3)
-            for i in range(8) for j in range(4)
-        }
+        qrels = Qrels({
+            f"q{i:03d}": {f"q{i:03d}-d{j}": rng.randint(0, 3) for j in range(4)}
+            for i in range(8)
+        })
         result = distill(queries(8), simple_retrieve, mock_llm(qrels), plan=WindowPlan(4, 4))
         for ex in result.examples:
             by_rank = [doc for _, doc in sorted(zip(ex.llm_ranking, ex.doc_ids))]

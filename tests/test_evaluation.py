@@ -25,7 +25,7 @@ from distilrank.scorer import (
     init_params,
     score_batch,
 )
-from distilrank.types import ScoredDoc
+from distilrank.types import Qrels, ScoredDoc
 
 
 class TestNdcg:
@@ -65,7 +65,7 @@ class TestNdcg:
 class TestEvaluateRun:
     def test_mean_over_judged_queries(self):
         run = {"q1": [ScoredDoc("d1", 2.0)], "q2": [ScoredDoc("x", 1.0)]}
-        qrels = {("q1", "d1"): 1, ("q2", "d2"): 1}
+        qrels = Qrels({"q1": {"d1": 1}, "q2": {"d2": 1}})
         report = evaluate_run(run, qrels, 10)
         assert report.per_query["q1"] == pytest.approx(1.0)
         assert report.per_query["q2"] == 0.0
@@ -73,14 +73,14 @@ class TestEvaluateRun:
 
     def test_query_missing_from_run_scores_zero(self):
         run = {"q1": [ScoredDoc("d1", 1.0)]}
-        qrels = {("q1", "d1"): 1, ("q9", "d1"): 2}
+        qrels = Qrels({"q1": {"d1": 1}, "q9": {"d1": 2}})
         report = evaluate_run(run, qrels, 10)
         assert report.per_query["q9"] == 0.0
         assert report.n_queries == 2
 
     def test_per_query_tsv(self):
         run = {"q1": [ScoredDoc("d1", 1.0)]}
-        report = evaluate_run(run, {("q1", "d1"): 1}, 10)
+        report = evaluate_run(run, Qrels({"q1": {"d1": 1}}), 10)
         assert write_per_query(report) == "q1\t1.000000\n"
 
 
@@ -212,8 +212,8 @@ class TestRerankRun:
 
     def test_oracle_logits_give_perfect_ndcg(self):
         run = run_of({"q1": ["d0", "d1", "d2"]})
-        qrels = {("q1", "d0"): 0, ("q1", "d1"): 3, ("q1", "d2"): 1}
-        logits = {key: (float(rel), 0.0) for key, rel in qrels.items()}
+        qrels = Qrels({"q1": {"d0": 0, "d1": 3, "d2": 1}})
+        logits = {"q1": {doc_id: (float(rel), 0.0) for doc_id, rel in qrels.by_query["q1"].items()}}
         out = rerank_run(
             run, external_logit_score_fn(logits, ScoreStrategy.LOGIT_DIFFERENCE),
             k_in=3, k_out=3,

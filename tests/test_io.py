@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from distilrank.errors import DataError
 from distilrank.io import (
+    load_qrels,
     parse_corpus,
     parse_queries,
     read_distilled,
     read_qrels,
     read_run,
     write_distilled,
+    write_qrels,
     write_queries,
     write_run,
 )
@@ -160,6 +162,26 @@ class TestQrels:
     def test_single(self):
         assert read_qrels(["q1 0 d1 3\n"]) == {("q1", "d1"): 3}
 
+    @given(pairs=st.dictionaries(
+        st.tuples(st.sampled_from(["q1", "q2", "q10"]), st.from_regex(r"d[a-z0-9]{1,4}", fullmatch=True)),
+        st.integers(0, 3), max_size=12))
+    def test_pair_view_of_a_loaded_file(self, pairs, tmp_path_factory):
+        # interleaved queries, as a hand-written file may have them
+        path = tmp_path_factory.getbasetemp() / "pair-view-qrels.txt"
+        lines_read = [f"{qid} 0 {doc_id} {rel}\n" for (qid, doc_id), rel in pairs.items()]
+        path.write_text("".join(lines_read), encoding="utf-8")
+        qrels = load_qrels(path)
+        assert len(qrels) == len(lines_read)
+        assert sorted(qrels.items()) == sorted(pairs.items())
+        text = write_qrels(qrels)
+        assert text == "".join(f"{q} 0 {d} {rel}\n" for (q, d), rel in sorted(pairs.items()))
+        assert read_qrels(lines(text)) == qrels
+        if pairs:
+            (qid, doc_id), _ = next(iter(pairs.items()))
+            with pytest.raises(DataError, match=rf"line {len(pairs) + 1}: duplicate pair "
+                                                rf"\({qid}, {doc_id}\)"):
+                read_qrels([*lines_read, f"{qid} 0 {doc_id} 1\n"])
+
     def test_duplicate_pair(self):
         with pytest.raises(DataError, match="duplicate"):
             read_qrels(["q1 0 d1 3\n", "q1 0 d1 2\n"])
@@ -199,8 +221,13 @@ class TestDistilled:
         ("query_text", 7, "query_text 7 is not a string"),
         ("query_id", 7, "query_id 7 is not a string"),
         ("query_id", ["q1"], r"query_id \['q1'\] is not a string"),
+        ("repaired", "false", "repaired 'false' is not a boolean"),
+        ("llm_ranking", [2.0, 1.0, 3.0], r"llm_ranking \[2.0, 1.0, 3.0\] is not a list of integers"),
+        ("llm_ranking", [2, True, 3], r"llm_ranking \[2, True, 3\] is not a list of integers"),
+        ("raw_response", 5, "raw_response 5 is not a string"),
     ], ids=["doc-ids-string", "doc-ids-number", "doc-ids-null", "query-text-number",
-            "query-id-number", "query-id-list"])
+            "query-id-number", "query-id-list", "repaired-string", "ranking-floats",
+            "ranking-bool", "raw-response-number"])
     def test_field_of_wrong_type_names_line(self, field, value, error):
         obj = json.loads(write_distilled([make_example()]))
         if field == "doc_ids" and isinstance(value, str):

@@ -384,8 +384,8 @@ class TestRunfile:
 
 class TestLoadScoreMap:
     def test_parses_pairs(self):
-        assert load_score_map(["q1\td1\t0.5\n", "\n", "q1\td2\t-1\n"]) == {
-            ("q1", "d1"): 0.5, ("q1", "d2"): -1.0}
+        assert load_score_map(["q1\td1\t0.5\n", "\n", "q1\td2\t-1\n", "q2\td1\t2\n"]) == {
+            "q1": {"d1": 0.5, "d2": -1.0}, "q2": {"d1": 2.0}}
 
     def test_repeated_pair_names_both_lines(self):
         with pytest.raises(DataError, match=r"line 3.*'q1', 'd1'.*line 1"):
@@ -406,22 +406,22 @@ class TestComposeRerank:
         return {"q1": [ScoredDoc("d1", 3.0), ScoredDoc("d2", 2.0), ScoredDoc("d3", 1.0)]}
 
     def test_reorders_by_external_scores(self):
-        score_map = {("q1", "d1"): 0.1, ("q1", "d2"): 0.9, ("q1", "d3"): 0.5}
+        score_map = {"q1": {"d1": 0.1, "d2": 0.9, "d3": 0.5}}
         out = compose_rerank(self.base(), score_map, k_pool=3, k_out=3)
         assert [e.doc_id for e in out["q1"]] == ["d2", "d3", "d1"]
 
     def test_identity_when_scores_equal_base(self):
-        score_map = {("q1", "d1"): 3.0, ("q1", "d2"): 2.0, ("q1", "d3"): 1.0}
+        score_map = {"q1": {"d1": 3.0, "d2": 2.0, "d3": 1.0}}
         out = compose_rerank(self.base(), score_map, k_pool=3, k_out=3)
         assert [e.doc_id for e in out["q1"]] == ["d1", "d2", "d3"]
 
     def test_missing_score_names_pair(self):
         with pytest.raises(DataError, match=r"q1.*d3"):
-            compose_rerank(self.base(), {("q1", "d1"): 1.0, ("q1", "d2"): 0.5}, 3, 3)
+            compose_rerank(self.base(), {"q1": {"d1": 1.0, "d2": 0.5}}, 3, 3)
 
     def test_pool_and_output_depths(self):
         base = {"q1": [ScoredDoc(f"d{i:03d}", float(100 - i)) for i in range(100)]}
-        score_map = {("q1", f"d{i:03d}"): float(i) for i in range(100)}
+        score_map = {"q1": {f"d{i:03d}": float(i) for i in range(100)}}
         out = compose_rerank(base, score_map, k_pool=100, k_out=30)
         assert len(out["q1"]) == 30
         # highest external score (the deepest base doc) comes first

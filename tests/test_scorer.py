@@ -363,7 +363,7 @@ def test_store_rows_match_per_pair_rows(requests, store_type):
 class TestExternalLogits:
     def test_single_line(self):
         logits = load_external_logits(["q1\td1\t2.5\t-1.0\n"])
-        assert logits[("q1", "d1")] == (2.5, -1.0)
+        assert logits == {"q1": {"d1": (2.5, -1.0)}}
 
     def test_duplicate_rejected(self):
         with pytest.raises(DataError, match="line 2"):
@@ -371,7 +371,7 @@ class TestExternalLogits:
 
     def test_difference_scoring_of_loaded_logits(self):
         logits = load_external_logits(["q1\td1\t2.5\t-1.5\n"])
-        assert score_one(*logits[("q1", "d1")], ScoreStrategy.LOGIT_DIFFERENCE) == 4.0
+        assert score_one(*logits["q1"]["d1"], ScoreStrategy.LOGIT_DIFFERENCE) == 4.0
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_rejected(self, bad):
