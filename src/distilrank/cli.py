@@ -421,6 +421,8 @@ def _cmd_train(args, opts: dict) -> int:
 
 
 def _cmd_rerank(args, opts: dict) -> int:
+    if args.checkpoint and args.external_logits:
+        raise _UsageError("rerank takes --checkpoint or --external-logits, not both")
     tag = _run_tag(args.tag)
     run = io.load_run(args.run)
     k_in = opts["rerank.k_in"]

@@ -24,7 +24,7 @@ from .scorer import (
     ScoreStrategy,
     TermTable,
     featurize_batch,
-    forward_rows,
+    forward,
     score_batch,
 )
 from .types import Qrels, Run, ScoredDoc, validate_run
@@ -202,7 +202,7 @@ def model_score_fn(
         query = queries[query_id]
         rows = (store.rows(query, doc_ids, corpus) if store is not None
                 else featurize_batch(query, doc_ids, corpus, table))
-        _, _, z = forward_rows(params, rows)
+        _, _, z = forward(params, rows)
         return score_batch(z, strategy)
 
     return fn

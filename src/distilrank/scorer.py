@@ -3,10 +3,10 @@ two-logit head, plus the three scoring strategies that map the (z_true,
 z_false) pair to a relevance score, and a loader for externally computed
 logits.
 
-There is one forward path, `forward_rows`: a stack of feature vectors as the
-rows of a CSR matrix X, then ``relu(X @ w1 + b1) @ w2 + b2``. `forward` is its
-one-row case. There is one scoring path, `score_batch`, over an (n, 2) array
-of logits, whether the student or an external model produced them.
+There is one forward path, `forward`: a stack of feature vectors as the rows
+of a CSR matrix X, then ``relu(X @ w1 + b1) @ w2 + b2``. There is one scoring
+path, `score_batch`, over an (n, 2) array of logits, whether the student or an
+external model produced them.
 
 There is one featurizing path in the pipeline, `featurize_batch`: it builds a
 query's rows for many documents in one numpy pass over a `TermTable`, which
@@ -159,6 +159,8 @@ def init_params(
     seed: int = 0,
 ) -> ScorerParams:
     """Random small-weight initialization; biases start at zero."""
+    if hidden < 1:
+        raise ValueError(f"hidden must be >= 1, got {hidden}")
     rng = np.random.default_rng(seed)
     w1 = rng.normal(0.0, 0.05, size=(feature.hash_dim, hidden))
     w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, 2))
@@ -183,7 +185,7 @@ def stack_rows(vectors: Sequence[SparseVector], n_cols: int) -> sp.csr_array:
     return sp.csr_array((values, indices, indptr), shape=(len(vectors), n_cols))
 
 
-def forward_rows(
+def forward(
     params: ScorerParams, rows: sp.csr_array
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched forward over the rows of a sparse feature matrix whose columns
@@ -199,13 +201,6 @@ def forward_rows(
     if not np.all(np.isfinite(z)):
         raise NonFiniteError("forward pass produced non-finite logits")
     return h_pre, h, z
-
-
-def forward(params: ScorerParams, features: SparseVector) -> np.ndarray:
-    """The (z_true, z_false) logits of one feature vector, as a (2,) array;
-    rejects non-finite output."""
-    _, _, z = forward_rows(params, stack_rows([features], params.w1.shape[0]))
-    return z[0]
 
 
 def _shift_tables(n_bytes: int) -> np.ndarray:
@@ -495,6 +490,8 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ScoreStrategy]:
                                      f"got {header[name]!r}")
             strategy = ScoreStrategy(header["strategy"])
             hash_dim, hidden = header["hash_dim"], header["hidden"]
+            if hidden < 1:
+                raise ValueError(f"hidden must be >= 1, got {hidden}")
             feature = FeatureConfig(
                 hash_dim=hash_dim,
                 interaction_cap=header["interaction_cap"],

@@ -60,7 +60,7 @@ from .scorer import (
     ScoreStrategy,
     _offsets,
     _ranges,
-    forward_rows,
+    forward,
     score_batch,
     score_batch_grad,
 )
@@ -334,7 +334,7 @@ def _ranknet(
 
 def batch_loss(params: ScorerParams, batch: ExampleStack, strategy: ScoreStrategy) -> float:
     """Mean over queries of the per-example pair-summed RankNet loss."""
-    _, _, z = forward_rows(params, batch.rows)
+    _, _, z = forward(params, batch.rows)
     scores = _finite(score_batch(z, strategy))
     losses, _ = _ranknet(scores, batch, with_grads=False)
     return _finite(sum(losses.tolist()) / len(batch), "non-finite loss")
@@ -346,7 +346,7 @@ def batch_loss_and_grads(
     """Loss plus analytic parameter gradients [gw1, gb1, gw2, gb2],
     backpropagated through the scorer in one batched sparse forward and backward."""
     rows = batch.rows
-    h_pre, h, z = forward_rows(params, rows)
+    h_pre, h, z = forward(params, rows)
     scores = _finite(score_batch(z, strategy))
     scale = 1.0 / len(batch)
     losses, ds = _ranknet(scores, batch, with_grads=True)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -250,7 +251,9 @@ class TestDispatchBasics:
         ({"min_token_len": "x"}, "min_token_len must be of type int, got 'x'"),
         ({"lowercase": "yes"}, "lowercase must be of type bool, got 'yes'"),
         ({"hidden": 2.5}, "hidden must be of type int, got 2.5"),
-    ], ids=["not-an-object", "mistyped-min-token-len", "mistyped-lowercase", "mistyped-hidden"])
+        ({"hidden": 0}, "hidden must be >= 1, got 0"),
+    ], ids=["not-an-object", "mistyped-min-token-len", "mistyped-lowercase", "mistyped-hidden",
+            "zero-hidden"])
     def test_rerank_rejects_mistyped_checkpoint_header(self, tmp_path, capsys, header, message):
         params = scorer.init_params(scorer.FeatureConfig(hash_dim=1 << 4), hidden=2, seed=0)
         ckpt = tmp_path / "scorer.ckpt"
@@ -258,6 +261,8 @@ class TestDispatchBasics:
         first, payload = ckpt.read_bytes().split(b"\n", 1)
         if isinstance(header, dict):
             header = json.loads(first) | header
+            if header["hidden"] == 0:  # what `train --hidden 0` wrote: the payload is b2 alone
+                payload = payload[-8:]
         ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         (tmp_path / "run.trec").write_text("q1 Q0 d1 1 2.0 bm25\n")
         (tmp_path / "corpus.jsonl").write_text('{"doc_id": "d1", "text": "alpha beta"}\n')
@@ -753,6 +758,28 @@ def test_perfbench_finds_every_name_it_traces():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_perfbench_trace_hooks_run_on_the_pipeline(tmp_path):
+    # runs every hook spans.py installs, so a traced function whose arguments
+    # or result changed shape fails here, and checks that the traced forward
+    # is the one every training batch, history evaluation and scored query calls
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"), "--workload", "pipeline-small",
+         "--scale", "tiny", "--seed", "7", "--mode", "trace", "--reference", "0",
+         "--dir", str(tmp_path / "work"), "--spans", str(tmp_path / "spans.tsv"),
+         "--t0", repr(time.monotonic())],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["problems"] == [] and result["failed"] == 0
+    calls = result["per_layer"]
+    assert calls["scorer.forward.calls"] == (calls["training.batch_loss_and_grads.calls"]
+                                             + calls["training.batch_loss.calls"]
+                                             + calls["evaluation.score_fn.calls"])
+
+
 class TestPipelineThroughCli(object):
     def test_full_flow(self, workdir, tmp_path, capsys):
         run_train = tmp_path / "train.trec"
@@ -954,6 +981,24 @@ class TestPipelineThroughCli(object):
             "rerank", "--run", str(run), "--corpus", str(workdir / "corpus.jsonl"),
             "--external-logits", str(logits), "--k-in", "2", "--out", str(out),
         ]) == 2
+        assert not out.exists()
+
+    def test_rerank_refuses_checkpoint_with_external_logits(self, workdir, tmp_path, capsys):
+        params = scorer.init_params(scorer.FeatureConfig(hash_dim=1 << 4), hidden=2, seed=0)
+        ckpt = tmp_path / "scorer.ckpt"
+        scorer.save_checkpoint(params, scorer.ScoreStrategy.LOGIT_DIFFERENCE, ckpt)
+        run = tmp_path / "run.trec"
+        run.write_text("q1 Q0 d1 1 2.0 bm25\n")
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("q1\talpha\tcropped\n")
+        out = tmp_path / "ext.trec"
+        assert dispatch([
+            "rerank", "--run", str(run), "--corpus", str(workdir / "corpus.jsonl"),
+            "--queries", str(queries), "--checkpoint", str(ckpt),
+            "--external-logits", str(tmp_path / "absent.tsv"), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: rerank takes --checkpoint or --external-logits, not both\n"
         assert not out.exists()
 
     def test_retrieve_dense_and_runfile(self, workdir, tmp_path):
@@ -1283,6 +1328,8 @@ class TestPipelineThroughCli(object):
             ("train", "--epochs", "-1", "epochs must be >= 0"),
             ("train", "--lr", "nan", "learning rate must be finite and positive"),
             ("train", "--weight-decay", "-5", "weight decay must be finite and non-negative"),
+            ("train", "--hidden", "0", "hidden must be >= 1, got 0"),
+            ("ablate", "--hidden", "0", "hidden must be >= 1, got 0"),
         ],
     )
     def test_invalid_training_option_is_an_error(

@@ -24,6 +24,7 @@ from distilrank.scorer import (
     forward,
     init_params,
     score_batch,
+    stack_rows,
 )
 from distilrank.types import Qrels, ScoredDoc
 
@@ -246,7 +247,9 @@ class TestRerankRun:
             for qid, text in queries.items():
                 batched = fn(qid, doc_ids)
                 per_pair = score_batch(np.array([
-                    forward(params, featurize(text, corpus[d], params.feature)) for d in doc_ids
+                    forward(params, stack_rows([featurize(text, corpus[d], params.feature)],
+                                               params.feature.hash_dim))[2][0]
+                    for d in doc_ids
                 ]), strategy)
                 # equal up to BLAS rounding: the head's dense product sums in
                 # an order that depends on the number of rows

@@ -16,7 +16,6 @@ from distilrank.scorer import (
     featurize,
     featurize_batch,
     forward,
-    forward_rows,
     init_params,
     load_checkpoint,
     load_external_logits,
@@ -86,21 +85,23 @@ class TestForward:
         params = tiny_params()
         params.w2 = np.zeros((3, 2))
         vec = SparseVector(np.array([0, 1]), np.array([1.0, 2.0]))
-        assert forward(params, vec).tolist() == [0.0, 0.0]
+        _, _, z = forward(params, stack_rows([vec], 4))
+        assert z[0].tolist() == [0.0, 0.0]
 
     def test_bias_path(self):
         params = tiny_params(b2=(1.0, -1.0))
         params.w2 = np.zeros((3, 2))
         empty = SparseVector(np.empty(0, dtype=np.int64), np.empty(0))
-        assert forward(params, empty).tolist() == [1.0, -1.0]
+        _, _, z = forward(params, stack_rows([empty], 4))
+        assert z[0].tolist() == [1.0, -1.0]
 
     def test_doubling_w2_doubles_logits(self):
         # relu stays active everywhere on this instance, so the map is linear in w2
         params = tiny_params(w1_fill=0.5)
         vec = SparseVector(np.array([1, 3]), np.array([1.0, 1.0]))
-        base = forward(params, vec)
+        base = forward(params, stack_rows([vec], 4))[2][0]
         params.w2 = params.w2 * 2.0
-        doubled = forward(params, vec)
+        doubled = forward(params, stack_rows([vec], 4))[2][0]
         assert doubled[0] == pytest.approx(2 * base[0])
         assert doubled[1] == pytest.approx(2 * base[1])
 
@@ -108,12 +109,11 @@ class TestForward:
         params = tiny_params(w1_fill=np.inf)
         vec = SparseVector(np.array([0]), np.array([1.0]))
         with pytest.raises(DataError):
-            forward(params, vec)
+            forward(params, stack_rows([vec], 4))
 
     def test_out_of_range_index_rejected(self):
-        params = tiny_params()
         with pytest.raises(ValueError):
-            forward(params, SparseVector(np.array([1, 4]), np.array([1.0, 1.0])))
+            stack_rows([SparseVector(np.array([1, 4]), np.array([1.0, 1.0]))], 4)
         with pytest.raises(ValueError):
             stack_rows([SparseVector(np.array([-1]), np.array([1.0]))], 4)
 
@@ -128,10 +128,11 @@ class TestForward:
             featurize("", "", params.feature),
             featurize("gamma", "alpha alpha gamma epsilon zeta", params.feature),
         ]
-        _, _, z = forward_rows(params, stack_rows(vectors, params.feature.hash_dim))
+        _, _, z = forward(params, stack_rows(vectors, params.feature.hash_dim))
         batched = score_batch(z, strategy)
         for i, vec in enumerate(vectors):
-            one = score_one(*forward(params, vec), strategy)
+            _, _, z_one = forward(params, stack_rows([vec], params.feature.hash_dim))
+            one = score_one(*z_one[0], strategy)
             assert one == pytest.approx(batched[i], rel=1e-12)
 
     def test_positive_homogeneity_with_zero_biases(self):
@@ -140,8 +141,8 @@ class TestForward:
         vec = featurize("alpha beta", "beta gamma delta", params.feature)
         for c in (0.5, 2.0, 10.0):
             scaled = SparseVector(vec.indices, vec.values * c)
-            base = forward(params, vec)
-            out = forward(params, scaled)
+            base = forward(params, stack_rows([vec], params.feature.hash_dim))[2][0]
+            out = forward(params, stack_rows([scaled], params.feature.hash_dim))[2][0]
             assert out[0] == pytest.approx(c * base[0], rel=1e-12)
             assert out[1] == pytest.approx(c * base[1], rel=1e-12)
 

@@ -16,7 +16,7 @@ from distilrank.scorer import (
     FeatureStore,
     ScoreStrategy,
     featurize,
-    forward_rows,
+    forward,
     init_params,
     score_batch,
     score_batch_grad,
@@ -322,7 +322,7 @@ def per_example_loss_and_grads(params, batch, strategy):
     """`batch_loss_and_grads` as a loop over examples, each through the public
     per-list `ranknet_loss` and `ranknet_grad`."""
     rows = batch.rows
-    h_pre, h, z = forward_rows(params, rows)
+    h_pre, h, z = forward(params, rows)
     scores = score_batch(z, strategy)
     scale = 1.0 / len(batch)
     total = 0.0
@@ -366,7 +366,7 @@ def test_batched_ranknet_matches_per_example_loop(doc_counts, strategy, seed):
     for got, want in zip(grads, want_grads):
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-    _, _, z = forward_rows(params, batch.rows)
+    _, _, z = forward(params, batch.rows)
     scores = score_batch(z, strategy)
     want_mean = sum(ranknet_loss(scores[lo:hi], batch.ranks[lo:hi]) for lo, hi in
                     zip(batch.bounds[:-1], batch.bounds[1:])) / len(batch)
@@ -672,8 +672,8 @@ class TestDivergence:
                                      FeatureStore(tiny_feature()))
         params.w1 = np.full((batch.rows.shape[1], 8), 1e200)
         params.w2 = np.full((8, 2), 1e200)
-        for call in (forward_rows, batch_loss, batch_loss_and_grads):
-            args = (params, batch.rows) if call is forward_rows else (
+        for call in (forward, batch_loss, batch_loss_and_grads):
+            args = (params, batch.rows) if call is forward else (
                 params, batch, ScoreStrategy.LOGIT_DIFFERENCE)
             with pytest.raises(NonFiniteError):
                 call(*args)
