@@ -66,7 +66,7 @@ from .scorer import (
     save_checkpoint,
 )
 from .training import KindFilter, TrainConfig, filter_examples, fit, prepare_fit, write_history
-from .types import SOURCES, Query, Run, Source, validate_run
+from .types import SOURCES, Query, Run, Source, is_id, validate_run
 from .synthetic import synth_benchmark
 
 
@@ -134,7 +134,7 @@ def _load_per_query_tsv(path: str) -> dict[str, float]:
 
 def _run_tag(tag: str) -> str:
     """``tag``, if a run file written with it reads back: one field, not empty."""
-    if tag.split() != [tag]:
+    if not is_id(tag):
         raise ValueError(f"--tag must be non-empty and hold no whitespace, got {tag!r}")
     return tag
 
@@ -217,16 +217,19 @@ def _search_run(search, queries, k: int) -> Run:
 
 
 def _cmd_retrieve(args, opts: dict) -> int:
+    # the checks that need only flags, before any file is read
+    needs = {"bm25": ("--index", args.index),
+             "dense": ("--store and --query-vectors", args.store and args.query_vectors),
+             "runfile": ("--run", args.run)}
+    flags, given = needs[args.method]
+    if not given:
+        raise _UsageError(f"--method {args.method} requires {flags}")
     tag = _run_tag(args.method if args.tag is None else args.tag)
     queries = io.load_queries(args.queries)
     searcher = None
     if args.method == "bm25":
-        if not args.index:
-            raise _UsageError("--method bm25 requires --index")
         search = _bm25_search(load_index(args.index))
     elif args.method == "dense":
-        if not args.store or not args.query_vectors:
-            raise _UsageError("--method dense requires --store and --query-vectors")
         store = load_dense_store(io.lines_of(args.store))
         qvecs = load_dense_store(io.lines_of(args.query_vectors))
         qrow = {query_id: row for row, query_id in enumerate(qvecs.doc_ids)}
@@ -236,8 +239,6 @@ def _cmd_retrieve(args, opts: dict) -> int:
                 raise DataError(f"no vector for query {query.query_id!r}")
             return search_dense(store, qvecs.matrix[qrow[query.query_id]], k)
     else:  # runfile
-        if not args.run:
-            raise _UsageError("--method runfile requires --run")
         searcher = RunfileSearcher(io.load_run(args.run))
         search = _runfile_search(searcher)
     run = _search_run(search, queries, opts["retrieve.k"])
@@ -421,26 +422,26 @@ def _cmd_train(args, opts: dict) -> int:
 
 
 def _cmd_rerank(args, opts: dict) -> int:
+    # the checks that need only flags, before any file is read
     if args.checkpoint and args.external_logits:
         raise _UsageError("rerank takes --checkpoint or --external-logits, not both")
+    if not args.checkpoint and not args.external_logits:
+        raise _UsageError("rerank needs --checkpoint or --external-logits")
+    if args.checkpoint and not args.queries:
+        raise _UsageError("reranking with a checkpoint requires --queries for query texts")
     tag = _run_tag(args.tag)
-    run = io.load_run(args.run)
+    strategy = _choice(ScoreStrategy, args.strategy) if args.strategy else None
     k_in = opts["rerank.k_in"]
     k_out = k_in if opts["rerank.k_out"] is None else opts["rerank.k_out"]
+    run = io.load_run(args.run)
     if args.checkpoint:
         params, ckpt_strategy = load_checkpoint(args.checkpoint)
-        strategy = _choice(ScoreStrategy, args.strategy) if args.strategy else ckpt_strategy
-        if not args.queries:
-            raise _UsageError("reranking with a checkpoint requires --queries for query texts")
         queries = {q.query_id: q.text for q in io.load_queries(args.queries)}
-        score_fn = model_score_fn(params, strategy, queries, _corpus_map(args.corpus))
-    elif args.external_logits:
-        strategy = (_choice(ScoreStrategy, args.strategy) if args.strategy
-                    else ScoreStrategy.LOGIT_DIFFERENCE)
-        logits = load_external_logits(io.lines_of(args.external_logits))
-        score_fn = external_logit_score_fn(logits, strategy)
+        score_fn = model_score_fn(params, strategy or ckpt_strategy, queries,
+                                  _corpus_map(args.corpus))
     else:
-        raise _UsageError("rerank needs --checkpoint or --external-logits")
+        logits = load_external_logits(io.lines_of(args.external_logits))
+        score_fn = external_logit_score_fn(logits, strategy or ScoreStrategy.LOGIT_DIFFERENCE)
     reranked = rerank_run(run, score_fn, k_in=k_in, k_out=k_out)
     io.save_text(args.out, io.write_run(reranked, tag))
     print(f"rerank: {len(reranked)} queries, top {k_in} -> top {k_out} -> {args.out}")

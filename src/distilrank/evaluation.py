@@ -40,16 +40,26 @@ class EvalReport:
     n_queries: int
 
 
-def ndcg_at_k(ranked_doc_ids: Sequence[str], query_qrels: Mapping[str, int], k: int) -> float:
-    """nDCG@k of one ranking against that query's grades; unjudged docs count 0."""
+def ndcg_at_k(ranked_doc_ids: Sequence[str], query_qrels: Mapping[str, int], k: int,
+              query_id: str = "?") -> float:
+    """nDCG@k of one ranking against the grades of query ``query_id``; unjudged
+    docs count 0. A grade whose gain, DCG or ideal DCG is not a finite float
+    is a DataError."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     dcg = 0.0
-    for pos, doc_id in enumerate(ranked_doc_ids[:k], 1):
-        gain = (1 << query_qrels.get(doc_id, 0)) - 1
-        dcg += gain / math.log2(pos + 1)
-    ideal_gains = sorted(query_qrels.values(), reverse=True)[:k]
-    idcg = sum(((1 << g) - 1) / math.log2(pos + 1) for pos, g in enumerate(ideal_gains, 1))
+    # float gains equal the integer 2^rel - 1 rounded to a float, and a grade of
+    # 1024 or more overflows at once rather than building a huge integer first
+    try:
+        for pos, doc_id in enumerate(ranked_doc_ids[:k], 1):
+            dcg += (2.0 ** query_qrels.get(doc_id, 0) - 1.0) / math.log2(pos + 1)
+        ideal_gains = sorted(query_qrels.values(), reverse=True)[:k]
+        idcg = sum((2.0 ** g - 1.0) / math.log2(pos + 1) for pos, g in enumerate(ideal_gains, 1))
+    except OverflowError:
+        dcg = idcg = math.inf
+    if not (math.isfinite(dcg) and math.isfinite(idcg)):
+        raise DataError(f"query {query_id}: nDCG over relevance grades up to "
+                        f"{max(query_qrels.values())} is not a finite float")
     if idcg == 0.0:
         return 0.0
     return dcg / idcg
@@ -59,7 +69,7 @@ def evaluate_run(run: Run, qrels: Qrels, k: int = 10) -> EvalReport:
     """nDCG@k per judged query; queries missing from the run contribute 0."""
     per_query: dict[str, float] = {}
     for qid, grades in qrels.by_query.items():
-        per_query[qid] = ndcg_at_k([doc_id for doc_id, _ in run.get(qid, [])], grades, k)
+        per_query[qid] = ndcg_at_k([doc_id for doc_id, _ in run.get(qid, [])], grades, k, qid)
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
     return EvalReport(per_query=per_query, mean=mean, k=k, n_queries=len(per_query))
 

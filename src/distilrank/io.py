@@ -22,9 +22,9 @@ and the line:
 
 Formats read here (README "Input files" lists every line format):
   corpus.jsonl    {"doc_id": ..., "text": ...} per line, both strings; doc_id
-                  unique
+                  unique, an id (types.is_id: it fits one field of a run line)
   queries.tsv     query_id<TAB>text<TAB>kind, kind in {cropped, generated};
-                  query_id unique
+                  query_id unique, an id
   run files       TREC 6-column: qid Q0 docid rank score tag; per query, ranks
                   1..n, each docid once, finite non-increasing scores. The
                   tag is not kept: write_run takes it from the command that
@@ -33,6 +33,11 @@ Formats read here (README "Input files" lists every line format):
                   a non-negative integer rel (a repeat names the pair, not its
                   first line, so the parse keeps no line map); read into
                   Qrels, held per query
+  per-pair numbers qid<TAB>docid<TAB> then one finite number per named column
+                  (the MonoT5 score map, external logits); each (qid, docid)
+                  once. read_pair_numbers reads both into {qid: {docid:
+                  value}}, keeping only each query's pair line numbers, in
+                  read order
   distilled.jsonl one JSON object per line with all DistilledExample fields;
                   query_id, query_text and raw_response strings, doc_ids a
                   list of strings, llm_ranking a list of integers, repaired a
@@ -46,6 +51,7 @@ every line of x carries that tag.
 from __future__ import annotations
 
 import json
+from array import array
 from math import isfinite, nan
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator
@@ -141,6 +147,8 @@ def parse_queries(lines: Iterable[str]) -> list[Query]:
             queries.append(Query(query_id=query_id, text=text, kind=QueryKind(kind)))
         except ValueError:
             raise DataError(f"queries line {lineno}: unknown kind {kind!r}") from None
+        except DataError as exc:
+            raise DataError(f"queries line {lineno}: {exc}") from None
     return queries
 
 
@@ -214,6 +222,50 @@ def read_qrels(lines: Iterable[str]) -> Qrels:
             raise DataError(f"qrels line {lineno}: duplicate pair ({qid}, {docid})")
         grades[docid] = grade
     return Qrels(by_query)
+
+
+def read_pair_numbers(lines: Iterable[str], what: str, columns: tuple[str, ...]) -> dict:
+    """``{qid: {docid: value}}`` of TSV lines ``qid<TAB>docid<TAB>`` and one finite
+    number per name in ``columns``: the number for one column, a tuple for more.
+    Each pair once; a repeat finds its first line by its position in the query's dict."""
+    by_query: dict[str, dict] = {}
+    linenos_of: dict[str, array] = {}
+    n_fields = 2 + len(columns)
+    qid_now = None  # a file groups its lines by query, so each line reuses the last lookup
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != n_fields:
+            raise wrong_columns(what, lineno, n_fields, fields)
+        qid, docid, raw = fields[0], fields[1], fields[2]
+        if qid != qid_now:
+            qid_now, pairs = qid, by_query.get(qid)
+            if pairs is None:
+                pairs = by_query[qid] = {}
+                linenos_of[qid] = array("q")
+            linenos = linenos_of[qid]
+        if docid in pairs:
+            raise repeated(what, lineno, "pair", (qid, docid), linenos[list(pairs).index(docid)])
+        try:  # the first column inline, off the loop over any further ones
+            value = float(raw)
+        except ValueError:
+            value = nan
+        if not isfinite(value):
+            raise bad_number(what, lineno, columns[0], raw)
+        if n_fields > 3:
+            value = (value,)
+            for column, raw in zip(columns[1:], fields[3:]):
+                try:
+                    number = float(raw)
+                except ValueError:
+                    number = nan
+                if not isfinite(number):
+                    raise bad_number(what, lineno, column, raw)
+                value += (number,)
+        pairs[docid] = value
+        linenos.append(lineno)
+    return by_query
 
 
 def write_qrels(qrels: Qrels) -> str:

@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .io import RECORD_ERRORS, bad_number, malformed, repeated, wrong_columns
+from .io import RECORD_ERRORS, malformed, read_pair_numbers, repeated
 from .tokenization import TokenizerConfig, tokenize
-from .types import Document, Run, ScoredDoc, not_a_string, validate_run
+from .types import Document, Run, ScoredDoc, bad_id, is_id, not_a_string, validate_run
 
 
 class Postings(Mapping):
@@ -312,11 +312,14 @@ class DenseStore:
 
 def _first_bad_vector(linenos: list[int], doc_ids: list[str], vectors: list) -> DataError | None:
     """The error of the first row that fails the per-row checks, in file
-    order: its vector is not a finite 1-D number list, its length is not the
-    first row's, or its doc_id came before. Only a rejected store gets here."""
+    order: its doc_id is not an id, its vector is not a finite 1-D number list,
+    its length is not the first row's, or its doc_id came before. Only a
+    rejected store gets here."""
     line_of: dict[str, int] = {}
     dimension = None
     for lineno, doc_id, vector in zip(linenos, doc_ids, vectors):
+        if not is_id(doc_id):
+            return malformed("dense store", lineno, bad_id("doc_id", doc_id))
         try:
             row = np.asarray(vector, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -364,7 +367,7 @@ def load_dense_store(lines: Iterable[str]) -> DenseStore:
     try:
         matrix = np.array(vectors, dtype=np.float64) if vectors else np.zeros((0, 0))
         valid = (matrix.ndim == 2 and bool(np.isfinite(matrix).all())
-                 and len(set(doc_ids)) == len(doc_ids))
+                 and len(set(doc_ids)) == len(doc_ids) and all(map(is_id, doc_ids)))
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
@@ -405,36 +408,8 @@ class RunfileSearcher:
 
 
 def load_score_map(lines: Iterable[str]) -> dict[str, dict[str, float]]:
-    """Parse a TSV score map qid<TAB>docid<TAB>score for compose_rerank, as
-    ``{qid: {docid: score}}``.
-
-    Each (qid, docid) pair may appear once, with a finite score.
-    """
-    scores: dict[str, dict[str, float]] = {}
-    line_of: dict[str, dict[str, int]] = {}
-    for lineno, line in enumerate(lines, 1):
-        if line.isspace() or not line:
-            continue
-        fields = line.rstrip("\n").split("\t")
-        try:
-            qid, docid, raw = fields
-        except ValueError:
-            raise wrong_columns("score map", lineno, 3, fields) from None
-        firsts = line_of.get(qid)
-        if firsts is None:
-            firsts = line_of[qid] = {}
-            scores[qid] = {}
-        first = firsts.setdefault(docid, lineno)
-        if first != lineno:
-            raise repeated("score map", lineno, "pair", (qid, docid), first)
-        try:
-            score = float(raw)
-        except ValueError:
-            score = math.nan
-        if not math.isfinite(score):
-            raise bad_number("score map", lineno, "score", raw)
-        scores[qid][docid] = score
-    return scores
+    """The TSV score map qid<TAB>docid<TAB>score of compose_rerank, as ``{qid: {docid: score}}``."""
+    return read_pair_numbers(lines, "score map", ("score",))
 
 
 def compose_rerank(

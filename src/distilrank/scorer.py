@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isfinite, nan
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 from zlib import crc32
@@ -43,7 +42,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import DataError, NonFiniteError
-from .io import bad_number, repeated, wrong_columns
+from .io import read_pair_numbers
 from .tokenization import TokenizerConfig, tokenize
 
 
@@ -521,36 +520,5 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ScoreStrategy]:
 
 
 def load_external_logits(lines: Iterable[str]) -> dict[str, dict[str, tuple[float, float]]]:
-    """Parse TSV qid<TAB>docid<TAB>z_true<TAB>z_false produced by an external
-    model, as ``{qid: {docid: (z_true, z_false)}}``."""
-    logits: dict[str, dict[str, tuple[float, float]]] = {}
-    line_of: dict[str, dict[str, int]] = {}
-    for lineno, line in enumerate(lines, 1):
-        if line.isspace() or not line:
-            continue
-        fields = line.rstrip("\n").split("\t")
-        try:
-            qid, docid, raw_true, raw_false = fields
-        except ValueError:
-            raise wrong_columns("logits", lineno, 4, fields) from None
-        firsts = line_of.get(qid)
-        if firsts is None:
-            firsts = line_of[qid] = {}
-            logits[qid] = {}
-        first = firsts.setdefault(docid, lineno)
-        if first != lineno:
-            raise repeated("logits", lineno, "pair", (qid, docid), first)
-        try:
-            z_true = float(raw_true)
-        except ValueError:
-            z_true = nan
-        if not isfinite(z_true):
-            raise bad_number("logits", lineno, "z_true", raw_true)
-        try:
-            z_false = float(raw_false)
-        except ValueError:
-            z_false = nan
-        if not isfinite(z_false):
-            raise bad_number("logits", lineno, "z_false", raw_false)
-        logits[qid][docid] = (z_true, z_false)
-    return logits
+    """TSV qid<TAB>docid<TAB>z_true<TAB>z_false, as ``{qid: {docid: (z_true, z_false)}}``."""
+    return read_pair_numbers(lines, "logits", ("z_true", "z_false"))

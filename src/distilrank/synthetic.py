@@ -69,6 +69,9 @@ def synth_benchmark(
         raise DataError(f"need at least 2 topics, got {n_topics}")
     if n_docs < 10 * n_topics:
         raise DataError(f"need at least {10 * n_topics} docs for {n_topics} topics, got {n_docs}")
+    if n_train_queries < 0 or n_eval_queries < 0:
+        raise DataError(f"query counts must be >= 0, got {n_train_queries} train "
+                        f"and {n_eval_queries} eval")
     rng = random.Random(seed)
 
     query_vocab = [[f"q{t}z{i}" for i in range(_QUERY_WORDS_PER_TOPIC)] for t in range(n_topics)]

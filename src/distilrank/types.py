@@ -43,6 +43,17 @@ def not_a_string(field: str, value: object) -> TypeError:
     return TypeError(f"{field} {value!r} is not a string")
 
 
+def is_id(value: str) -> bool:
+    """Whether ``value`` can be one field of a run or qrels line: non-empty,
+    with no whitespace."""
+    # split() breaks on exactly the characters str.isspace() accepts
+    return value.split() == [value]
+
+
+def bad_id(field: str, value: str) -> DataError:
+    return DataError(f"{field} must be non-empty with no whitespace: {value!r}")
+
+
 @dataclass(frozen=True)
 class Document:
     doc_id: str
@@ -53,9 +64,8 @@ class Document:
             raise not_a_string("doc_id", self.doc_id)
         if not isinstance(self.text, str):
             raise not_a_string("text", self.text)
-        # split() breaks on exactly the characters str.isspace() accepts
-        if self.doc_id.split() != [self.doc_id]:
-            raise DataError(f"doc_id must be non-empty with no whitespace: {self.doc_id!r}")
+        if not is_id(self.doc_id):
+            raise bad_id("doc_id", self.doc_id)
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,10 @@ class Query:
     query_id: str
     text: str
     kind: QueryKind
+
+    def __post_init__(self) -> None:
+        if not is_id(self.query_id):
+            raise bad_id("query_id", self.query_id)
 
 
 class ScoredDoc(NamedTuple):

@@ -313,6 +313,30 @@ class TestDispatchBasics:
         assert f"line {len(records)}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grades, largest", [([2000], 2000), ([1023] * 3, 1023)],
+                             ids=["gain-beyond-float", "dcg-beyond-float"])
+    def test_eval_ndcg_of_a_grade_too_large_for_a_float_exits_2(self, tmp_path, capsys, grades,
+                                                                largest):
+        run = tmp_path / "run.trec"
+        run.write_text("".join(f"q1 Q0 d{i} {i} {9 - i}.0 t\n" for i in range(1, 4)))
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("".join(f"q1 0 d{i} {g}\n" for i, g in enumerate(grades, 1)))
+        out = tmp_path / "per-query.tsv"
+        assert dispatch(["eval", "ndcg", "--run", str(run), "--qrels", str(qrels),
+                         "--per-query", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: query q1: nDCG over relevance grades up to {largest} "
+                                "is not a finite float\n")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("train, eval_", [("-1", "16"), ("4", "-3")])
+    def test_synth_negative_query_count_exits_2(self, tmp_path, capsys, train, eval_):
+        out = tmp_path / "bench"
+        assert dispatch(["synth", "--topics", "4", "--docs", "40", "--train-queries", train,
+                         "--eval-queries", eval_, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: query counts must be >= 0")
+        assert not out.exists()
+
     def test_budget_zero_distill_exits_3(self, workdir, tmp_path, capsys):
         # live endpoint configured but a zero budget: nothing may be sent
         code = dispatch([
@@ -358,6 +382,50 @@ class TestRetrievalGlue:
                          "--queries", str(workdir / "queries-train.tsv"),
                          "--out", str(out)]) == 1
         assert f"--method {method} requires {needs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rerank", "--run", "absent.trec", "--corpus", "absent.jsonl"],
+         "rerank needs --checkpoint or --external-logits"),
+        (["rerank", "--run", "absent.trec", "--corpus", "absent.jsonl",
+          "--checkpoint", "missing.ckpt"],
+         "reranking with a checkpoint requires --queries for query texts"),
+        (["retrieve", "--method", "bm25", "--queries", "absent.tsv"],
+         "--method bm25 requires --index"),
+        (["retrieve", "--method", "dense", "--queries", "absent.tsv"],
+         "--method dense requires --store and --query-vectors"),
+    ], ids=["rerank-no-scorer", "rerank-checkpoint-no-queries", "bm25-no-index",
+            "dense-no-store"])
+    def test_usage_error_comes_before_any_file_is_read(self, tmp_path, capsys, monkeypatch,
+                                                       argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch([*argv, "--out", "out.trec"]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["bm25", "dense"])
+    @pytest.mark.parametrize("bad_id", ["q 1", ""], ids=["space", "empty"])
+    def test_retrieve_rejects_an_id_no_run_file_holds(self, workdir, tmp_path, capsys, method,
+                                                      bad_id):
+        # query ids and dense-store doc_ids become fields of run lines, which split on whitespace
+        queries = tmp_path / "q.tsv"
+        store = tmp_path / "store.jsonl"
+        qvecs = tmp_path / "qvecs.jsonl"
+        good = {"bm25": "qa\talpha\tcropped\n", "dense": '{"doc_id": "d1", "vector": [1, 0]}\n'}
+        bad = {"bm25": f"{bad_id}\tbeta\tcropped\n",
+               "dense": json.dumps({"doc_id": bad_id, "vector": [1, 1]}) + "\n"}
+        queries.write_text(good["bm25"] + (bad["bm25"] if method == "bm25" else ""))
+        store.write_text(good["dense"] + (bad["dense"] if method == "dense" else ""))
+        qvecs.write_text('{"doc_id": "qa", "vector": [1, 0]}\n')
+        inputs = {"bm25": ["--index", str(workdir / "index.json")],
+                  "dense": ["--store", str(store), "--query-vectors", str(qvecs)]}[method]
+        error = {"bm25": "queries line 2: query_id must be non-empty with no whitespace",
+                 "dense": "dense store line 2: malformed record (doc_id must be non-empty with "
+                          "no whitespace"}[method]
+        out = tmp_path / "r.trec"
+        assert dispatch(["retrieve", "--method", method, *inputs, "--queries", str(queries),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}: {bad_id!r}")
         assert not out.exists()
 
     def test_retrieve_dense_query_without_vector_exits_2(self, tmp_path, capsys):
@@ -778,6 +846,24 @@ def test_perfbench_trace_hooks_run_on_the_pipeline(tmp_path):
     assert calls["scorer.forward.calls"] == (calls["training.batch_loss_and_grads.calls"]
                                              + calls["training.batch_loss.calls"]
                                              + calls["evaluation.score_fn.calls"])
+
+
+@pytest.mark.parametrize("workload", ["pool-large", "ablate-grid"])
+def test_perfbench_traced_workload_runs(tmp_path, workload):
+    # pool-large reads qrels through the pair view, writes and reads the MonoT5
+    # score map and resumes distill; ablate-grid shares one feature store
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"), "--workload", workload,
+         "--scale", "tiny", "--seed", "7", "--mode", "trace", "--reference", "0",
+         "--dir", str(tmp_path / "work"), "--spans", str(tmp_path / "spans.tsv"),
+         "--t0", repr(time.monotonic())],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["problems"] == [] and result["failed"] == 0
 
 
 class TestPipelineThroughCli(object):

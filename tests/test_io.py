@@ -90,6 +90,13 @@ class TestQueries:
         with pytest.raises(DataError, match="line 1"):
             parse_queries(["q3\tonly-two-columns\n"])
 
+    @pytest.mark.parametrize("query_id", ["q 1", "", "q\u00a01"], ids=["space", "empty", "nbsp"])
+    def test_query_id_no_run_file_holds_names_line(self, query_id):
+        # a run or qrels line splits on whitespace, so such an id would not read back
+        with pytest.raises(DataError, match="queries line 2: query_id must be non-empty with no "
+                                            "whitespace"):
+            parse_queries(["q0\ttext\tcropped\n", f"{query_id}\talpha\tcropped\n"])
+
     def test_round_trip(self):
         text = "q1\twhat is bm25\tgenerated\nq2\tcropped sentence here\tcropped\n"
         assert write_queries(parse_queries(lines(text))) == text

@@ -363,6 +363,18 @@ class TestDense:
         with pytest.raises(DataError, match=f"dense store line 2: malformed record .*{error}"):
             load_dense_store(['{"doc_id": "a", "vector": [1, 2]}\n', bad, "\n", later])
 
+    @pytest.mark.parametrize("later", [
+        '{"doc_id": "a", "vector": [3, 4]}\n', '{"doc_id": "c", "vector": [5]}\n',
+        '{"doc_id": "c", "vector": [1, NaN]}\n', '{"doc_id": "c", "vector": [1, 2]}\n',
+    ], ids=["repeated-doc-id", "dimension", "nan", "valid"])
+    @pytest.mark.parametrize("doc_id", ["b 1", "", "b\t1"], ids=["space", "empty", "tab"])
+    def test_load_store_names_first_doc_id_no_run_file_holds(self, doc_id, later):
+        # a store's doc_ids become run lines, which split on whitespace
+        bad = json.dumps({"doc_id": doc_id, "vector": [1, 2]}) + "\n"
+        with pytest.raises(DataError, match="dense store line 2: malformed record .*non-empty "
+                                            "with no whitespace"):
+            load_dense_store(['{"doc_id": "a", "vector": [1, 2]}\n', bad, "\n", later])
+
 
 class TestRunfile:
     def run(self, n=100):

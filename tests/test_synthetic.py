@@ -70,3 +70,8 @@ class TestSynthBenchmark:
             synth_benchmark(1, 100, 4, 2)
         with pytest.raises(DataError):
             synth_benchmark(4, 39, 4, 2)
+
+    @pytest.mark.parametrize("train, eval_", [(-1, 16), (4, -3)])
+    def test_negative_query_count_rejected(self, train, eval_):
+        with pytest.raises(DataError, match="query counts must be >= 0"):
+            synth_benchmark(4, 40, train, eval_)
