@@ -12,8 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import io
 from .errors import DataError
-from .io import repeated, wrong_columns
 from .tokenization import TokenizerConfig, tokenize
 from .types import SOURCES, DistilledExample, Document, Query, QueryKind, Source
 
@@ -76,24 +76,12 @@ def crop_sentences(
     ]
 
 
-def parse_generated_pool(lines: Iterable[str]) -> list[tuple[str, str]]:
-    """Parse a generated-query pool: TSV doc_id<TAB>query_text, one query per line."""
-    pool: list[tuple[str, str]] = []
-    for lineno, line in enumerate(lines, 1):
-        if line.isspace() or not line:
-            continue
-        fields = line.rstrip("\n").split("\t")
-        try:
-            doc_id, text = fields
-        except ValueError:
-            raise wrong_columns("generated pool", lineno, 2, fields) from None
-        pool.append((doc_id, text))
-    return pool
-
-
 def load_generated(lines: Iterable[str], n: int = 10_000, seed: int = 0) -> list[Query]:
-    """Sample n Generated queries uniformly without replacement from the pool file."""
-    pool = parse_generated_pool(lines)
+    """Sample n Generated queries uniformly without replacement from the pool
+    file; n is checked before the first line is read."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    pool = io.parse_generated_pool(lines)
     if n > len(pool):
         raise DataError(f"requested {n} generated queries but the pool holds only {len(pool)}")
     rng = random.Random(seed)
@@ -120,30 +108,13 @@ def assign_sources(queries: Sequence[Query], seed: int = 0) -> dict[str, Source]
     return assignment
 
 
-def write_assignment(assignment: dict[str, Source]) -> str:
-    return "".join(f"{qid}\t{src.value}\n" for qid, src in sorted(assignment.items()))
-
-
-def parse_assignment(lines: Iterable[str]) -> dict[str, Source]:
-    """Parse query_id<TAB>source lines; each query may be assigned once."""
-    assignment: dict[str, Source] = {}
-    line_of: dict[str, int] = {}
-    for lineno, line in enumerate(lines, 1):
-        if line.isspace() or not line:
-            continue
-        fields = line.rstrip("\n").split("\t")
-        try:
-            query_id, source = fields
-        except ValueError:
-            raise wrong_columns("assignment", lineno, 2, fields) from None
-        first = line_of.setdefault(query_id, lineno)
-        if first != lineno:
-            raise repeated("assignment", lineno, "query", query_id, first, "assigned")
-        try:
-            assignment[query_id] = Source(source)
-        except ValueError:
-            raise DataError(f"assignment line {lineno}: unknown source {source!r}") from None
-    return assignment
+def validation_per_kind(n_val: int) -> int:
+    """The examples of each query kind that a split holding out ``n_val`` takes."""
+    if n_val % 2 != 0:
+        raise ValueError(f"n_val must be even, got {n_val}")
+    if n_val < 0:
+        raise ValueError(f"n_val must be >= 0, got {n_val}")
+    return n_val // 2
 
 
 def split_dataset(
@@ -156,9 +127,7 @@ def split_dataset(
     Returns (train, validation); the two parts are disjoint by query_id and
     together contain every input example.
     """
-    if n_val % 2 != 0:
-        raise ValueError(f"n_val must be even, got {n_val}")
-    per_kind = n_val // 2
+    per_kind = validation_per_kind(n_val)
     rng = random.Random(seed)
     val_ids: set[str] = set()
     for kind in QueryKind:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -19,9 +18,8 @@ from .augment import (
     assign_sources,
     crop_sentences,
     load_generated,
-    parse_assignment,
     split_dataset,
-    write_assignment,
+    validation_per_kind,
 )
 from .config import OPTIONS, CliConfig, resolve
 from .distill import (
@@ -41,13 +39,14 @@ from .evaluation import (
     intersection_matrix,
     model_score_fn,
     paired_t_test,
+    rerank_depths,
     rerank_run,
-    write_per_query,
 )
 from .llm import LlmClient, LlmConfig, RetryPolicy
 from .retrieval import (
     RunfileSearcher,
     build_index,
+    check_bm25_params,
     compose_rerank,
     load_dense_store,
     load_index,
@@ -108,28 +107,11 @@ def _source_or_none(name: str) -> Source | None:
         ) from None
 
 
-def _load_per_query_tsv(path: str) -> dict[str, float]:
-    values: dict[str, float] = {}
-    line_of: dict[str, int] = {}
-    for lineno, line in enumerate(io.lines_of(path), 1):
-        if line.isspace() or not line:
-            continue
-        fields = line.rstrip("\n").split("\t")
-        try:
-            query_id, raw = fields
-        except ValueError:
-            raise io.wrong_columns(path, lineno, 2, fields) from None
-        first = line_of.setdefault(query_id, lineno)
-        if first != lineno:
-            raise io.repeated(path, lineno, "query", query_id, first)
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise io.bad_number(path, lineno, "value", raw)
-        values[query_id] = value
-    return values
+def _positive(name: str, value: int) -> int:
+    """``value``, if it is at least 1; ``name`` words the error."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _run_tag(tag: str) -> str:
@@ -178,10 +160,7 @@ def _cmd_synth(args, opts: dict) -> int:
     io.save_text(out / "qrels.txt", io.write_qrels(bench.qrels))
     io.save_text(out / "qrels-train.txt", io.write_qrels(bench.train_qrels))
     io.save_text(out / "qrels-eval.txt", io.write_qrels(bench.eval_qrels))
-    io.save_text(
-        out / "genpool.tsv",
-        "".join(f"{doc_id}\t{text}\n" for doc_id, text in bench.generated_pool),
-    )
+    io.save_text(out / "genpool.tsv", io.write_generated_pool(bench.generated_pool))
     print(
         f"synth: {len(bench.corpus)} docs, {len(bench.train_queries)} train + "
         f"{len(bench.eval_queries)} eval queries, {len(bench.qrels)} qrels -> {out}"
@@ -191,6 +170,7 @@ def _cmd_synth(args, opts: dict) -> int:
 
 def _cmd_index_build(args, opts: dict) -> int:
     k1, b = opts["bm25.k1"], opts["bm25.b"]
+    check_bm25_params(k1, b)
     index = build_index(io.load_corpus(args.corpus), k1=k1, b=b)
     save_index(index, args.out)
     print(f"index: {index.n_docs} docs, {len(index.postings)} terms, k1={k1} b={b} -> {args.out}")
@@ -225,6 +205,7 @@ def _cmd_retrieve(args, opts: dict) -> int:
     if not given:
         raise _UsageError(f"--method {args.method} requires {flags}")
     tag = _run_tag(args.method if args.tag is None else args.tag)
+    k = _positive("--k", opts["retrieve.k"])
     queries = io.load_queries(args.queries)
     searcher = None
     if args.method == "bm25":
@@ -241,7 +222,7 @@ def _cmd_retrieve(args, opts: dict) -> int:
     else:  # runfile
         searcher = RunfileSearcher(io.load_run(args.run))
         search = _runfile_search(searcher)
-    run = _search_run(search, queries, opts["retrieve.k"])
+    run = _search_run(search, queries, k)
     if searcher and searcher.misses:
         print(f"warning: {searcher.misses} queries missing from {args.run}", file=sys.stderr)
     io.save_text(args.out, io.write_run(run, tag))
@@ -272,7 +253,7 @@ def _cmd_augment_load_generated(args, opts: dict) -> int:
 def _cmd_assign_sources(args, opts: dict) -> int:
     queries = io.load_queries(args.queries)
     assignment = assign_sources(queries, seed=args.seed)
-    io.save_text(args.out, write_assignment(assignment))
+    io.save_text(args.out, io.write_assignment(assignment))
     counts: dict[str, int] = {}
     for q in queries:
         key = f"{q.kind.value}/{assignment[q.query_id].value}"
@@ -282,6 +263,7 @@ def _cmd_assign_sources(args, opts: dict) -> int:
 
 
 def _cmd_split(args, opts: dict) -> int:
+    validation_per_kind(args.n_val)
     examples = io.load_distilled(args.distilled)
     train, val = split_dataset(examples, n_val=args.n_val, seed=args.seed)
     io.save_text(args.out_train, io.write_distilled(train))
@@ -294,7 +276,7 @@ def _distill_backends(args, opts: dict, pending: list[Query], llm_config: LlmCon
     """The retrieve and teacher callables of `distill`, built from every input
     given; the composed MonoT5 run covers the MonoT5 queries among ``pending``."""
     corpus = _corpus_map(args.corpus)
-    assignment = parse_assignment(io.lines_of(args.assignment)) if args.assignment else {}
+    assignment = io.parse_assignment(io.lines_of(args.assignment)) if args.assignment else {}
     k = opts["retrieve.k"]
 
     searches = {}  # Source -> search(query, k)
@@ -340,13 +322,9 @@ def _nothing_pending(*_args):
 
 def _cmd_distill(args, opts: dict) -> int:
     # 1. the checks that need only flags and option values, before any file is read
-    k, max_in_flight = opts["retrieve.k"], opts["llm.max_in_flight"]
-    if k < 1:
-        raise ValueError(f"--k must be >= 1, got {k}")
-    if max_in_flight < 1:
-        raise ValueError(f"--max-in-flight must be >= 1, got {max_in_flight}")
-    if opts["prompt.passage_word_budget"] < 1:
-        raise ValueError(f"--passage-words must be >= 1, got {opts['prompt.passage_word_budget']}")
+    k = _positive("--k", opts["retrieve.k"])
+    max_in_flight = _positive("--max-in-flight", opts["llm.max_in_flight"])
+    _positive("--passage-words", opts["prompt.passage_word_budget"])
     plan = WindowPlan(window=opts["window.size"], step=opts["window.step"])
     if args.monot5_scores:
         if args.run_monot5:
@@ -398,9 +376,6 @@ def _cmd_distill(args, opts: dict) -> int:
 
 
 def _cmd_train(args, opts: dict) -> int:
-    train_examples = io.load_distilled(args.train)
-    val_examples = io.load_distilled(args.val) if args.val else []
-    corpus = _corpus_map(args.corpus)
     feature = FeatureConfig(hash_dim=opts["feature.hash_dim"],
                             interaction_cap=opts["feature.interaction_cap"])
     config = _train_config(opts, args.seed, opts["train.docs"],
@@ -408,6 +383,9 @@ def _cmd_train(args, opts: dict) -> int:
                            _choice(KindFilter, opts["train.kind"]),
                            _source_or_none(opts["train.exclude_source"]))
     params = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
+    train_examples = io.load_distilled(args.train)
+    val_examples = io.load_distilled(args.val) if args.val else []
+    corpus = _corpus_map(args.corpus)
     # no name holds the store or the preparation, so each is freed once it is done with
     params, history = fit(config, prepare_fit(config, train_examples, val_examples, corpus,
                                               FeatureStore(feature)), params)
@@ -431,8 +409,7 @@ def _cmd_rerank(args, opts: dict) -> int:
         raise _UsageError("reranking with a checkpoint requires --queries for query texts")
     tag = _run_tag(args.tag)
     strategy = _choice(ScoreStrategy, args.strategy) if args.strategy else None
-    k_in = opts["rerank.k_in"]
-    k_out = k_in if opts["rerank.k_out"] is None else opts["rerank.k_out"]
+    k_in, k_out = rerank_depths(opts["rerank.k_in"], opts["rerank.k_out"])
     run = io.load_run(args.run)
     if args.checkpoint:
         params, ckpt_strategy = load_checkpoint(args.checkpoint)
@@ -449,36 +426,42 @@ def _cmd_rerank(args, opts: dict) -> int:
 
 
 def _cmd_eval_ndcg(args, opts: dict) -> int:
-    k = opts["eval.k"]
+    k = _positive("k", opts["eval.k"])
     report = evaluate_run(io.load_run(args.run), io.load_qrels(args.qrels), k)
     if args.per_query:
-        io.save_text(args.per_query, write_per_query(report))
+        io.save_text(args.per_query, io.write_per_query(report.per_query))
     print(f"ndcg@{k}: {report.mean:.6f} over {report.n_queries} queries")
     return 0
 
 
-def _parse_labeled_runs(pairs: list[str]) -> dict[str, Run]:
-    runs: dict[str, Run] = {}
+def _labeled_paths(pairs: list[str]) -> dict[str, str]:
+    paths: dict[str, str] = {}
     for pair in pairs:
         label, sep, path = pair.partition("=")
         if not sep:
             raise _UsageError(f"expected label=path, got {pair!r}")
-        if label in runs:
+        if label in paths:
             raise _UsageError(f"run label {label!r} given twice")
-        runs[label] = io.load_run(path)
-    return runs
+        paths[label] = path
+    return paths
+
+
+def _load_runs(paths: dict[str, str]) -> dict[str, Run]:
+    return {label: io.load_run(path) for label, path in paths.items()}
 
 
 def _cmd_eval_intersection(args, opts: dict) -> int:
-    n = opts["eval.n"]
-    runs = _parse_labeled_runs(args.run)
-    labels, upper = intersection_matrix(runs, n)
+    n = _positive("n", opts["eval.n"])
+    paths = _labeled_paths(args.run)
+    if len(paths) < 2:
+        raise _UsageError("eval intersection needs at least two --run")
+    lower_paths = _labeled_paths(args.run_lower) if args.run_lower else None
+    if lower_paths is not None and list(lower_paths) != list(paths):
+        raise DataError("upper and lower run sets must use the same labels in the same order")
+    labels, upper = intersection_matrix(_load_runs(paths), n)
     lower = None
-    if args.run_lower:
-        lower_runs = _parse_labeled_runs(args.run_lower)
-        lower_labels, lower = intersection_matrix(lower_runs, n)
-        if lower_labels != labels:
-            raise DataError("upper and lower run sets must use the same labels in the same order")
+    if lower_paths is not None:
+        _, lower = intersection_matrix(_load_runs(lower_paths), n)
     text = format_intersection_tsv(labels, upper, lower)
     if args.out:
         io.save_text(args.out, text)
@@ -487,8 +470,8 @@ def _cmd_eval_intersection(args, opts: dict) -> int:
 
 
 def _cmd_eval_ttest(args, opts: dict) -> int:
-    a = _load_per_query_tsv(args.a)
-    b = _load_per_query_tsv(args.b)
+    a = io.read_per_query(io.lines_of(args.a), args.a)
+    b = io.read_per_query(io.lines_of(args.b), args.b)
     p = paired_t_test(a, b)
     print(f"paired t-test two-sided p = {p:.6g}")
     return 0
@@ -501,18 +484,23 @@ _ABLATION_SOURCES = (None,) + SOURCES
 
 
 def _cmd_ablate(args, opts: dict) -> int:
+    # the checks that need only option values, before any file is read: one
+    # config checks the train.* values every cell shares
+    _train_config(opts, args.seed, _ABLATION_DOCS[0], _ABLATION_STRATEGIES[0],
+                  _ABLATION_KINDS[0], None)
+    k_in, _ = rerank_depths(opts["rerank.k_in"])
+    k = _positive("k", opts["eval.k"])
+    feature = FeatureConfig(hash_dim=opts["feature.hash_dim"],
+                            interaction_cap=opts["feature.interaction_cap"])
+    # every cell starts from the same draw; fit updates it in place, so each cell copies it
+    initial = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
     train_examples = io.load_distilled(args.train)
     corpus = _corpus_map(args.corpus)
     queries = {q.query_id: q.text for q in io.load_queries(args.queries)}
     qrels = io.load_qrels(args.qrels)
     base_run = io.load_run(args.base_run)
-    k_in = opts["rerank.k_in"]
-    feature = FeatureConfig(hash_dim=opts["feature.hash_dim"],
-                            interaction_cap=opts["feature.interaction_cap"])
-    # every cell trains and reranks on the same pairs: featurize each once
+    # and trains and reranks on the same pairs: featurize each once
     store = FeatureStore(feature)
-    # and starts from the same draw; fit updates it in place, so each cell copies it
-    initial = init_params(feature, hidden=opts["feature.hidden"], seed=args.init_seed)
 
     groups = [(docs, kind, source) for docs in _ABLATION_DOCS for kind in _ABLATION_KINDS
               for source in _ABLATION_SOURCES]
@@ -548,7 +536,7 @@ def _cmd_ablate(args, opts: dict) -> int:
                 failed += 1
                 print(f"[{cell_no}/{n_cells}] failed, {stage}{exc}: {cell}", file=sys.stderr)
                 continue
-            report = evaluate_run(reranked, qrels, opts["eval.k"])
+            report = evaluate_run(reranked, qrels, k)
             rows[cell_no] = f"{cell}\t{report.mean:.6f}\t{history[-1].train_loss:.6f}\n"
             if args.verbose:
                 print(f"[{cell_no}/{n_cells}] {rows[cell_no]}", end="", file=sys.stderr)

@@ -74,10 +74,6 @@ def evaluate_run(run: Run, qrels: Qrels, k: int = 10) -> EvalReport:
     return EvalReport(per_query=per_query, mean=mean, k=k, n_queries=len(per_query))
 
 
-def write_per_query(report: EvalReport) -> str:
-    return "".join(f"{qid}\t{v:.6f}\n" for qid, v in sorted(report.per_query.items()))
-
-
 def intersection_rate(run_a: Run, run_b: Run, n: int = 30) -> float:
     """Mean over shared queries of |top-n(a) set intersect top-n(b) set| / n."""
     if n < 1:
@@ -161,6 +157,17 @@ def paired_t_test(per_query_a: Mapping[str, float], per_query_b: Mapping[str, fl
 ScoreFn = Callable[[str, Sequence[str]], Sequence[float]]
 
 
+def rerank_depths(k_in: int, k_out: int | None = None) -> tuple[int, int]:
+    """``(k_in, k_out)`` of a rerank, k_out defaulting to k_in, once both are checked."""
+    if k_out is None:
+        k_out = k_in
+    if k_in < 1 or k_out < 1:
+        raise ValueError(f"k_in and k_out must be >= 1, got k_in={k_in}, k_out={k_out}")
+    if k_out > k_in:
+        raise ValueError(f"k_out={k_out} must not exceed k_in={k_in}")
+    return k_in, k_out
+
+
 def rerank_run(
     run: Run,
     score_fn: ScoreFn,
@@ -169,12 +176,7 @@ def rerank_run(
 ) -> Run:
     """Re-score the top-k_in of each query with one ``score_fn(query_id, doc_ids)``
     call and emit the top-k_out, ties broken by ascending doc_id."""
-    if k_out is None:
-        k_out = k_in
-    if k_in < 1 or k_out < 1:
-        raise ValueError(f"k_in and k_out must be >= 1, got k_in={k_in}, k_out={k_out}")
-    if k_out > k_in:
-        raise ValueError(f"k_out={k_out} must not exceed k_in={k_in}")
+    k_in, k_out = rerank_depths(k_in, k_out)
     reranked: Run = {}
     for qid, docs in run.items():
         doc_ids = [doc_id for doc_id, _ in docs[:k_in]]

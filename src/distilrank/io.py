@@ -38,6 +38,12 @@ Formats read here (README "Input files" lists every line format):
                   once. read_pair_numbers reads both into {qid: {docid:
                   value}}, keeping only each query's pair line numbers, in
                   read order
+  query values    query_id<TAB>value, each query_id once: per-query values
+                  (a finite number; `eval ndcg --per-query` writes them,
+                  `eval ttest` reads them) and the source assignment (a
+                  Source name). read_per_query and parse_assignment share one
+                  loop and differ only in how they convert the value
+  generated pool  doc_id<TAB>query_text; a doc_id may have many queries
   distilled.jsonl one JSON object per line with all DistilledExample fields;
                   query_id, query_text and raw_response strings, doc_ids a
                   list of strings, llm_ranking a list of integers, repaired a
@@ -54,7 +60,7 @@ import json
 from array import array
 from math import isfinite, nan
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import DataError
 from .types import (
@@ -266,6 +272,80 @@ def read_pair_numbers(lines: Iterable[str], what: str, columns: tuple[str, ...])
         pairs[docid] = value
         linenos.append(lineno)
     return by_query
+
+
+def _read_query_values(lines: Iterable[str], what: str, verb: str,
+                       convert: Callable[[str, int], object]) -> dict:
+    """``{query_id: convert(raw, lineno)}`` of TSV lines ``query_id<TAB>raw``;
+    each query once, a repeat worded with ``verb``."""
+    values: dict = {}
+    line_of: dict[str, int] = {}
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        fields = line.rstrip("\n").split("\t")
+        try:
+            query_id, raw = fields
+        except ValueError:
+            raise wrong_columns(what, lineno, 2, fields) from None
+        first = line_of.setdefault(query_id, lineno)
+        if first != lineno:
+            raise repeated(what, lineno, "query", query_id, first, verb)
+        values[query_id] = convert(raw, lineno)
+    return values
+
+
+def read_per_query(lines: Iterable[str], what: str) -> dict[str, float]:
+    """Per-query values ``query_id<TAB>value``, each a finite number; errors
+    name the file as ``what``."""
+    def number(raw: str, lineno: int) -> float:
+        try:
+            value = float(raw)
+        except ValueError:
+            value = nan
+        if not isfinite(value):
+            raise bad_number(what, lineno, "value", raw)
+        return value
+    return _read_query_values(lines, what, "given", number)
+
+
+def write_per_query(values: dict[str, float]) -> str:
+    return "".join(f"{qid}\t{v:.6f}\n" for qid, v in sorted(values.items()))
+
+
+def _source(raw: str, lineno: int) -> Source:
+    try:
+        return Source(raw)
+    except ValueError:
+        raise DataError(f"assignment line {lineno}: unknown source {raw!r}") from None
+
+
+def parse_assignment(lines: Iterable[str]) -> dict[str, Source]:
+    """Parse query_id<TAB>source lines; each query may be assigned once."""
+    return _read_query_values(lines, "assignment", "assigned", _source)
+
+
+def write_assignment(assignment: dict[str, Source]) -> str:
+    return "".join(f"{qid}\t{src.value}\n" for qid, src in sorted(assignment.items()))
+
+
+def parse_generated_pool(lines: Iterable[str]) -> list[tuple[str, str]]:
+    """Parse a generated-query pool: TSV doc_id<TAB>query_text, one query per line."""
+    pool: list[tuple[str, str]] = []
+    for lineno, line in enumerate(lines, 1):
+        if line.isspace() or not line:
+            continue
+        fields = line.rstrip("\n").split("\t")
+        try:
+            doc_id, text = fields
+        except ValueError:
+            raise wrong_columns("generated pool", lineno, 2, fields) from None
+        pool.append((doc_id, text))
+    return pool
+
+
+def write_generated_pool(pool: Iterable[tuple[str, str]]) -> str:
+    return "".join(f"{doc_id}\t{text}\n" for doc_id, text in pool)
 
 
 def write_qrels(qrels: Qrels) -> str:

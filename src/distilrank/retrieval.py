@@ -89,6 +89,12 @@ class Postings(Mapping):
                 and np.array_equal(self.tfs, other.tfs))
 
 
+def check_bm25_params(k1: float, b: float) -> None:
+    """Raise a DataError unless 0 < k1 < inf and 0 <= b <= 1."""
+    if not 0.0 < k1 < math.inf or not 0.0 <= b <= 1.0:
+        raise DataError(f"BM25 parameters out of range: k1={k1}, b={b}")
+
+
 @dataclass(eq=False)
 class InvertedIndex:
     """BM25 index: CSR postings, document lengths and ids, and the BM25 parameters.
@@ -112,8 +118,7 @@ class InvertedIndex:
         return len(self.doc_ids)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.k1 < math.inf or not 0.0 <= self.b <= 1.0:
-            raise DataError(f"BM25 parameters out of range: k1={self.k1}, b={self.b}")
+        check_bm25_params(self.k1, self.b)
         self.doc_lengths = np.asarray(self.doc_lengths, dtype=np.int64)
         if self.doc_lengths.shape != (len(self.doc_ids),):
             raise DataError("index doc_lengths and doc_ids disagree in length")

@@ -5,12 +5,11 @@ from distilrank.augment import (
     assign_sources,
     crop_sentences,
     load_generated,
-    parse_assignment,
     split_dataset,
     split_sentences,
-    write_assignment,
 )
 from distilrank.errors import DataError
+from distilrank.io import parse_assignment, write_assignment
 from distilrank.types import SOURCES, DistilledExample, Document, Query, QueryKind, Source
 
 

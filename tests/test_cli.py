@@ -38,7 +38,6 @@ def four_sources(workdir, tmp_path_factory):
     """The inputs of a `distill` over all four sources, keyed by flag, and the
     assignment: one BM25 run file stands in for SPLADE and DRAGON, and a score
     map covers the BM25 top-20 pool of every MonoT5-assigned query."""
-    from distilrank.augment import parse_assignment
     from distilrank.retrieval import load_index, search_bm25
 
     root = tmp_path_factory.mktemp("four-sources")
@@ -47,7 +46,7 @@ def four_sources(workdir, tmp_path_factory):
         "assign-sources", "--queries", str(workdir / "queries-train.tsv"),
         "--seed", "2", "--out", str(assignment_path),
     ]) == 0
-    assignment = parse_assignment(assignment_path.read_text().splitlines(keepends=True))
+    assignment = io.parse_assignment(assignment_path.read_text().splitlines(keepends=True))
 
     run_path = root / "external.trec"
     assert dispatch([
@@ -769,6 +768,76 @@ class TestDistillResume:
         assert code == 0
         assert sorted(asked) == sorted(removed)  # one window per query at --k 10
         assert out.read_bytes() == full
+
+
+_TRAIN = ["train", "--train", "absent.jsonl", "--val", "absent.jsonl", "--corpus", "absent.jsonl",
+          "--checkpoint", "out.ckpt"]
+_ABLATE = ["ablate", "--train", "absent.jsonl", "--corpus", "absent.jsonl", "--queries",
+           "absent.tsv", "--qrels", "absent.txt", "--base-run", "absent.trec", "--out", "out.tsv"]
+_RERANK = ["rerank", "--run", "absent.trec", "--corpus", "absent.jsonl", "--queries", "absent.tsv",
+           "--checkpoint", "absent.ckpt", "--out", "out.trec"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["retrieve", "--method", "runfile", "--run", "absent.trec", "--queries", "absent.tsv",
+      "--k", "0", "--out", "out.trec"], "--k must be >= 1, got 0"),
+    ([*_RERANK, "--k-in", "0"], "k_in and k_out must be >= 1, got k_in=0, k_out=0"),
+    ([*_RERANK, "--k-out", "0"], "k_in and k_out must be >= 1, got k_in=100, k_out=0"),
+    (["rerank", "--run", "absent.trec", "--corpus", "absent.jsonl", "--external-logits",
+      "absent.tsv", "--out", "out.trec", "--k-in", "5", "--k-out", "10"],
+     "k_out=10 must not exceed k_in=5"),
+    ([*_TRAIN, "--lr", "-1"], "learning rate must be finite and positive, got -1.0"),
+    ([*_TRAIN, "--hash-dim", "3"], "hash_dim must be a power of two, got 3"),
+    ([*_TRAIN, "--hidden", "0"], "hidden must be >= 1, got 0"),
+    ([*_TRAIN, "--strategy", "bogus"], "unknown ScoreStrategy 'bogus'"),
+    ([*_ABLATE, "--lr", "-1"], "learning rate must be finite and positive, got -1.0"),
+    ([*_ABLATE, "--hash-dim", "3"], "hash_dim must be a power of two, got 3"),
+    ([*_ABLATE, "--hidden", "0"], "hidden must be >= 1, got 0"),
+    ([*_ABLATE, "--k-in", "0"], "k_in and k_out must be >= 1, got k_in=0, k_out=0"),
+    ([*_ABLATE, "--k", "0"], "k must be >= 1, got 0"),
+    (["eval", "ndcg", "--run", "absent.trec", "--qrels", "absent.txt", "--per-query", "out.tsv",
+      "--k", "0"], "k must be >= 1, got 0"),
+    (["eval", "intersection", "--run", "a=absent.trec", "--run", "b=absent.trec",
+      "--out", "out.tsv", "--n", "0"], "n must be >= 1, got 0"),
+    (["index", "build", "--corpus", "absent.jsonl", "--out", "out.npz", "--k1", "-1"],
+     "BM25 parameters out of range: k1=-1.0, b=0.4"),
+    (["split", "--distilled", "absent.jsonl", "--out-train", "t.jsonl", "--out-val", "v.jsonl",
+      "--n-val", "3"], "n_val must be even, got 3"),
+    (["split", "--distilled", "absent.jsonl", "--out-train", "t.jsonl", "--out-val", "v.jsonl",
+      "--n-val", "-2"], "n_val must be >= 0, got -2"),
+    (["augment", "load-generated", "--pool", "absent.tsv", "--out", "out.tsv", "--n", "-1"],
+     "n must be >= 0, got -1"),
+], ids=["retrieve-k", "rerank-k-in", "rerank-k-out", "rerank-k-out-above-k-in", "train-lr",
+        "train-hash-dim", "train-hidden", "train-strategy", "ablate-lr", "ablate-hash-dim",
+        "ablate-hidden", "ablate-k-in", "ablate-k", "ndcg-k", "intersection-n", "index-k1",
+        "split-odd", "split-negative", "load-generated-n"])
+def test_bad_option_value_comes_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv,
+                                                        message):
+    # every input is missing, so reading any of them first would name that file instead
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "absent" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("runs, message", [
+    (["--run", "a=absent.trec"], "eval intersection needs at least two --run"),
+    (["--run", "a=absent.trec", "--run", "b"], "expected label=path, got 'b'"),
+    (["--run", "a=absent.trec", "--run", "b=absent.trec", "--run-lower", "b=absent.trec",
+      "--run-lower", "a=absent.trec"], None),
+], ids=["one-run", "no-label", "lower-labels-differ"])
+def test_intersection_checks_its_run_flags_before_reading_a_run(tmp_path, capsys, monkeypatch,
+                                                                runs, message):
+    monkeypatch.chdir(tmp_path)
+    status = dispatch(["eval", "intersection", *runs, "--out", "out.tsv"])
+    err = capsys.readouterr().err
+    if message is None:  # a data error, as when the runs are read
+        assert (status, err) == (
+            2, "error: upper and lower run sets must use the same labels in the same order\n")
+    else:
+        assert (status, err) == (1, f"usage error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_leaves_out_scipy_stats():

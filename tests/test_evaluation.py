@@ -14,8 +14,8 @@ from distilrank.evaluation import (
     ndcg_at_k,
     paired_t_test,
     rerank_run,
-    write_per_query,
 )
+from distilrank.io import write_per_query
 from distilrank.scorer import (
     FeatureConfig,
     FeatureStore,
@@ -82,7 +82,7 @@ class TestEvaluateRun:
     def test_per_query_tsv(self):
         run = {"q1": [ScoredDoc("d1", 1.0)]}
         report = evaluate_run(run, Qrels({"q1": {"d1": 1}}), 10)
-        assert write_per_query(report) == "q1\t1.000000\n"
+        assert write_per_query(report.per_query) == "q1\t1.000000\n"
 
 
 def run_of(docs_by_query):

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,11 +10,15 @@ from distilrank.errors import DataError
 from distilrank.io import (
     load_qrels,
     parse_corpus,
+    parse_generated_pool,
     parse_queries,
     read_distilled,
+    read_per_query,
     read_qrels,
     read_run,
     write_distilled,
+    write_generated_pool,
+    write_per_query,
     write_qrels,
     write_queries,
     write_run,
@@ -272,3 +278,35 @@ def test_run_write_read_round_trip(ranked):
     run = {qid: [ScoredDoc(*d) for d in docs] for qid, docs in prepared.items()}
     validate_run(run)
     assert read_run(lines(write_run(run, "t"))) == {q: run[q] for q in sorted(run)}
+
+
+def test_small_tsv_codecs_round_trip():
+    pool = [("d2", "a query with spaces "), ("d1", "b"), ("d2", "c")]
+    assert parse_generated_pool(lines(write_generated_pool(pool))) == pool
+    values = {"q2": 0.25, "q1": 1.0}
+    assert read_per_query(lines(write_per_query(values)), "per-query") == values
+
+
+def test_io_types_and_errors_import_no_numpy_scipy_or_requests():
+    # the readers and the nDCG code stay cheap to import; a module they import
+    # from the package is checked the same way
+    package = Path(__file__).resolve().parent.parent / "src" / "distilrank"
+    heavy = {"numpy", "scipy", "requests"}
+    todo, seen = ["io", "types", "errors"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                todo += [node.module] if node.module else [a.name for a in node.names]
+                continue
+            if isinstance(node, ast.Import):
+                roots = {a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                roots = {node.module.partition(".")[0]}
+            else:
+                continue
+            assert not roots & heavy, f"{name}.py line {node.lineno} imports {roots & heavy}"
+    assert {"io", "types", "errors"} <= seen

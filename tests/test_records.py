@@ -14,8 +14,8 @@ from typing import Callable
 
 import pytest
 
-from distilrank import cli, io
-from distilrank.augment import parse_assignment, parse_generated_pool
+from distilrank import io
+from distilrank.io import parse_assignment, parse_generated_pool
 from distilrank.errors import DataError
 from distilrank.retrieval import DenseStore, load_dense_store, load_score_map
 from distilrank.scorer import load_external_logits
@@ -80,7 +80,7 @@ READERS = [
            ["q1\td1\t1.0\t0.0\n", "q1\td2\t0.5\t0.0\n"],
            "q1\td3\t1.0\n", "q1\td1\t2.0\t0.0\n", r"line 3: pair \('q1', 'd1'\).*line 1",
            ["q1\td3\tnan\t0.0\n", "q1\td3\t0.0\tinf\n"]),
-    Reader("per-query", None,
+    Reader("per-query", lambda lines: io.read_per_query(lines, "per-query"),
            ["q1\t0.5\n", "q2\t0.75\n"],
            "q3\n", "q1\t0.6\n", r"line 3: query 'q1'.*line 1",
            ["q3\tnan\n", "q3\t-inf\n"]),
@@ -119,18 +119,9 @@ def _on_both_feeds(parse):
 
 
 @pytest.fixture
-def reader(request, tmp_path):
+def reader(request):
     r = request.param
-    parse = r.parse
-    name = r.name
-    if parse is None:  # `eval ttest` reads its per-query values from a path
-        name = str(tmp_path / "per-query.tsv")
-
-        def parse(lines):
-            with open(name, "w", encoding="utf-8") as f:
-                f.writelines(lines)
-            return cli._load_per_query_tsv(name)
-    return Reader(name, _on_both_feeds(parse), r.rows, r.short, r.repeat, r.repeat_error,
+    return Reader(r.name, _on_both_feeds(r.parse), r.rows, r.short, r.repeat, r.repeat_error,
                   r.non_finite)
 
 
