@@ -7,8 +7,10 @@ error. Stages hand files to each other; all randomness is seeded from --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -483,6 +485,47 @@ _ABLATION_KINDS = (KindFilter.MIXED, KindFilter.CROPPED_ONLY, KindFilter.GENERAT
 _ABLATION_SOURCES = (None,) + SOURCES
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork workers."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+_task = None  # the function a forked worker runs, set by its initializer
+
+
+def _set_task(task) -> None:
+    global _task
+    _task = task
+
+
+def _call_task(item):
+    return _task(item)
+
+
+@contextlib.contextmanager
+def _mapper(task, workers: int):
+    """A ``map`` of ``task`` that yields results in item order: over
+    ``workers`` forked workers when that is two or more, else in this
+    process. Workers inherit ``task`` and all it reads, so only the items and
+    the results cross the pipe. Every worker has exited when the block ends,
+    on any path."""
+    if workers < 2:
+        yield functools.partial(map, task)
+        return
+    # imported here, so that a command that forks no worker does not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=_set_task, initargs=(task,))
+    try:
+        yield functools.partial(pool.map, _call_task)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _cmd_ablate(args, opts: dict) -> int:
     # the checks that need only option values, before any file is read: one
     # config checks the train.* values every cell shares
@@ -499,47 +542,73 @@ def _cmd_ablate(args, opts: dict) -> int:
     queries = {q.query_id: q.text for q in io.load_queries(args.queries)}
     qrels = io.load_qrels(args.qrels)
     base_run = io.load_run(args.base_run)
-    # and trains and reranks on the same pairs: featurize each once
-    store = FeatureStore(feature)
 
     groups = [(docs, kind, source) for docs in _ABLATION_DOCS for kind in _ABLATION_KINDS
               for source in _ABLATION_SOURCES]
     n_cells = len(_ABLATION_STRATEGIES) * len(groups)
+    trainable = [bool(filter_examples(train_examples, kind, source)) for _, kind, source in groups]
+    # the cells train and rerank on the same pairs: featurize each once, before any
+    # cell runs, so that the cells, here or in forked workers, only read the store
+    store = FeatureStore(feature)
+    for example in train_examples:
+        store.ids(example.query_text, example.doc_ids, corpus)
+    if any(trainable):
+        for query_id, entries in base_run.items():
+            if query_id in queries:  # one with no text fails in the first cell's rerank
+                store.rows(queries[query_id], [e.doc_id for e in entries[:k_in]], corpus)
+
+    def run_group(group_no: int) -> tuple[list[tuple[int, str, str, str]], Exception | None]:
+        """Each strategy's cell of one (documents, kind, source) group as
+        (cell number, grid row, status, stderr line), and the error other
+        than a divergence that ended the group, if one did."""
+        docs, kind, source = groups[group_no]
+        cells, prepared = [], None
+        try:
+            for i, strategy in enumerate(_ABLATION_STRATEGIES):
+                cell_no = 1 + i * len(groups) + group_no
+                cell = f"{strategy.value}\t{docs}\t{kind.value}\t{source.value if source else 'none'}"
+                # a filter that leaves no training examples skips its cell, not the grid
+                if not trainable[group_no]:
+                    cells.append((cell_no, f"{cell}\tnan\tnan\n", "skipped",
+                                  f"[{cell_no}/{n_cells}] skipped, no training examples left "
+                                  f"after kind/source filtering: {cell}\n"))
+                    continue
+                config = _train_config(opts, args.seed, docs, strategy, kind, source)
+                prepared = prepared or prepare_fit(config, train_examples, [], corpus, store)
+                stage = ""
+                try:
+                    # the grid reads the final loss only, so fit evaluates no other epoch
+                    params, history = fit(config, prepared, copy.deepcopy(initial), False)
+                    stage = "in the rerank, "
+                    score_fn = model_score_fn(params, strategy, queries, corpus, store)
+                    reranked = rerank_run(base_run, score_fn, k_in=k_in, k_out=k_in)
+                except NonFiniteError as exc:  # a diverged cell fails alone, like a skipped one
+                    cells.append((cell_no, f"{cell}\tnan\tnan\n", "failed",
+                                  f"[{cell_no}/{n_cells}] failed, {stage}{exc}: {cell}\n"))
+                    continue
+                report = evaluate_run(reranked, qrels, k)
+                row = f"{cell}\t{report.mean:.6f}\t{history[-1].train_loss:.6f}\n"
+                cells.append((cell_no, row, "trained",
+                              f"[{cell_no}/{n_cells}] {row}" if args.verbose else ""))
+        except Exception as exc:  # raised once the group's earlier cells are reported
+            return cells, exc
+        return cells, None
+
     rows = ["strategy\tdocs\tkind\texcluded_source\tndcg\tfinal_train_loss\n"] + [""] * n_cells
     trained = failed = 0
     # grid.tsv lists the cells strategy by strategy, but they run group by group, so
     # that the strategies of a (documents, kind, source) group share one preparation,
-    # and from the most documents down, so that the first group featurizes each pool
-    # whole and the smaller subsets find their pairs in the store
-    for group_no, (docs, kind, source) in sorted(enumerate(groups), key=lambda g: -g[1][0]):
-        prepared = None  # frees the previous group's before this one's is made
-        for i, strategy in enumerate(_ABLATION_STRATEGIES):
-            cell_no = 1 + i * len(groups) + group_no
-            cell = f"{strategy.value}\t{docs}\t{kind.value}\t{source.value if source else 'none'}"
-            rows[cell_no] = f"{cell}\tnan\tnan\n"  # unless the cell trains
-            # a filter that leaves no training examples skips its cell, not the grid
-            if not filter_examples(train_examples, kind, source):
-                print(f"[{cell_no}/{n_cells}] skipped, no training examples left after "
-                      f"kind/source filtering: {cell}", file=sys.stderr)
-                continue
-            trained += 1
-            config = _train_config(opts, args.seed, docs, strategy, kind, source)
-            prepared = prepared or prepare_fit(config, train_examples, [], corpus, store)
-            stage = ""
-            try:
-                # the grid reads the final loss only, so fit evaluates no other epoch
-                params, history = fit(config, prepared, copy.deepcopy(initial), False)
-                stage = "in the rerank, "
-                score_fn = model_score_fn(params, strategy, queries, corpus, store)
-                reranked = rerank_run(base_run, score_fn, k_in=k_in, k_out=k_in)
-            except NonFiniteError as exc:  # a diverged cell fails alone, like a skipped one
-                failed += 1
-                print(f"[{cell_no}/{n_cells}] failed, {stage}{exc}: {cell}", file=sys.stderr)
-                continue
-            report = evaluate_run(reranked, qrels, k)
-            rows[cell_no] = f"{cell}\t{report.mean:.6f}\t{history[-1].train_loss:.6f}\n"
-            if args.verbose:
-                print(f"[{cell_no}/{n_cells}] {rows[cell_no]}", end="", file=sys.stderr)
+    # and the groups are handed out from the most documents down, the slowest first
+    order = sorted(range(len(groups)), key=lambda g: -groups[g][0])
+    with _mapper(run_group, min(_usable_cpus(), sum(trainable))) as run:
+        for cells, error in run(order):
+            for cell_no, row, status, line in cells:
+                rows[cell_no] = row
+                trained += status != "skipped"
+                failed += status == "failed"
+                print(line, end="", file=sys.stderr)
+            if error is not None:
+                raise error
     io.save_text(args.out, "".join(rows))
     print(f"ablate: {n_cells} cells -> {args.out}")
     if failed and failed == trained:

@@ -363,7 +363,7 @@ class FeatureStore:
     served and hands the same matrix back when that request comes again, in
     the same document order; callers must not modify it. `ablate` relies on
     this: every cell's `model_score_fn` asks for the same evaluation lists,
-    and only the first cell gathers them. The memo holds a second copy of
+    which `ablate` gathers once, before its first cell. The memo holds a second copy of
     the requested rows, so it suits a caller that repeats few requests many
     times; training gathers through `ids` and `take` and adds nothing to it.
     """

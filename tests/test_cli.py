@@ -1,5 +1,6 @@
 import argparse
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -75,6 +76,12 @@ def four_sources(workdir, tmp_path_factory):
         "--mock-qrels": workdir / "qrels-train.txt",
     }
     return argparse.Namespace(inputs=inputs, assignment=assignment)
+
+
+def _usable_cpus(monkeypatch, n: int) -> None:
+    """Make ``ablate`` see ``n`` usable CPUs: with one it runs its cells in
+    this process, with more it forks one worker per CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def _four_source_argv(inputs: dict, out, *extra) -> list[str]:
@@ -1361,6 +1368,7 @@ class TestPipelineThroughCli(object):
         monkeypatch.setattr(cli, "prepare_fit", counted_prepare)
         monkeypatch.setattr(training, "prepare_example", counted_example)
         monkeypatch.setattr(cli, "fit", counted_fit)
+        _usable_cpus(monkeypatch, 1)  # the recorders see the calls made in this process only
         assert self._ablate(workdir, distilled, base_run, tmp_path / "grid.tsv") == 0
         examples = io.load_distilled(distilled)
         # from the most documents down, so that the smaller subsets find their pairs featurized
@@ -1415,11 +1423,14 @@ class TestPipelineThroughCli(object):
 
         monkeypatch.setattr(cli, "fit", broken)
         grid = tmp_path / "grid.tsv"
-        capsys.readouterr()
-        assert self._ablate(workdir, distilled, base_run, grid) == 2
-        assert not grid.exists()
-        err = capsys.readouterr().err
-        assert "operands could not be broadcast together" in err and "] failed, " not in err
+        for cpus in (1, 2):  # in this process and in forked workers
+            _usable_cpus(monkeypatch, cpus)
+            capsys.readouterr()
+            assert self._ablate(workdir, distilled, base_run, grid) == 2
+            assert multiprocessing.active_children() == []
+            assert not grid.exists()
+            err = capsys.readouterr().err
+            assert "operands could not be broadcast together" in err and "] failed, " not in err
 
     def test_ablate_exits_2_when_every_trained_cell_diverges(self, workdir, tmp_path, capsys):
         distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
@@ -1449,11 +1460,68 @@ class TestPipelineThroughCli(object):
 
         monkeypatch.setattr(cli, "rerank_run", diverging)
         grid = tmp_path / "grid.tsv"
-        capsys.readouterr()
-        assert self._ablate(workdir, distilled, base_run, grid) == 2
-        failed = [line for line in capsys.readouterr().err.splitlines() if "] failed, " in line]
-        assert failed and all("] failed, in the rerank, forward pass produced non-finite "
-                              "logits: " in line for line in failed)
+        for cpus in (1, 2):  # in this process and in forked workers
+            _usable_cpus(monkeypatch, cpus)
+            capsys.readouterr()
+            assert self._ablate(workdir, distilled, base_run, grid) == 2
+            assert multiprocessing.active_children() == []
+            err = capsys.readouterr().err
+            failed = [line for line in err.splitlines() if "] failed, " in line]
+            assert failed and all("] failed, in the rerank, forward pass produced non-finite "
+                                  "logits: " in line for line in failed)
+            assert err.endswith(f"error: all {len(failed)} trained cells failed, "
+                                f"{90 - len(failed)} skipped\n")
+
+    def test_ablate_names_a_ranked_query_without_text(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        # the store skips the query's candidates, and the first cell's rerank reports it
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+        doc_id = base_run.read_text().split()[2]
+        base_run.write_text(base_run.read_text() + f"q-untexted Q0 {doc_id} 1 1.000000 bm25\n")
+        grid = tmp_path / "grid.tsv"
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
+            capsys.readouterr()
+            assert self._ablate(workdir, distilled, base_run, grid, "--verbose") == 2
+            assert multiprocessing.active_children() == []
+            assert not grid.exists()
+            assert capsys.readouterr().err == (
+                "error: query 'q-untexted' has no text available for scoring\n")
+
+    def test_ablate_output_is_the_same_in_forked_workers(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        # the BM25-excluded cells are skipped and the 20-document single-logit cells
+        # diverge, in this process and in two forked workers, which inherit the patched fit
+        from distilrank import cli
+
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+        fit, fitted_in = cli.fit, tmp_path / "pids.txt"
+
+        def diverging(config, *args):
+            with open(fitted_in, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\n")
+            if config.strategy is ScoreStrategy.SINGLE_LOGIT and config.docs_per_query == 20:
+                raise NonFiniteError("training diverged at epoch 1, batch 0: non-finite loss")
+            return fit(config, *args)
+
+        monkeypatch.setattr(cli, "fit", diverging)
+        grid = tmp_path / "grid.tsv"
+        outputs, pids = [], []
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
+            fitted_in.write_text("")
+            capsys.readouterr()
+            assert self._ablate(workdir, distilled, base_run, grid, "--verbose") == 0
+            assert multiprocessing.active_children() == []
+            outputs.append((grid.read_bytes(), *capsys.readouterr()))
+            pids.append(set(fitted_in.read_text().split()))
+        assert outputs[0] == outputs[1]
+        err = outputs[0][2]
+        assert "] skipped, no training examples" in err
+        assert "] failed, training diverged at epoch 1, batch 0: non-finite loss: " in err
+        # one CPU fits every cell here; two fit none here
+        assert pids[0] == {str(os.getpid())}
+        assert pids[1] and str(os.getpid()) not in pids[1]
 
     def test_train_and_rerank_never_featurize_per_pair(self, workdir, tmp_path, monkeypatch):
         distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)

@@ -7,6 +7,7 @@ value, and a flag on top of that file.
 """
 
 import math
+import os
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -75,6 +76,8 @@ def _pin(monkeypatch, argv, stop_at):
     recorder("distill", lambda queries, retrieve, llm, **kw: retrieve(queries[0]))
     recorder("fit", lambda config, prepared, params, *rest:
              (params, [SimpleNamespace(train_loss=0.0)]))
+    # one usable CPU: ablate runs its cells in this process, where the recorders are
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     with pytest.raises(_Reached):
         dispatch(argv)
     return calls
