@@ -53,8 +53,9 @@ def ndcg_at_k(ranked_doc_ids: Sequence[str], query_qrels: Mapping[str, int], k: 
     try:
         for pos, doc_id in enumerate(ranked_doc_ids[:k], 1):
             dcg += (2.0 ** query_qrels.get(doc_id, 0) - 1.0) / math.log2(pos + 1)
-        ideal_gains = sorted(query_qrels.values(), reverse=True)[:k]
-        idcg = sum((2.0 ** g - 1.0) / math.log2(pos + 1) for pos, g in enumerate(ideal_gains, 1))
+        idcg = 0.0
+        for pos, g in enumerate(sorted(query_qrels.values(), reverse=True)[:k], 1):
+            idcg += (2.0 ** g - 1.0) / math.log2(pos + 1)
     except OverflowError:
         dcg = idcg = math.inf
     if not (math.isfinite(dcg) and math.isfinite(idcg)):
@@ -70,7 +71,10 @@ def evaluate_run(run: Run, qrels: Qrels, k: int = 10) -> EvalReport:
     per_query: dict[str, float] = {}
     for qid, grades in qrels.by_query.items():
         per_query[qid] = ndcg_at_k([doc_id for doc_id, _ in run.get(qid, [])], grades, k, qid)
-    mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
+    total = 0.0
+    for value in per_query.values():  # left to right, not compensated as sum is on 3.12+
+        total += value
+    mean = total / len(per_query) if per_query else 0.0
     return EvalReport(per_query=per_query, mean=mean, k=k, n_queries=len(per_query))
 
 

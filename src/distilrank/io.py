@@ -79,6 +79,10 @@ from .types import (
 # the exceptions a JSON record's parse or build raises for a malformed line
 RECORD_ERRORS = (KeyError, TypeError, ValueError, DataError)
 
+# the first bytes of a zip archive: of the .npz files retrieval.save_index and
+# scorer.save_checkpoint write, and of no file in an older layout of either
+NPZ_MAGIC = b"PK\x03\x04"
+
 
 def lines_of(path: str | Path) -> Iterator[str]:
     """The lines of a UTF-8 text file, read as they are consumed."""

@@ -122,7 +122,9 @@ class LlmClient:
 
         The estimated cost is reserved against the budget before anything is
         sent, so concurrent calls cannot overspend it together. A successful
-        call settles the reservation to its actual cost; a failed one releases it.
+        call settles the reservation to its actual cost. A failed one releases
+        it, except a 200 reply that is not a valid completion: that reply is
+        billed, so its reservation stands as its charge.
         """
         cfg = self.config
         estimate = estimate_cost(
@@ -137,7 +139,14 @@ class LlmClient:
             self.spent_usd += estimate
         actual = 0.0
         try:
-            text = self._post(messages)
+            resp = self._post(messages)
+            actual = estimate  # a 200 reply is billed even if its body does not parse
+            try:
+                text = resp.json()["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError(f"content is {type(text).__name__}, not a string")
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise TransportError(f"malformed completion response: {exc}") from exc
             actual = estimate_cost(
                 messages, cfg.prompt_price_per_1k, 0.0
             ) + estimate_tokens(len(text)) / 1000.0 * cfg.completion_price_per_1k
@@ -145,7 +154,8 @@ class LlmClient:
             self._charge(actual - estimate)
         return text
 
-    def _post(self, messages: Sequence[Message]) -> str:
+    def _post(self, messages: Sequence[Message]):
+        """The first HTTP 200 response to the messages, under the retry policy."""
         cfg = self.config
         body = {"model": cfg.model, "messages": list(messages), "temperature": cfg.temperature}
         headers = {"Content-Type": "application/json"}
@@ -167,10 +177,7 @@ class LlmClient:
             else:
                 self._log({"attempt": attempt, "status": resp.status_code})
                 if resp.status_code == 200:
-                    try:
-                        return resp.json()["choices"][0]["message"]["content"]
-                    except (ValueError, KeyError, IndexError, TypeError) as exc:
-                        raise TransportError(f"malformed completion response: {exc}") from exc
+                    return resp
                 if resp.status_code not in _RETRYABLE_STATUS:
                     raise TransportError(f"endpoint returned HTTP {resp.status_code}")
                 last_error = f"HTTP {resp.status_code}"

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .io import RECORD_ERRORS, malformed, read_pair_numbers, repeated
+from .io import NPZ_MAGIC, RECORD_ERRORS, malformed, read_pair_numbers, repeated
 from .tokenization import TokenizerConfig, tokenize
 from .types import Document, Run, ScoredDoc, bad_id, is_id, not_a_string, validate_run
 
@@ -241,9 +241,6 @@ def search_bm25(index: InvertedIndex, query_text: str, k: int = 30) -> list[Scor
     return _top_k(index.doc_ids, index.doc_rank, hits, scores[hits], k)
 
 
-_NPZ_MAGIC = b"PK\x03\x04"
-
-
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write the index as an uncompressed ``.npz`` archive at exactly ``path``.
 
@@ -274,7 +271,7 @@ def load_index(path: str | Path) -> InvertedIndex:
     """Read an index written by ``save_index``; a JSON index of older versions is refused."""
     try:
         with open(path, "rb") as f:
-            if f.read(len(_NPZ_MAGIC)) != _NPZ_MAGIC:
+            if f.read(len(NPZ_MAGIC)) != NPZ_MAGIC:
                 raise DataError("not an .npz archive (JSON indexes of older versions are "
                                 "no longer read)")
             f.seek(0)

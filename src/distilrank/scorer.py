@@ -23,14 +23,17 @@ linear, so it is four lookups in 256-entry tables built once per byte length,
 and every ``qxd:`` key's hash comes from the crc of its query-token prefix and
 the crc of its document term.
 
-Checkpoint file layout: one JSON header line (shapes, feature config, version,
-strategy) followed by raw little-endian float32 arrays for w1, b1, w2, b2 in
-that order.
+Checkpoint file layout: an uncompressed ``.npz`` archive, like the BM25
+index, holding ``w1, b1, w2, b2`` as little-endian float32 and four 0-d
+members: ``strategy`` (str), ``interaction_cap`` (int), ``lowercase`` (bool)
+and ``min_token_len`` (int). ``hash_dim`` and ``hidden`` are the shape of
+``w1``. The loader converts nothing: a member of another dtype kind or shape
+is refused.
 """
 
 from __future__ import annotations
 
-import json
+import zipfile
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -42,7 +45,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import DataError, NonFiniteError
-from .io import read_pair_numbers
+from .io import NPZ_MAGIC, read_pair_numbers
 from .tokenization import TokenizerConfig, tokenize
 
 
@@ -134,7 +137,6 @@ class ScorerParams:
     w2: np.ndarray  # (hidden, 2)
     b2: np.ndarray  # (2,)
     feature: FeatureConfig = field(default_factory=FeatureConfig)
-    version: str = "1"
 
     @property
     def hidden(self) -> int:
@@ -453,69 +455,58 @@ def score_batch_grad(z: np.ndarray, strategy: ScoreStrategy) -> np.ndarray:
     return grad
 
 
+# a checkpoint's float32 members, in the order of ScorerParams.arrays()
+_ARRAYS = ("w1", "b1", "w2", "b2")
+
+
 def save_checkpoint(params: ScorerParams, strategy: ScoreStrategy, path: str | Path) -> None:
+    """Write the scorer as an uncompressed ``.npz`` archive at exactly ``path``."""
     params.validate()
-    header = {
-        "version": params.version,
-        "strategy": strategy.value,
-        "hash_dim": params.feature.hash_dim,
-        "hidden": params.hidden,
-        "interaction_cap": params.feature.interaction_cap,
-        "lowercase": params.feature.tokenizer.lowercase,
-        "min_token_len": params.feature.tokenizer.min_token_len,
-        "arrays": ["w1", "b1", "w2", "b2"],
-        "dtype": "<f4",
-    }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8") + b"\n")
-        for arr in params.arrays():
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    with open(path, "wb") as f:  # a file handle, because np.savez(path) appends ".npz"
+        np.savez(
+            f,
+            **{name: np.asarray(a, dtype="<f4") for name, a in zip(_ARRAYS, params.arrays())},
+            strategy=np.str_(strategy.value),
+            interaction_cap=np.int64(params.feature.interaction_cap),
+            lowercase=np.bool_(params.feature.tokenizer.lowercase),
+            min_token_len=np.int64(params.feature.tokenizer.min_token_len),
+        )
 
 
-# the JSON type of each header field that the loader reads as a number or flag
-_HEADER_TYPES = {"hash_dim": int, "hidden": int, "interaction_cap": int,
-                 "lowercase": bool, "min_token_len": int}
+def _member(archive: np.lib.npyio.NpzFile, name: str, kind: str, ndim: int) -> np.ndarray:
+    """The member ``name``, refused unless it has ``ndim`` dimensions and a dtype of ``kind``."""
+    value = archive[name]
+    if value.ndim != ndim or value.dtype.kind != kind:
+        raise ValueError(f"{name} must be a {ndim}-d array of dtype kind {kind!r}, "
+                         f"got {value.dtype} of shape {value.shape}")
+    return value
 
 
 def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ScoreStrategy]:
-    with open(path, "rb") as f:
-        try:
-            header = json.loads(f.readline().decode("utf-8"))
-            if not isinstance(header, dict):
-                raise ValueError("the header is not a JSON object")
-            for name, kind in _HEADER_TYPES.items():
-                if type(header[name]) is not kind:
-                    raise ValueError(f"{name} must be of type {kind.__name__}, "
-                                     f"got {header[name]!r}")
-            strategy = ScoreStrategy(header["strategy"])
-            hash_dim, hidden = header["hash_dim"], header["hidden"]
-            if hidden < 1:
-                raise ValueError(f"hidden must be >= 1, got {hidden}")
-            feature = FeatureConfig(
-                hash_dim=hash_dim,
-                interaction_cap=header["interaction_cap"],
-                tokenizer=TokenizerConfig(header["lowercase"], header["min_token_len"]),
-            )
-            blob = f.read()
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    sizes = [hash_dim * hidden, hidden, hidden * 2, 2]
-    if len(blob) != 4 * sum(sizes):
-        raise DataError(f"checkpoint {path}: payload size does not match header shapes")
-    flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-    offsets = np.cumsum([0] + sizes)
-    w1, b1, w2, b2 = (
-        flat[offsets[i]: offsets[i + 1]] for i in range(4)
-    )
-    params = ScorerParams(
-        w1=w1.reshape(hash_dim, hidden),
-        b1=b1,
-        w2=w2.reshape(hidden, 2),
-        b2=b2,
-        feature=feature,
-        version=str(header.get("version", "1")),
-    )
-    params.validate()
+    """Read a checkpoint written by `save_checkpoint`; one in the JSON-header
+    layout of older versions is refused."""
+    try:
+        with open(path, "rb") as f:
+            if f.read(len(NPZ_MAGIC)) != NPZ_MAGIC:
+                raise DataError("not an .npz archive (checkpoints of older versions are no "
+                                "longer read; re-run `distilrank train` to write one)")
+            f.seek(0)
+            with np.load(f, allow_pickle=False) as z:
+                w1, b1, w2, b2 = (_member(z, name, "f", ndim).astype(np.float64)
+                                  for name, ndim in zip(_ARRAYS, (2, 1, 2, 1)))
+                if w1.shape[1] < 1:
+                    raise ValueError(f"hidden must be >= 1, got w1 of shape {w1.shape}")
+                strategy = ScoreStrategy(_member(z, "strategy", "U", 0).item())
+                feature = FeatureConfig(
+                    hash_dim=w1.shape[0],
+                    interaction_cap=_member(z, "interaction_cap", "i", 0).item(),
+                    tokenizer=TokenizerConfig(_member(z, "lowercase", "b", 0).item(),
+                                              _member(z, "min_token_len", "i", 0).item()),
+                )
+        params = ScorerParams(w1=w1, b1=b1, w2=w2, b2=b2, feature=feature)
+        params.validate()
+    except (DataError, zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     return params, strategy
 
 

@@ -337,7 +337,10 @@ def batch_loss(params: ScorerParams, batch: ExampleStack, strategy: ScoreStrateg
     _, _, z = forward(params, batch.rows)
     scores = _finite(score_batch(z, strategy))
     losses, _ = _ranknet(scores, batch, with_grads=False)
-    return _finite(sum(losses.tolist()) / len(batch), "non-finite loss")
+    total = 0.0
+    for loss in losses.tolist():  # left to right, as batch_loss_and_grads adds them
+        total += loss
+    return _finite(total / len(batch), "non-finite loss")
 
 
 def batch_loss_and_grads(

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from distilrank import cli, io, scorer
@@ -17,6 +18,19 @@ from distilrank.errors import DataError, NonFiniteError
 from distilrank.scorer import ScoreStrategy
 from distilrank.training import KindFilter, filter_examples
 from distilrank.types import Source
+
+
+def _rerank_checkpoint(tmp_path: Path, ckpt: Path) -> Path:
+    """Rerank a one-line run with ``ckpt``, asserting exit 2; the --out path."""
+    (tmp_path / "run.trec").write_text("q1 Q0 d1 1 2.0 bm25\n")
+    (tmp_path / "corpus.jsonl").write_text('{"doc_id": "d1", "text": "alpha beta"}\n')
+    (tmp_path / "queries.tsv").write_text("q1\talpha\tcropped\n")
+    out = tmp_path / "reranked.trec"
+    assert dispatch(["rerank", "--run", str(tmp_path / "run.trec"),
+                     "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--queries", str(tmp_path / "queries.tsv"),
+                     "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -252,34 +266,43 @@ class TestDispatchBasics:
         assert err.startswith("error: ") and f"n must be >= 1, got {n}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("header, message", [
-        ([1], "not a JSON object"),
-        ({"min_token_len": "x"}, "min_token_len must be of type int, got 'x'"),
-        ({"lowercase": "yes"}, "lowercase must be of type bool, got 'yes'"),
-        ({"hidden": 2.5}, "hidden must be of type int, got 2.5"),
-        ({"hidden": 0}, "hidden must be >= 1, got 0"),
-    ], ids=["not-an-object", "mistyped-min-token-len", "mistyped-lowercase", "mistyped-hidden",
-            "zero-hidden"])
-    def test_rerank_rejects_mistyped_checkpoint_header(self, tmp_path, capsys, header, message):
+    @pytest.mark.parametrize("change, message", [
+        ({"min_token_len": np.float64(1.0)},
+         "min_token_len must be a 0-d array of dtype kind 'i', got float64 of shape ()"),
+        ({"lowercase": np.str_("yes")},
+         "lowercase must be a 0-d array of dtype kind 'b', got <U3 of shape ()"),
+        ({"w1": np.zeros(16, dtype="<f4")},
+         "w1 must be a 2-d array of dtype kind 'f', got float32 of shape (16,)"),
+        ({"w1": np.zeros((16, 0), dtype="<f4"), "b1": np.zeros(0, dtype="<f4"),
+          "w2": np.zeros((0, 2), dtype="<f4")},  # what `train --hidden 0` would write
+         "hidden must be >= 1, got w1 of shape (16, 0)"),
+        ({"strategy": None}, "strategy is not a file in the archive"),
+    ], ids=["mistyped-min-token-len", "mistyped-lowercase", "w1-not-2d", "zero-hidden",
+            "missing-member"])
+    def test_rerank_rejects_mistyped_checkpoint_header(self, tmp_path, capsys, change, message):
         params = scorer.init_params(scorer.FeatureConfig(hash_dim=1 << 4), hidden=2, seed=0)
         ckpt = tmp_path / "scorer.ckpt"
         scorer.save_checkpoint(params, scorer.ScoreStrategy.LOGIT_DIFFERENCE, ckpt)
-        first, payload = ckpt.read_bytes().split(b"\n", 1)
-        if isinstance(header, dict):
-            header = json.loads(first) | header
-            if header["hidden"] == 0:  # what `train --hidden 0` wrote: the payload is b2 alone
-                payload = payload[-8:]
-        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-        (tmp_path / "run.trec").write_text("q1 Q0 d1 1 2.0 bm25\n")
-        (tmp_path / "corpus.jsonl").write_text('{"doc_id": "d1", "text": "alpha beta"}\n')
-        (tmp_path / "queries.tsv").write_text("q1\talpha\tcropped\n")
-        out = tmp_path / "reranked.trec"
-        assert dispatch(["rerank", "--run", str(tmp_path / "run.trec"),
-                         "--corpus", str(tmp_path / "corpus.jsonl"),
-                         "--queries", str(tmp_path / "queries.tsv"),
-                         "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        with np.load(ckpt) as z:
+            members = {name: z[name] for name in z.files} | change
+        with open(ckpt, "wb") as f:
+            np.savez(f, **{name: value for name, value in members.items() if value is not None})
+        out = _rerank_checkpoint(tmp_path, ckpt)
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read checkpoint {ckpt}") and message in err
+        assert not out.exists()
+
+    def test_legacy_checkpoint_exits_2(self, tmp_path, capsys):
+        header = {"version": "1", "strategy": "logit-difference", "hash_dim": 16, "hidden": 2,
+                  "interaction_cap": 16, "lowercase": True, "min_token_len": 1,
+                  "arrays": ["w1", "b1", "w2", "b2"], "dtype": "<f4"}
+        ckpt = tmp_path / "scorer.ckpt"
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n"
+                         + np.zeros(16 * 2 + 2 + 2 * 2 + 2, dtype="<f4").tobytes())
+        out = _rerank_checkpoint(tmp_path, ckpt)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read checkpoint {ckpt}: not an .npz archive")
+        assert "re-run `distilrank train`" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["legacy-json", "truncated"])
@@ -995,6 +1018,8 @@ class TestPipelineThroughCli(object):
             "--checkpoint", str(ckpt), "--history", str(history),
         ]) == 0
         assert history.read_text().startswith("epoch\ttrain_loss\tval_loss")
+        # the checkpoint lands at exactly --checkpoint, with no ".npz" appended
+        assert ckpt.is_file() and not (tmp_path / "scorer.ckpt.npz").exists()
 
         reranked = tmp_path / "reranked.trec"
         assert dispatch([

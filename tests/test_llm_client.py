@@ -287,6 +287,25 @@ def test_failed_call_releases_its_reservation(monkeypatch):
     assert client.call(MESSAGES) == "ok"
 
 
+class _Unparsable(_FakeResponse):
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
+@pytest.mark.parametrize("reply", [_Unparsable(""), _FakeResponse(None), _FakeResponse(["a"])],
+                         ids=["unparsable", "null-content", "list-content"])
+def test_malformed_200_keeps_its_reservation_as_its_charge(monkeypatch, reply):
+    monkeypatch.setattr("distilrank.llm.requests.post", lambda *a, **k: reply)
+    one_call = estimate_cost(MESSAGES, 0.003, 0.004)
+    client = LlmClient(LlmConfig(endpoint="http://mock.invalid/v1", budget_usd=one_call * 1.5,
+                                 retry=FAST_RETRY))
+    with pytest.raises(TransportError, match="malformed completion response"):
+        client.call(MESSAGES)
+    assert client.spent_usd == one_call
+    with pytest.raises(BudgetError):
+        client.call(MESSAGES)
+
+
 def test_budget_error_prints_every_amount_to_four_decimals(monkeypatch):
     # a cap below one cent must not read as $0.00
     monkeypatch.setattr("distilrank.llm.requests.post", lambda *a, **k: _FakeResponse("ok"))

@@ -193,9 +193,12 @@ class TestCheckpoint:
         loaded, strategy = load_checkpoint(path)
         assert strategy is ScoreStrategy.LOGIT_DIFFERENCE
         assert loaded.feature == params.feature
-        # float32 storage: round trip is exact at float32 resolution
-        np.testing.assert_allclose(loaded.w1, params.w1, atol=1e-6)
-        np.testing.assert_allclose(loaded.w2, params.w2, atol=1e-6)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scorer.ckpt"]
+        # float32 storage: the round trip gives back the float32 bits
+        for saved, read in zip(params.arrays(), loaded.arrays()):
+            assert read.dtype == np.float64
+            np.testing.assert_array_equal(read.astype(np.float32).view(np.uint32),
+                                          saved.astype(np.float32).view(np.uint32))
 
     def test_truncated_payload_rejected(self, tmp_path):
         params = init_params(FeatureConfig(hash_dim=1 << 8), hidden=16, seed=1)
