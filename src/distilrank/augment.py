@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from . import io
 from .errors import DataError
-from .tokenization import TokenizerConfig, tokenize
+from .tokenization import tokenize
 from .types import SOURCES, DistilledExample, Document, Query, QueryKind, Source
 
 logger = logging.getLogger(__name__)
@@ -41,11 +41,7 @@ def split_sentences(text: str) -> list[str]:
     return [s.strip() for s in _SENTENCE_SPLIT_RE.split(text) if s.strip()]
 
 
-def crop_sentences(
-    corpus: Sequence[Document],
-    config: CropConfig,
-    tokenizer: TokenizerConfig = TokenizerConfig(),
-) -> list[Query]:
+def crop_sentences(corpus: Sequence[Document], config: CropConfig) -> list[Query]:
     """Sample n sentences within the token-length bounds as Cropped queries.
 
     Sampling is uniform without replacement; if fewer eligible sentences than n
@@ -57,7 +53,7 @@ def crop_sentences(
         sentence
         for doc in corpus
         for sentence in split_sentences(doc.text)
-        if config.min_tokens <= len(tokenize(sentence, tokenizer)) <= config.max_tokens
+        if config.min_tokens <= len(tokenize(sentence)) <= config.max_tokens
     ]
     if not candidates:
         raise DataError("no sentences satisfy the crop length bounds")

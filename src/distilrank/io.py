@@ -46,8 +46,12 @@ Formats read here (README "Input files" lists every line format):
   generated pool  doc_id<TAB>query_text; a doc_id may have many queries
   distilled.jsonl one JSON object per line with all DistilledExample fields;
                   query_id, query_text and raw_response strings, doc_ids a
-                  list of strings, llm_ranking a list of integers, repaired a
-                  boolean; query_id unique
+                  list of strings (each once), llm_ranking a list of
+                  integers, repaired a boolean; query_id unique
+
+Every output file is written through ``replacing``: a new file beside the
+target, moved over it only once the whole output is in it, so a write that
+fails or is killed leaves the target as it was.
 
 Canonical run text uses a single space separator, %.6f scores, and queries
 sorted by query_id, so write_run(read_run(x), tag) == x byte-for-byte when
@@ -57,10 +61,12 @@ every line of x carries that tag.
 from __future__ import annotations
 
 import json
+import os
 from array import array
+from contextlib import contextmanager
 from math import isfinite, nan
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import IO, Any, Callable, Hashable, Iterable, Iterator
 
 from .errors import DataError
 from .types import (
@@ -82,6 +88,42 @@ RECORD_ERRORS = (KeyError, TypeError, ValueError, DataError)
 # the first bytes of a zip archive: of the .npz files retrieval.save_index and
 # scorer.save_checkpoint write, and of no file in an older layout of either
 NPZ_MAGIC = b"PK\x03\x04"
+
+
+def npz_member(archive: Any, name: str, kind: str, ndim: int, itemsize: int = 0) -> Any:
+    """The member ``name`` of an open ``.npz`` archive, refused with a ValueError
+    unless it has ``ndim`` dimensions and a dtype of ``kind`` (and of
+    ``itemsize`` bytes, when given). Nothing is converted, so this module
+    needs no numpy: it reads only ``ndim`` and ``dtype``."""
+    value = archive[name]
+    dtype = value.dtype
+    if value.ndim != ndim or dtype.kind != kind or itemsize and dtype.itemsize != itemsize:
+        size = f" of {itemsize} bytes" if itemsize else ""
+        raise ValueError(f"{name} must be a {ndim}-d array of dtype kind {kind!r}{size}, "
+                         f"got {dtype} of shape {value.shape}")
+    return value
+
+
+@contextmanager
+def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """A handle on a new file in ``path``'s directory, moved over ``path`` with
+    ``os.replace`` when the block ends without error; on any error the new
+    file is removed and ``path`` keeps what it held. Mode ``"w"`` writes UTF-8
+    text, ``"wb"`` bytes. The file is created as ``open`` creates one, with
+    mode 0o666 less the umask."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the output, not the new file beside it
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def lines_of(path: str | Path) -> Iterator[str]:
@@ -450,4 +492,5 @@ def load_distilled(path: str | Path) -> list[DistilledExample]:
 
 
 def save_text(path: str | Path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    with replacing(path) as f:
+        f.write(text)

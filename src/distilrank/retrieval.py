@@ -27,11 +27,13 @@ import zipfile
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DataError
-from .io import NPZ_MAGIC, RECORD_ERRORS, malformed, read_pair_numbers, repeated
+from .io import (NPZ_MAGIC, RECORD_ERRORS, malformed, npz_member, read_pair_numbers, repeated,
+                 replacing)
 from .tokenization import TokenizerConfig, tokenize
 from .types import Document, Run, ScoredDoc, bad_id, is_id, not_a_string, validate_run
 
@@ -108,7 +110,8 @@ class InvertedIndex:
     doc_ids: list[str]
     k1: float = 0.9
     b: float = 0.4
-    tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
+    # the one tokenizer of the pipeline; perfbench reads it to count postings
+    tokenizer: ClassVar[TokenizerConfig] = TokenizerConfig()
     avgdl: float = field(init=False)
     impacts: np.ndarray = field(init=False, repr=False)
     doc_rank: np.ndarray = field(init=False, repr=False)
@@ -159,7 +162,6 @@ def _top_k(doc_ids: list[str], rank: np.ndarray, ordinals: np.ndarray, scores: n
 
 def build_index(
     corpus: Iterable[Document],
-    tokenizer: TokenizerConfig = TokenizerConfig(),
     k1: float = 0.9,
     b: float = 0.4,
 ) -> InvertedIndex:
@@ -175,7 +177,7 @@ def build_index(
     doc_lengths: list[int] = []
     doc_ids: list[str] = []
     for doc in corpus:
-        tokens = tokenize(doc.text, tokenizer)
+        tokens = tokenize(doc.text)
         doc_ids.append(doc.doc_id)
         doc_lengths.append(len(tokens))
         term_rows += [setdefault(t, len(rows)) for t in tokens]
@@ -187,7 +189,7 @@ def build_index(
     np.cumsum(np.bincount(keys // n, minlength=len(rows)), out=offsets[1:])
     postings = Postings(rows, offsets, keys % n, tfs)
     return InvertedIndex(postings=postings, doc_lengths=doc_lengths, doc_ids=doc_ids,
-                         k1=k1, b=b, tokenizer=tokenizer)
+                         k1=k1, b=b)
 
 
 def _idf(index: InvertedIndex, token: str) -> float:
@@ -229,7 +231,7 @@ def search_bm25(index: InvertedIndex, query_text: str, k: int = 30) -> list[Scor
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     postings = index.postings
-    spans = [s for s in map(postings.span, tokenize(query_text, index.tokenizer)) if s]
+    spans = [s for s in map(postings.span, tokenize(query_text)) if s]
     if not spans:
         return []
     # bincount adds each document's impacts in query-token order, as a
@@ -242,7 +244,8 @@ def search_bm25(index: InvertedIndex, query_text: str, k: int = 30) -> list[Scor
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Write the index as an uncompressed ``.npz`` archive at exactly ``path``.
+    """Write the index as an uncompressed ``.npz`` archive at exactly ``path``,
+    whole or not at all (``io.replacing``).
 
     A doc_id ending in NUL is refused before the file is opened: numpy's str
     arrays drop trailing NULs, so it would read back as another id.
@@ -251,13 +254,11 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         if doc_id.endswith("\0"):
             raise DataError(f"doc_id {doc_id!r} ends in NUL, which an index file cannot hold")
     postings = index.postings
-    with open(path, "wb") as f:  # a file handle, because np.savez(path) appends ".npz"
+    with replacing(path, "wb") as f:  # a file handle, because np.savez(path) appends ".npz"
         np.savez(
             f,
             k1=np.float64(index.k1),
             b=np.float64(index.b),
-            lowercase=np.bool_(index.tokenizer.lowercase),
-            min_token_len=np.int64(index.tokenizer.min_token_len),
             doc_ids=np.array(index.doc_ids, dtype=str),
             doc_lengths=index.doc_lengths,
             terms=np.array(list(postings.rows), dtype=str),
@@ -268,7 +269,10 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read an index written by ``save_index``; a JSON index of older versions is refused."""
+    """Read an index written by ``save_index``, converting no member: one of
+    another dtype kind, width or shape is refused. A JSON index of older
+    versions is refused; the tokenizer members of older ``.npz`` indexes are
+    left unread."""
     try:
         with open(path, "rb") as f:
             if f.read(len(NPZ_MAGIC)) != NPZ_MAGIC:
@@ -276,16 +280,17 @@ def load_index(path: str | Path) -> InvertedIndex:
                                 "no longer read)")
             f.seek(0)
             with np.load(f, allow_pickle=False) as z:
-                terms = z["terms"].tolist()
-                postings = Postings({t: r for r, t in enumerate(terms)}, z["offsets"],
-                                    z["ordinals"], z["tfs"])
+                terms = npz_member(z, "terms", "U", 1).tolist()
+                postings = Postings({t: r for r, t in enumerate(terms)},
+                                    npz_member(z, "offsets", "i", 1),
+                                    npz_member(z, "ordinals", "i", 1, itemsize=4),
+                                    npz_member(z, "tfs", "i", 1, itemsize=4))
                 return InvertedIndex(
                     postings=postings,
-                    doc_lengths=z["doc_lengths"],
-                    doc_ids=z["doc_ids"].tolist(),
-                    k1=float(z["k1"]),
-                    b=float(z["b"]),
-                    tokenizer=TokenizerConfig(bool(z["lowercase"]), int(z["min_token_len"])),
+                    doc_lengths=npz_member(z, "doc_lengths", "i", 1),
+                    doc_ids=npz_member(z, "doc_ids", "U", 1).tolist(),
+                    k1=npz_member(z, "k1", "f", 0).item(),
+                    b=npz_member(z, "b", "f", 0).item(),
                 )
     except (DataError, zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"cannot load index from {path}: {exc}; "

@@ -24,11 +24,12 @@ and every ``qxd:`` key's hash comes from the crc of its query-token prefix and
 the crc of its document term.
 
 Checkpoint file layout: an uncompressed ``.npz`` archive, like the BM25
-index, holding ``w1, b1, w2, b2`` as little-endian float32 and four 0-d
-members: ``strategy`` (str), ``interaction_cap`` (int), ``lowercase`` (bool)
-and ``min_token_len`` (int). ``hash_dim`` and ``hidden`` are the shape of
-``w1``. The loader converts nothing: a member of another dtype kind or shape
-is refused.
+index, holding ``w1, b1, w2, b2`` as little-endian float32 and two 0-d
+members: ``strategy`` (str) and ``interaction_cap`` (int). ``hash_dim`` and
+``hidden`` are the shape of ``w1``. There is no tokenizer member, because
+the pipeline has one tokenizer; a checkpoint of older versions also holds
+``lowercase`` and ``min_token_len``, which are left unread. The loader
+converts nothing: a member of another dtype kind or shape is refused.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import DataError, NonFiniteError
-from .io import NPZ_MAGIC, read_pair_numbers
-from .tokenization import TokenizerConfig, tokenize
+from .io import NPZ_MAGIC, npz_member, read_pair_numbers, replacing
+from .tokenization import tokenize
 
 
 class ScoreStrategy(Enum):
@@ -59,7 +60,6 @@ class ScoreStrategy(Enum):
 class FeatureConfig:
     hash_dim: int = 1 << 18
     interaction_cap: int = 16  # query tokens crossed with document tokens
-    tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
 
     def __post_init__(self) -> None:
         if self.hash_dim <= 0 or self.hash_dim & (self.hash_dim - 1):
@@ -105,8 +105,8 @@ def featurize(query: str, document: str, config: FeatureConfig = FeatureConfig()
     with every document term, weighted by document tf). A sign hash reduces
     collision bias.
     """
-    q_tokens = tokenize(query, config.tokenizer)
-    d_tokens = tokenize(document, config.tokenizer)
+    q_tokens = tokenize(query)
+    d_tokens = tokenize(document)
     q_tf = _term_frequencies(q_tokens)
     d_tf = _term_frequencies(d_tokens)
 
@@ -249,7 +249,7 @@ class TermTable:
         if doc is None:
             if doc_id not in corpus:
                 raise DataError(f"document {doc_id!r} missing from corpus")
-            tf = _term_frequencies(tokenize(corpus[doc_id], self.config.tokenizer))
+            tf = _term_frequencies(tokenize(corpus[doc_id]))
             ids = np.fromiter((self._term_id(t) for t in tf), dtype=np.intp, count=len(tf))
             doc = (ids, np.fromiter(tf.values(), dtype=np.float64, count=len(tf)))
             self._documents[doc_id] = doc
@@ -289,7 +289,7 @@ def featurize_batch(
     doc_row = np.repeat(np.arange(n), [d[0].size for d in docs])  # row of each term entry
     d_crc, x_crc, t_crc, slot = table.columns(ids).T
 
-    q_tokens = tokenize(query, config.tokenizer)
+    q_tokens = tokenize(query)
     q_tf = _term_frequencies(q_tokens)
     q_crc = np.array([_hash32("q:" + t) for t in q_tf], dtype=np.uint32)
     # x: the document terms the query holds too, at the smaller of the two tf's
@@ -460,26 +460,16 @@ _ARRAYS = ("w1", "b1", "w2", "b2")
 
 
 def save_checkpoint(params: ScorerParams, strategy: ScoreStrategy, path: str | Path) -> None:
-    """Write the scorer as an uncompressed ``.npz`` archive at exactly ``path``."""
+    """Write the scorer as an uncompressed ``.npz`` archive at exactly ``path``,
+    whole or not at all (``io.replacing``)."""
     params.validate()
-    with open(path, "wb") as f:  # a file handle, because np.savez(path) appends ".npz"
+    with replacing(path, "wb") as f:  # a file handle, because np.savez(path) appends ".npz"
         np.savez(
             f,
             **{name: np.asarray(a, dtype="<f4") for name, a in zip(_ARRAYS, params.arrays())},
             strategy=np.str_(strategy.value),
             interaction_cap=np.int64(params.feature.interaction_cap),
-            lowercase=np.bool_(params.feature.tokenizer.lowercase),
-            min_token_len=np.int64(params.feature.tokenizer.min_token_len),
         )
-
-
-def _member(archive: np.lib.npyio.NpzFile, name: str, kind: str, ndim: int) -> np.ndarray:
-    """The member ``name``, refused unless it has ``ndim`` dimensions and a dtype of ``kind``."""
-    value = archive[name]
-    if value.ndim != ndim or value.dtype.kind != kind:
-        raise ValueError(f"{name} must be a {ndim}-d array of dtype kind {kind!r}, "
-                         f"got {value.dtype} of shape {value.shape}")
-    return value
 
 
 def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ScoreStrategy]:
@@ -492,16 +482,14 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ScoreStrategy]:
                                 "longer read; re-run `distilrank train` to write one)")
             f.seek(0)
             with np.load(f, allow_pickle=False) as z:
-                w1, b1, w2, b2 = (_member(z, name, "f", ndim).astype(np.float64)
+                w1, b1, w2, b2 = (npz_member(z, name, "f", ndim).astype(np.float64)
                                   for name, ndim in zip(_ARRAYS, (2, 1, 2, 1)))
                 if w1.shape[1] < 1:
                     raise ValueError(f"hidden must be >= 1, got w1 of shape {w1.shape}")
-                strategy = ScoreStrategy(_member(z, "strategy", "U", 0).item())
+                strategy = ScoreStrategy(npz_member(z, "strategy", "U", 0).item())
                 feature = FeatureConfig(
                     hash_dim=w1.shape[0],
-                    interaction_cap=_member(z, "interaction_cap", "i", 0).item(),
-                    tokenizer=TokenizerConfig(_member(z, "lowercase", "b", 0).item(),
-                                              _member(z, "min_token_len", "i", 0).item()),
+                    interaction_cap=npz_member(z, "interaction_cap", "i", 0).item(),
                 )
         params = ScorerParams(w1=w1, b1=b1, w2=w2, b2=b2, feature=feature)
         params.validate()

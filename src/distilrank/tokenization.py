@@ -1,5 +1,10 @@
 """Unicode-alphanumeric-run tokenizer used by indexing, cropping, and featurization.
 
+The pipeline uses one tokenizer, the default ``TokenizerConfig()``: always
+lowercased, no minimum length. Every stage calls ``tokenize(text)``, and no
+file or option carries the settings; the other settings exist for tests and
+measurements that call ``tokenize`` directly.
+
 A token is a maximal run of characters for which ``str.isalnum`` holds
 (``[^\\W_]``). ASCII text, after lowercasing, takes a fast path: one
 ``bytes.translate`` maps every byte outside ``[0-9A-Za-z]`` to a space and

@@ -14,7 +14,7 @@ The MonoT5 score map and external logits are plain nested dicts."""
 from __future__ import annotations
 
 import math
-from collections.abc import ItemsView, Iterator, Mapping
+from collections.abc import ItemsView, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -129,7 +129,8 @@ class DistilledExample:
     """One query with its pooled documents and the teacher's permutation ranking.
 
     ``llm_ranking[i]`` is the rank (1 = most relevant) the teacher assigned to
-    ``doc_ids[i]``; it must be a permutation of ``1..len(doc_ids)``.
+    ``doc_ids[i]``; it must be a permutation of ``1..len(doc_ids)``, and no
+    doc_id may appear twice.
     """
 
     query_id: str
@@ -149,20 +150,25 @@ class DistilledExample:
             )
         if sorted(self.llm_ranking) != list(range(1, m + 1)):
             raise DataError(f"query {self.query_id}: llm_ranking is not a permutation of 1..{m}")
+        _check_distinct(self.query_id, self.doc_ids)
 
     @property
     def m(self) -> int:
         return len(self.doc_ids)
 
 
+def _check_distinct(query_id: str, doc_ids: Sequence[str]) -> None:
+    """Raise a DataError naming the first doc_id of a query's list that appears twice."""
+    if len(set(doc_ids)) != len(doc_ids):
+        doc_id = next(d for i, d in enumerate(doc_ids) if d in doc_ids[:i])
+        raise DataError(f"query {query_id}: doc_id {doc_id!r} appears twice")
+
+
 def validate_run(run: Run) -> None:
     """Check per query: each doc_id once, finite non-increasing scores; raise
     DataError otherwise."""
     for query_id, docs in run.items():
-        doc_ids = [doc_id for doc_id, _ in docs]
-        if len(set(doc_ids)) != len(doc_ids):
-            doc_id = next(d for i, d in enumerate(doc_ids) if d in doc_ids[:i])
-            raise DataError(f"query {query_id}: doc_id {doc_id!r} appears twice")
+        _check_distinct(query_id, [doc_id for doc_id, _ in docs])
         scores = [score for _, score in docs]
         if not all(map(math.isfinite, scores)):
             raise DataError(f"query {query_id}: non-finite score")

@@ -33,6 +33,20 @@ def _rerank_checkpoint(tmp_path: Path, ckpt: Path) -> Path:
     return out
 
 
+def _training_files(tmp_path: Path, *doc_ids: list[str]) -> tuple[Path, Path]:
+    """A two-document corpus and a distilled file with one record per list of
+    two doc_ids; their paths."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"doc_id": "d1", "text": "alpha beta"}\n'
+                      '{"doc_id": "d2", "text": "gamma"}\n')
+    distilled = tmp_path / "distilled.jsonl"
+    distilled.write_text("".join(
+        json.dumps({"query_id": f"q{i}", "query_text": "alpha", "kind": "cropped",
+                    "source_retriever": "BM25", "doc_ids": ids, "llm_ranking": [1, 2]}) + "\n"
+        for i, ids in enumerate(doc_ids, 1)))
+    return corpus, distilled
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """A small synthetic workspace produced entirely through the CLI."""
@@ -217,6 +231,15 @@ class TestDispatchBasics:
         assert "'d1\\x00'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_train_on_a_record_listing_a_document_twice_exits_2(self, tmp_path, capsys):
+        corpus, distilled = _training_files(tmp_path, ["d1", "d2"], ["d1", "d1"])
+        out = tmp_path / "scorer.ckpt"
+        assert dispatch(["train", "--train", str(distilled), "--corpus", str(corpus),
+                         "--hash-dim", "1024", "--hidden", "2", "--checkpoint", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: distilled line 2: malformed record (query q2: doc_id 'd1' appears twice)")
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert dispatch([
             "index", "build", "--corpus", str(tmp_path / "absent.jsonl"),
@@ -267,18 +290,15 @@ class TestDispatchBasics:
         assert not out.exists()
 
     @pytest.mark.parametrize("change, message", [
-        ({"min_token_len": np.float64(1.0)},
-         "min_token_len must be a 0-d array of dtype kind 'i', got float64 of shape ()"),
-        ({"lowercase": np.str_("yes")},
-         "lowercase must be a 0-d array of dtype kind 'b', got <U3 of shape ()"),
+        ({"interaction_cap": np.float64(16.0)},
+         "interaction_cap must be a 0-d array of dtype kind 'i', got float64 of shape ()"),
         ({"w1": np.zeros(16, dtype="<f4")},
          "w1 must be a 2-d array of dtype kind 'f', got float32 of shape (16,)"),
         ({"w1": np.zeros((16, 0), dtype="<f4"), "b1": np.zeros(0, dtype="<f4"),
           "w2": np.zeros((0, 2), dtype="<f4")},  # what `train --hidden 0` would write
          "hidden must be >= 1, got w1 of shape (16, 0)"),
         ({"strategy": None}, "strategy is not a file in the archive"),
-    ], ids=["mistyped-min-token-len", "mistyped-lowercase", "w1-not-2d", "zero-hidden",
-            "missing-member"])
+    ], ids=["mistyped-interaction-cap", "w1-not-2d", "zero-hidden", "missing-member"])
     def test_rerank_rejects_mistyped_checkpoint_header(self, tmp_path, capsys, change, message):
         params = scorer.init_params(scorer.FeatureConfig(hash_dim=1 << 4), hidden=2, seed=0)
         ckpt = tmp_path / "scorer.ckpt"
@@ -322,6 +342,30 @@ class TestDispatchBasics:
                          "--out", str(tmp_path / "d.jsonl")]) == 2
         err = capsys.readouterr().err
         assert err.count(str(index)) == 2 and err.count("index build") == 2
+
+    @pytest.mark.parametrize("name, mistype, message", [
+        ("k1", lambda k1: np.str_(str(k1)),
+         "k1 must be a 0-d array of dtype kind 'f', got <U3 of shape ()"),
+        ("doc_lengths", lambda lengths: lengths + 0.5,
+         "doc_lengths must be a 1-d array of dtype kind 'i', got float64"),
+        ("ordinals", lambda ordinals: ordinals.astype(np.int64) + (1 << 32),
+         "ordinals must be a 1-d array of dtype kind 'i' of 4 bytes, got int64"),
+    ], ids=["k1-string", "float-doc-lengths", "int64-ordinals"])
+    def test_mistyped_index_member_exits_2(self, workdir, tmp_path, capsys, name, mistype,
+                                           message):
+        index = tmp_path / "index.npz"
+        with np.load(workdir / "index.json") as z:
+            members = {member: z[member] for member in z.files}
+        members[name] = mistype(members[name])
+        with open(index, "wb") as f:
+            np.savez(f, **members)
+        out = tmp_path / "r.trec"
+        assert dispatch(["retrieve", "--method", "bm25", "--index", str(index),
+                         "--queries", str(workdir / "queries-train.tsv"),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load index from {index}: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("records", [
         [("d1", "[1.0, 0.0]"), ("d2", "[0.0, 1.0]"), ("d1", "[0.5, 0.5]")],
@@ -909,6 +953,42 @@ def test_eval_and_mock_distill_leave_out_requests(workdir, tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     # each pair is (exit status, requests imported) after that dispatch
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, False], [0, False]]
+
+
+# runs one subcommand with every file write past 4 KiB failing with EFBIG
+# (SIGXFSZ ignored, so the write returns the error instead of killing the process)
+_CUT_SHORT = """
+import resource, signal, sys
+from distilrank.cli import dispatch
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(dispatch(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("writer", ["save_text", "save_index", "save_checkpoint"])
+def test_output_cut_short_leaves_the_old_file(workdir, tmp_path, writer):
+    out = tmp_path / "out"
+    out.write_bytes(b"the previous output\n")
+    if writer == "save_text":
+        argv = ["retrieve", "--method", "bm25", "--index", str(workdir / "index.json"),
+                "--queries", str(workdir / "queries-train.tsv"), "--out", str(out)]
+    elif writer == "save_index":
+        argv = ["index", "build", "--corpus", str(workdir / "corpus.jsonl"), "--out", str(out)]
+    else:
+        corpus, distilled = _training_files(tmp_path, ["d1", "d2"])
+        argv = ["train", "--train", str(distilled), "--corpus", str(corpus), "--epochs", "1",
+                "--hash-dim", "1024", "--hidden", "8", "--checkpoint", str(out)]
+    before = sorted(tmp_path.iterdir())
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-B", "-c", _CUT_SHORT, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and "File too large" in proc.stderr
+    assert out.read_bytes() == b"the previous output\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_perfbench_finds_every_name_it_traces():

@@ -1,5 +1,7 @@
 import builtins
+import hashlib
 import io
+import json
 import os
 import threading
 import time
@@ -363,6 +365,20 @@ class TestJournal:
         lines[1] = "0" * 12 + lines[1][12:]
         journal.write_text("".join(lines))
         with pytest.raises(JournalError, match="line 2"):
+            read_journal(journal)
+
+    def test_record_listing_a_document_twice_refused(self, tmp_path):
+        journal = tmp_path / "journal.log"
+        distill(queries(3), simple_retrieve, grade_llm, journal_path=journal,
+                plan=WindowPlan(4, 4))
+        lines = journal.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[1].split(b"\t", 1)[1])
+        record["doc_ids"][1] = record["doc_ids"][0]
+        payload = json.dumps(record).encode()
+        lines[1] = hashlib.sha256(payload).hexdigest()[:12].encode() + b"\t" + payload + b"\n"
+        journal.write_bytes(b"".join(lines))
+        with pytest.raises(DataError, match=f"journal line 2: .*doc_id '{record['doc_ids'][0]}' "
+                                            "appears twice"):
             read_journal(journal)
 
     def test_line_torn_inside_a_character_is_dropped(self, tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from distilrank.io import (
     read_per_query,
     read_qrels,
     read_run,
+    save_text,
     write_distilled,
     write_generated_pool,
     write_per_query,
@@ -285,6 +287,24 @@ def test_small_tsv_codecs_round_trip():
     assert parse_generated_pool(lines(write_generated_pool(pool))) == pool
     values = {"q2": 0.25, "q1": 1.0}
     assert read_per_query(lines(write_per_query(values)), "per-query") == values
+
+
+def test_new_output_gets_the_mode_of_a_new_file(tmp_path):
+    # 0o666 less the umask, as open() gives, not the 0o600 of tempfile.mkstemp
+    umask = os.umask(0o027)
+    try:
+        save_text(tmp_path / "out.tsv", "q1\t0.5\n")
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "out.tsv").stat().st_mode & 0o777 == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+
+def test_output_in_a_missing_directory_names_the_output(tmp_path):
+    out = tmp_path / "absent" / "out.tsv"
+    with pytest.raises(FileNotFoundError) as exc:
+        save_text(out, "q1\t0.5\n")
+    assert exc.value.filename == str(out)
 
 
 def test_io_types_and_errors_import_no_numpy_scipy_or_requests():

@@ -236,6 +236,23 @@ class TestIndexFile:
             df = sum(token in tokenize(d.text) for d in corpus)
             assert len(loaded.postings.get(token, ())) == df
 
+    def test_index_with_the_old_tokenizer_members_loads(self, tmp_path):
+        # indexes of older versions also hold the tokenizer settings every one
+        # of them was built with; the loader leaves them unread
+        corpus, vocab, rng = TestImpactSearch.corpus()
+        index = build_index(corpus)
+        path = tmp_path / "index.npz"
+        save_index(index, path)
+        with np.load(path) as z:
+            members = {name: z[name] for name in z.files}
+        with open(path, "wb") as f:
+            np.savez(f, **members, lowercase=np.bool_(True), min_token_len=np.int64(1))
+        loaded = load_index(path)
+        assert loaded.postings == index.postings and loaded.doc_ids == index.doc_ids
+        for _ in range(20):
+            query = " ".join(rng.choices(vocab, k=rng.randint(1, 6)))
+            assert search_bm25(loaded, query, 30) == search_bm25(index, query, 30)
+
     def test_legacy_json_index_refused(self, tmp_path):
         path = tmp_path / "index.json"
         path.write_text(json.dumps({"k1": 0.9, "b": 0.4, "lowercase": True, "min_token_len": 1,
