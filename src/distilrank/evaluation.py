@@ -200,7 +200,9 @@ def model_score_fn(
     store: FeatureStore | None = None,
 ) -> ScoreFn:
     """Score function that featurizes a query's documents and forwards them
-    through the trained scorer as one batch.
+    through the trained scorer as one batch: float32 rows through the float32
+    parameters of a checkpoint, so no product widens, then float64 scores
+    (`score_batch`).
 
     ``store`` must use ``params.feature``; pass one to reuse features across
     score functions. Without one, the function keeps a `TermTable` for its

@@ -23,13 +23,27 @@ linear, so it is four lookups in 256-entry tables built once per byte length,
 and every ``qxd:`` key's hash comes from the crc of its query-token prefix and
 the crc of its document term.
 
+Precision: the scorer is float32 from end to end. `featurize_batch` and the
+`FeatureStore` emit float32 values, `init_params` makes float32 parameters,
+and `forward` computes in the dtype of the parameters, so every product over
+the features, the hidden layer and the head is a float32 kernel. The feature
+values lose nothing in the cast: each is a signed sum of small integer tf's,
+which float64 adds exactly, and float32 holds every integer below 2**24
+exactly; `featurize_batch` refuses a sum whose magnitude reaches 2**24.
+`score_batch` and `score_batch_grad` widen the n logits to float64, so the
+n scores and everything computed from them alone are float64. The functions
+follow the dtype of the parameters they are given, so the same code runs on
+float64 parameters, as the gradient checks do.
+
 Checkpoint file layout: an uncompressed ``.npz`` archive, like the BM25
 index, holding ``w1, b1, w2, b2`` as little-endian float32 and two 0-d
 members: ``strategy`` (str) and ``interaction_cap`` (int). ``hash_dim`` and
 ``hidden`` are the shape of ``w1``. There is no tokenizer member, because
 the pipeline has one tokenizer; a checkpoint of older versions also holds
 ``lowercase`` and ``min_token_len``, which are left unread. The loader
-converts nothing: a member of another dtype kind or shape is refused.
+converts nothing: a member of another dtype kind, width or shape is refused.
+It keeps the float32 arrays as they are, so a checkpoint round-trips bit for
+bit, and `rerank` scores the very model `train` fitted.
 """
 
 from __future__ import annotations
@@ -154,22 +168,35 @@ class ScorerParams:
             raise DataError("scorer parameters contain non-finite entries")
 
 
+# rows of w1 that `init_params` draws at a time; the draws of consecutive blocks
+# are the draws of one call over all rows
+INIT_BLOCK_ROWS = 1 << 12
+
+
 def init_params(
     feature: FeatureConfig = FeatureConfig(),
     hidden: int = 64,
     seed: int = 0,
 ) -> ScorerParams:
-    """Random small-weight initialization; biases start at zero."""
+    """Random small-weight float32 initialization; biases start at zero.
+
+    The weights are drawn in float64, as they always were, and rounded to
+    float32, so a seed gives the same draws. w1 is drawn a block of rows at a
+    time, so no float64 copy of it is ever whole.
+    """
     if hidden < 1:
         raise ValueError(f"hidden must be >= 1, got {hidden}")
     rng = np.random.default_rng(seed)
-    w1 = rng.normal(0.0, 0.05, size=(feature.hash_dim, hidden))
-    w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, 2))
+    w1 = np.empty((feature.hash_dim, hidden), dtype=np.float32)
+    for lo in range(0, feature.hash_dim, INIT_BLOCK_ROWS):
+        block = w1[lo: lo + INIT_BLOCK_ROWS]
+        block[...] = rng.normal(0.0, 0.05, size=block.shape)
+    w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, 2)).astype(np.float32)
     return ScorerParams(
         w1=w1,
-        b1=np.zeros(hidden),
+        b1=np.zeros(hidden, dtype=np.float32),
         w2=w2,
-        b2=np.zeros(2),
+        b2=np.zeros(2, dtype=np.float32),
         feature=feature,
     )
 
@@ -190,7 +217,8 @@ def forward(
     params: ScorerParams, rows: sp.csr_array
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched forward over the rows of a sparse feature matrix whose columns
-    index the rows of ``params.w1``.
+    index the rows of ``params.w1``, in the dtype of the parameters (rows of
+    a wider dtype than the parameters would widen the products).
 
     Returns the hidden pre-activations (n, hidden), the relu activations
     (n, hidden) and the logits (n, 2); rejects non-finite logits.
@@ -274,12 +302,14 @@ def featurize_batch(
     query: str, doc_ids: Sequence[str], corpus: Mapping[str, str], table: TermTable
 ) -> sp.csr_array:
     """The features of ``query`` with each document as the rows of one CSR
-    matrix, in one numpy pass: bit for bit
-    ``stack_rows([featurize(query, corpus[d], table.config) for d in doc_ids])``.
+    matrix of float32 values, in one numpy pass: the structure of
+    ``stack_rows([featurize(query, corpus[d], table.config) for d in doc_ids])``
+    and its values, equal as numbers.
 
     Every feature value is a signed sum of small integer tf's, which float64
     adds exactly in any order, and each bucket and sign comes from the same
-    crc32 as in `featurize`.
+    crc32 as in `featurize`. The sums are cast to float32, which is exact
+    below 2**24 in magnitude; a larger sum raises `DataError`.
     """
     config = table.config
     n = len(doc_ids)
@@ -319,8 +349,12 @@ def featurize_batch(
     keys, group = np.unique(keys, return_inverse=True)
     data = np.bincount(group, weights=np.where(hashes & 0x80000000, -values, values),
                        minlength=keys.size)
+    if data.size and np.abs(data).max() >= 1 << 24:  # float32 holds every integer below
+        raise DataError(f"a feature value of query {query!r} reaches 2**24 in magnitude, "
+                        "beyond which float32 does not hold every integer")
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * config.hash_dim)
-    return sp.csr_array((data, keys & mask, indptr), shape=(n, config.hash_dim))
+    return sp.csr_array((data.astype(np.float32), keys & mask, indptr),
+                        shape=(n, config.hash_dim))
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -378,7 +412,7 @@ class FeatureStore:
         self._table = TermTable(config)
         self._row_of: dict[tuple[str, str], int] = {}
         self._indices = np.empty(self.INITIAL_NNZ, dtype=np.int64)
-        self._data = np.empty(self.INITIAL_NNZ)
+        self._data = np.empty(self.INITIAL_NNZ, dtype=np.float32)
         self._indptr = np.zeros(self.INITIAL_ROWS + 1, dtype=np.int64)
         self._served: dict[tuple[str, tuple[str, ...]], sp.csr_array] = {}
 
@@ -429,7 +463,9 @@ class FeatureStore:
 
 
 def score_batch(z: np.ndarray, strategy: ScoreStrategy) -> np.ndarray:
-    """The relevance score of each row (z_true, z_false) of an (n, 2) logit array."""
+    """The float64 relevance score of each row (z_true, z_false) of an (n, 2)
+    logit array of any float dtype."""
+    z = np.asarray(z, dtype=np.float64)
     if strategy is ScoreStrategy.SOFTMAX_TRUE_FALSE:
         # e^t / (e^t + e^f), computed stably as sigmoid(t - f)
         return expit(z[:, 0] - z[:, 1])
@@ -439,7 +475,9 @@ def score_batch(z: np.ndarray, strategy: ScoreStrategy) -> np.ndarray:
 
 
 def score_batch_grad(z: np.ndarray, strategy: ScoreStrategy) -> np.ndarray:
-    """d(score)/d(z_true, z_false) for each row of an (n, 2) logit array."""
+    """d(score)/d(z_true, z_false), in float64, for each row of an (n, 2)
+    logit array of any float dtype."""
+    z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
     grad = np.empty((n, 2))
     if strategy is ScoreStrategy.SOFTMAX_TRUE_FALSE:
@@ -482,7 +520,7 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, ScoreStrategy]:
                                 "longer read; re-run `distilrank train` to write one)")
             f.seek(0)
             with np.load(f, allow_pickle=False) as z:
-                w1, b1, w2, b2 = (npz_member(z, name, "f", ndim).astype(np.float64)
+                w1, b1, w2, b2 = (npz_member(z, name, "f", ndim, 4)
                                   for name, ndim in zip(_ARRAYS, (2, 1, 2, 1)))
                 if w1.shape[1] < 1:
                     raise ValueError(f"hidden must be >= 1, got w1 of shape {w1.shape}")

@@ -23,6 +23,17 @@ its moments stay zero and each step only scales it by (1 - lr * weight_decay).
 `fit` applies those steps once, as (1 - lr * weight_decay) ** t after t steps,
 and leaves the rows bit-identical when weight_decay is 0 or no step was taken.
 
+Precision: training runs in the dtype of the parameters, float32 as
+`init_params` makes them, over float32 feature rows. The forward, the
+backward and the AdamW moments and scratch buffers are float32, the
+precision the checkpoint stores, so the saved model is the trained one. The
+scores of a batch, its RankNet pair matrices and its loss are float64: they
+cost O(n) and O(n m) against the O(nnz * hidden) of the products, and
+float32 ran no faster there. dL/dz is narrowed to the parameters' dtype once,
+before the backward; its entries are at most m - 1 in magnitude, so the cast
+cannot overflow. A learning rate beyond the largest float32 makes the
+parameters non-finite instead, which the next forward rejects as divergence.
+
 Resident stacks: `prepare_example` resolves an example to the row ids of its
 documents in a `FeatureStore`, and `stack_examples` gathers a whole set
 (train, validation) from the store in one pass, as one `ExampleStack`: a CSR
@@ -202,25 +213,28 @@ def adamw_step(
     lr, beta1, beta2 = config.learning_rate, config.beta1, config.beta2
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for theta, g, m, v, update, denom in zip(
-        arrays, grads, state.m, state.v, state.update, state.denom
-    ):
-        if config.weight_decay != 0.0:
-            theta *= 1.0 - lr * config.weight_decay
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=update)
-        m += update
-        v *= beta2
-        np.square(g, out=update)
-        update *= 1.0 - beta2
-        v += update
-        np.divide(m, bc1, out=update)
-        update *= lr
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += config.eps
-        update /= denom
-        theta -= update
+    # a learning rate past the largest value of the arrays' dtype overflows to
+    # inf; the parameters then go non-finite and the next forward rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for theta, g, m, v, update, denom in zip(
+            arrays, grads, state.m, state.v, state.update, state.denom
+        ):
+            if config.weight_decay != 0.0:
+                theta *= 1.0 - lr * config.weight_decay
+            m *= beta1
+            np.multiply(g, 1.0 - beta1, out=update)
+            m += update
+            v *= beta2
+            np.square(g, out=update)
+            update *= 1.0 - beta2
+            v += update
+            np.divide(m, bc1, out=update)
+            update *= lr
+            np.divide(v, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += config.eps
+            update /= denom
+            theta -= update
     return arrays, state
 
 
@@ -358,7 +372,8 @@ def batch_loss_and_grads(
         total += loss
     ds *= scale
     with np.errstate(over="ignore", invalid="ignore"):  # adamw_step rejects non-finite grads
-        dz = ds[:, None] * score_batch_grad(z, strategy)  # (n, 2)
+        # float64 like the scores, narrowed to the forward's dtype for the backward
+        dz = (ds[:, None] * score_batch_grad(z, strategy)).astype(z.dtype, copy=False)  # (n, 2)
         dh_pre = (dz @ params.w2.T) * (h_pre > 0.0)
         grads = [rows.T @ dh_pre, dh_pre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
     return _finite(total * scale, "non-finite loss"), grads
@@ -469,6 +484,7 @@ def fit(
     finally:
         block, params.w1 = params.w1, full_w1
         if config.weight_decay != 0.0 and state.t:
-            full_w1 *= (1.0 - config.learning_rate * config.weight_decay) ** state.t
+            with np.errstate(over="ignore", invalid="ignore"):  # as in adamw_step
+                full_w1 *= (1.0 - config.learning_rate * config.weight_decay) ** state.t
         full_w1[active] = block
     return params, history

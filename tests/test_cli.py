@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import multiprocessing
 import os
@@ -293,12 +294,15 @@ class TestDispatchBasics:
         ({"interaction_cap": np.float64(16.0)},
          "interaction_cap must be a 0-d array of dtype kind 'i', got float64 of shape ()"),
         ({"w1": np.zeros(16, dtype="<f4")},
-         "w1 must be a 2-d array of dtype kind 'f', got float32 of shape (16,)"),
+         "w1 must be a 2-d array of dtype kind 'f' of 4 bytes, got float32 of shape (16,)"),
+        ({"b1": np.zeros(2)},  # float64: the loader widens and narrows nothing
+         "b1 must be a 1-d array of dtype kind 'f' of 4 bytes, got float64 of shape (2,)"),
         ({"w1": np.zeros((16, 0), dtype="<f4"), "b1": np.zeros(0, dtype="<f4"),
           "w2": np.zeros((0, 2), dtype="<f4")},  # what `train --hidden 0` would write
          "hidden must be >= 1, got w1 of shape (16, 0)"),
         ({"strategy": None}, "strategy is not a file in the archive"),
-    ], ids=["mistyped-interaction-cap", "w1-not-2d", "zero-hidden", "missing-member"])
+    ], ids=["mistyped-interaction-cap", "w1-not-2d", "b1-float64", "zero-hidden",
+            "missing-member"])
     def test_rerank_rejects_mistyped_checkpoint_header(self, tmp_path, capsys, change, message):
         params = scorer.init_params(scorer.FeatureConfig(hash_dim=1 << 4), hidden=2, seed=0)
         ckpt = tmp_path / "scorer.ckpt"
@@ -1648,6 +1652,56 @@ class TestPipelineThroughCli(object):
             "--queries", str(workdir / "queries-eval.tsv"), "--checkpoint", str(ckpt),
             "--k-in", "10", "--out", str(tmp_path / "reranked.trec"),
         ]) == 0
+
+    def test_rerank_scores_the_model_train_fitted(self, workdir, tmp_path, monkeypatch):
+        # the checkpoint holds the arrays fit returned, bit for bit, so rerank
+        # scores the trained model and not a rounded copy of it
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+        fitted, scored = [], {}
+        fit, model_score_fn = cli.fit, cli.model_score_fn
+
+        def recording_fit(*args):
+            params, history = fit(*args)
+            fitted.append(copy.deepcopy(params))
+            return params, history
+
+        def recording_score_fn(*args):
+            fn = model_score_fn(*args)
+
+            def scoring(query_id, doc_ids):
+                scored[query_id] = (list(doc_ids), fn(query_id, doc_ids))
+                return scored[query_id][1]
+
+            return scoring
+
+        monkeypatch.setattr(cli, "fit", recording_fit)
+        monkeypatch.setattr(cli, "model_score_fn", recording_score_fn)
+        ckpt = tmp_path / "scorer.ckpt"
+        assert dispatch([
+            "train", "--train", str(distilled), "--corpus", str(workdir / "corpus.jsonl"),
+            "--epochs", "2", "--batch", "4", "--docs", "10", "--hash-dim", "1024",
+            "--hidden", "8", "--strategy", "softmax-true-false", "--checkpoint", str(ckpt),
+        ]) == 0
+        assert dispatch([
+            "rerank", "--run", str(base_run), "--corpus", str(workdir / "corpus.jsonl"),
+            "--queries", str(workdir / "queries-eval.tsv"), "--checkpoint", str(ckpt),
+            "--k-in", "10", "--out", str(tmp_path / "reranked.trec"),
+        ]) == 0
+
+        (trained,) = fitted
+        loaded, strategy = scorer.load_checkpoint(ckpt)
+        assert strategy is ScoreStrategy.SOFTMAX_TRUE_FALSE
+        for got, want in zip(loaded.arrays(), trained.arrays()):
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        queries = {q.query_id: q.text for q in io.load_queries(workdir / "queries-eval.tsv")}
+        corpus = {d.doc_id: d.text for d in io.load_corpus(workdir / "corpus.jsonl")}
+        table = scorer.TermTable(trained.feature)
+        assert len(scored) == len(queries)
+        for qid, (doc_ids, scores) in scored.items():
+            rows = scorer.featurize_batch(queries[qid], doc_ids, corpus, table)
+            want = scorer.score_batch(scorer.forward(trained, rows)[2], strategy)
+            np.testing.assert_array_equal(scores, want)
 
     @pytest.mark.parametrize(
         "command, option, value, message",

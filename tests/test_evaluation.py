@@ -235,6 +235,8 @@ class TestRerankRun:
     @pytest.mark.parametrize("strategy", list(ScoreStrategy))
     def test_batched_scores_match_per_pair_forward(self, strategy):
         params = init_params(FeatureConfig(hash_dim=1 << 10), hidden=8, seed=2)
+        # float64, the precision of the per-pair oracle; the forward follows the parameters
+        params.w1, params.w2 = params.w1.astype(np.float64), params.w2.astype(np.float64)
         rng = np.random.default_rng(6)
         params.b1 = rng.normal(0.0, 0.1, size=8)
         params.b2 = rng.normal(0.0, 0.1, size=2)

@@ -193,11 +193,10 @@ class TestCheckpoint:
         assert strategy is ScoreStrategy.LOGIT_DIFFERENCE
         assert loaded.feature == params.feature
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scorer.ckpt"]
-        # float32 storage: the round trip gives back the float32 bits
+        # float32 from end to end: the loader gives back the saved bits, unwidened
         for saved, read in zip(params.arrays(), loaded.arrays()):
-            assert read.dtype == np.float64
-            np.testing.assert_array_equal(read.astype(np.float32).view(np.uint32),
-                                          saved.astype(np.float32).view(np.uint32))
+            assert saved.dtype == read.dtype == np.float32
+            np.testing.assert_array_equal(read.view(np.uint32), saved.view(np.uint32))
 
     def test_checkpoint_with_the_old_tokenizer_members_loads(self, tmp_path):
         # checkpoints of older versions also hold the tokenizer settings every
@@ -253,6 +252,41 @@ def test_batch_matches_per_pair_rows(queries, documents, hash_dim, interaction_c
             np.testing.assert_array_equal(got.indices, want.indices)
             np.testing.assert_array_equal(got.data, want.data)
             np.testing.assert_array_equal(np.signbit(got.data), np.signbit(want.data))
+
+
+class TestFloat32Features:
+    def test_a_sum_that_float32_cannot_hold_exactly_is_refused(self):
+        # each of the ``cap`` copies of the query token crosses with the document
+        # term of tf 2**14 in one qxd bucket, which then sums to cap * 2**14
+        corpus = {"d": " ".join(["a"] * (1 << 14))}
+        for cap in (1023, 1024):
+            config = FeatureConfig(hash_dim=1 << 18, interaction_cap=cap)
+            query = " ".join(["a"] * cap)
+            want = stack_rows([featurize(query, corpus["d"], config)], config.hash_dim)
+            assert np.abs(want.data).max() == cap << 14
+            if cap << 14 < 1 << 24:
+                got = featurize_batch(query, ["d"], corpus, TermTable(config))
+                assert got.data.dtype == np.float32
+                np.testing.assert_array_equal(got.data, want.data)
+            else:
+                with pytest.raises(DataError, match=r"reaches 2\*\*24 in magnitude"):
+                    featurize_batch(query, ["d"], corpus, TermTable(config))
+                store = FeatureStore(config)
+                with pytest.raises(DataError, match=r"reaches 2\*\*24 in magnitude"):
+                    store.rows(query, ["d"], corpus)
+                assert len(store) == 0
+
+    # one block of w1 rows, and four
+    @pytest.mark.parametrize("hash_dim", [1 << 8, 4 * scorer.INIT_BLOCK_ROWS])
+    def test_init_params_rounds_the_float64_draws(self, hash_dim):
+        # the draws of earlier versions, which trained in float64, rounded to float32
+        params = init_params(FeatureConfig(hash_dim=hash_dim), hidden=5, seed=3)
+        rng = np.random.default_rng(3)
+        w1 = rng.normal(0.0, 0.05, size=(hash_dim, 5))
+        w2 = rng.normal(0.0, 1.0 / np.sqrt(5), size=(5, 2))
+        for got, want in zip(params.arrays(), [w1, np.zeros(5), w2, np.zeros(2)]):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, want.astype(np.float32))
 
 
 class TestFeatureStore:
@@ -333,13 +367,16 @@ class TestFeatureStore:
 
 
 def assert_rows_match_per_pair(store, query, doc_ids, corpus, config):
-    """``store.rows`` equals the stacked per-pair `featurize` rows, bit for bit."""
+    """``store.rows`` equals the stacked per-pair `featurize` rows: the same
+    structure and the same values, held as float32 where the per-pair rows
+    hold float64."""
     got = store.rows(query, doc_ids, corpus)
     want = stack_rows([featurize(query, corpus[d], config) for d in doc_ids], config.hash_dim)
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert getattr(got, name).dtype == getattr(want, name).dtype
+    assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+    assert got.data.dtype == np.float32 and want.data.dtype == np.float64
     np.testing.assert_array_equal(np.signbit(got.data), np.signbit(want.data))
 
 

@@ -35,6 +35,11 @@ def test_batch_loss_adds_losses_left_to_right(monkeypatch):
     rng = np.random.default_rng(5)
     doc_counts = [5, 9, 3, 7, 4, 8]
     params = init_params(FeatureConfig(hash_dim=64), hidden=8, seed=0)
+    # the float64 draws that init_params rounds to float32, on which these
+    # losses are known to add differently left to right and exactly rounded
+    draws = np.random.default_rng(0)
+    params.w1 = draws.normal(0.0, 0.05, size=(64, 8))
+    params.w2 = draws.normal(0.0, 1.0 / np.sqrt(8), size=(8, 2))
     rows = sp.random_array((sum(doc_counts), 64), density=0.2, format="csr", rng=rng,
                            data_sampler=lambda size: rng.integers(-3, 4, size).astype(float))
     batch = ExampleStack(sp.csr_array(rows), np.cumsum([0] + doc_counts),

@@ -9,13 +9,16 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distilrank import training
+from distilrank import evaluation, training
 from distilrank.errors import DataError, NonFiniteError
+from distilrank.evaluation import model_score_fn
 from distilrank.scorer import (
     FeatureConfig,
     FeatureStore,
     ScoreStrategy,
+    TermTable,
     featurize,
+    featurize_batch,
     forward,
     init_params,
     score_batch,
@@ -270,6 +273,14 @@ def tiny_feature():
     return FeatureConfig(hash_dim=1 << 10, interaction_cap=4)
 
 
+def widened(params):
+    """``params`` with every array cast to float64. The scorer and training
+    functions follow the dtype of the parameters, so on these they compute in
+    float64, the precision of the finite-difference and dense oracles."""
+    return replace(params, **{name: getattr(params, name).astype(np.float64)
+                              for name in ("w1", "b1", "w2", "b2")})
+
+
 def prepared_batch(params, rng, n_examples=3, m=5):
     batch = []
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
@@ -292,7 +303,7 @@ class TestBatchGradients:
     )
     def test_parameter_gradients_match_finite_differences(self, strategy):
         rng = np.random.default_rng(11)
-        params = init_params(tiny_feature(), hidden=8, seed=4)
+        params = widened(init_params(tiny_feature(), hidden=8, seed=4))
         batch = prepared_batch(params, rng)
         loss, grads = batch_loss_and_grads(params, batch, strategy)
         assert np.isfinite(loss)
@@ -762,12 +773,12 @@ class TestActiveRowFit:
         train, val = examples[:9], examples[9:]
         config = TrainConfig(epochs=3, batch_queries=4, docs_per_query=4, seed=9,
                              learning_rate=0.01, weight_decay=weight_decay, strategy=strategy)
-        theta0 = init_params(tiny_feature(), hidden=8, seed=0).w1.copy()
+        theta0 = widened(init_params(tiny_feature(), hidden=8, seed=0)).w1
 
         ref, ref_history, steps = dense_reference_fit(
-            config, train, val, corpus, init_params(tiny_feature(), hidden=8, seed=0))
+            config, train, val, corpus, widened(init_params(tiny_feature(), hidden=8, seed=0)))
         got, history = prepare_and_fit(config, train, val, corpus,
-                                       init_params(tiny_feature(), hidden=8, seed=0))
+                                       widened(init_params(tiny_feature(), hidden=8, seed=0)))
 
         assert steps == 9
         for a, b in zip(got.arrays(), ref.arrays()):
@@ -788,6 +799,48 @@ class TestActiveRowFit:
             np.testing.assert_array_equal(got.w1[untouched], theta0[untouched])
         else:
             assert not np.array_equal(got.w1[untouched], theta0[untouched])
+
+
+@pytest.mark.parametrize("strategy", list(ScoreStrategy))
+def test_float32_params_keep_every_hot_path_array_float32(monkeypatch, strategy):
+    """No kernel of training or scoring widens float32 parameters or features
+    to float64: a wider operand anywhere would widen a product over w1."""
+    corpus, examples = tiny_corpus_and_examples()
+    params = init_params(tiny_feature(), hidden=8, seed=0)
+    f32 = np.dtype(np.float32)
+    assert [a.dtype for a in params.arrays()] == [f32] * 4
+
+    ex = examples[0]
+    assert featurize_batch(ex.query_text, ex.doc_ids, corpus,
+                           TermTable(params.feature)).data.dtype == f32
+    store = FeatureStore(params.feature)
+    assert store.take(store.ids(ex.query_text, ex.doc_ids, corpus)).data.dtype == f32
+
+    batch = stack_examples(examples, corpus, store)
+    assert [a.dtype for a in forward(params, batch.rows)] == [f32] * 3
+    _, grads = batch_loss_and_grads(params, batch, strategy)
+    assert [g.dtype for g in grads] == [f32] * 4
+    state = init_adam_state(params.arrays())
+    adamw_step(params.arrays(), grads, state, TrainConfig())
+    for arrays in (params.arrays(), state.m, state.v, state.update, state.denom):
+        assert [a.dtype for a in arrays] == [f32] * 4
+
+    config = TrainConfig(epochs=1, batch_queries=4, docs_per_query=4, strategy=strategy)
+    trained, _ = prepare_and_fit(config, examples, examples[:2], corpus, params)
+    assert [a.dtype for a in trained.arrays()] == [f32] * 4
+
+    multiplied = []
+
+    def recording(params, rows):
+        multiplied.append(rows.data.dtype)
+        return forward(params, rows)
+
+    monkeypatch.setattr(evaluation, "forward", recording)
+    queries = {ex.query_id: ex.query_text for ex in examples}
+    for fn in (model_score_fn(trained, strategy, queries, corpus),
+               model_score_fn(trained, strategy, queries, corpus, store)):
+        fn(ex.query_id, ex.doc_ids)
+    assert multiplied == [f32, f32]
 
 
 def test_history_tsv_format():
