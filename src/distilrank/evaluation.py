@@ -18,6 +18,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DataError
+from .io import pair_lookup
 from .scorer import (
     FeatureStore,
     ScorerParams,
@@ -233,14 +234,9 @@ def external_logit_score_fn(
     """Score function over externally computed ``{qid: {docid: (z_true,
     z_false)}}``, scored as one (n, 2) array per query like the student's."""
 
+    lookup = pair_lookup(logit_map, "external logits")
+
     def fn(query_id: str, doc_ids: Sequence[str]) -> np.ndarray:
-        logits = logit_map.get(query_id, {})
-        z = np.empty((len(doc_ids), 2))
-        for i, doc_id in enumerate(doc_ids):
-            pair = logits.get(doc_id)
-            if pair is None:
-                raise DataError(f"external logits missing pair {(query_id, doc_id)}")
-            z[i] = pair
-        return score_batch(z, strategy)
+        return score_batch(np.reshape(lookup(query_id, doc_ids), (-1, 2)), strategy)
 
     return fn

@@ -20,6 +20,16 @@ and the line:
   bad_number()    a field that is not a number, or a number that is not finite
   repeated()      a key given before, with the line of its first appearance
 
+Numbers read from outside files take one path each:
+
+  finite()        a field as a finite float, else bad_number()'s error: the
+                  run score, every per-query value, and each per-pair column
+                  after the first (read_pair_numbers parses its first column
+                  inline, the same way, as it is the score map's hot loop)
+  pair_lookup()   one query's values of a {qid: {docid: value}} map (the
+                  MonoT5 score map, external logits) in document order; a
+                  pair the map lacks is "<what> missing pair (qid, docid)"
+
 Formats read here (README "Input files" lists every line format):
   corpus.jsonl    {"doc_id": ..., "text": ...} per line, both strings; doc_id
                   unique, an id (types.is_id: it fits one field of a run line)
@@ -50,8 +60,9 @@ Formats read here (README "Input files" lists every line format):
                   integers, repaired a boolean; query_id unique
 
 Every output file is written through ``replacing``: a new file beside the
-target, moved over it only once the whole output is in it, so a write that
-fails or is killed leaves the target as it was.
+target, moved over it only once the whole output is in it and synced to disk,
+so a write that fails or is killed leaves the target as it was, and a power
+loss leaves it old or new but not empty.
 
 Canonical run text uses a single space separator, %.6f scores, and queries
 sorted by query_id, so write_run(read_run(x), tag) == x byte-for-byte when
@@ -66,7 +77,7 @@ from array import array
 from contextlib import contextmanager
 from math import isfinite, nan
 from pathlib import Path
-from typing import IO, Any, Callable, Hashable, Iterable, Iterator
+from typing import IO, Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError
 from .types import (
@@ -107,10 +118,10 @@ def npz_member(archive: Any, name: str, kind: str, ndim: int, itemsize: int = 0)
 @contextmanager
 def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
     """A handle on a new file in ``path``'s directory, moved over ``path`` with
-    ``os.replace`` when the block ends without error; on any error the new
-    file is removed and ``path`` keeps what it held. Mode ``"w"`` writes UTF-8
-    text, ``"wb"`` bytes. The file is created as ``open`` creates one, with
-    mode 0o666 less the umask."""
+    ``os.replace`` when the block ends without error, once its data is synced
+    to disk; on any error the new file is removed and ``path`` keeps what it
+    held. Mode ``"w"`` writes UTF-8 text, ``"wb"`` bytes. The file is created
+    as ``open`` creates one, with mode 0o666 less the umask."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
@@ -120,6 +131,8 @@ def replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
     try:
         with open(fd, mode, encoding=None if "b" in mode else "utf-8") as f:
             yield f
+            f.flush()
+            os.fsync(f.fileno())  # else a power loss may leave the target empty
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -148,6 +161,30 @@ def bad_number(what: str, lineno: int, field: str, raw: str, kind: type = float)
     except ValueError:
         return DataError(f"{what} line {lineno}: non-numeric {field} {raw!r}")
     return DataError(f"{what} line {lineno}: non-finite {field} {raw!r}")
+
+
+def finite(raw: str, what: str, lineno: int, field: str) -> float:
+    """``raw`` as a finite float, else `bad_number`'s error for ``field``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = nan
+    if isfinite(value):
+        return value
+    raise bad_number(what, lineno, field, raw)
+
+
+def pair_lookup(pairs: Mapping[str, Mapping], what: str) -> Callable[[str, Sequence[str]], list]:
+    """``(qid, doc_ids) -> values``: the values ``pairs`` (``{qid: {docid: value}}``)
+    holds for one query's documents, in document order; a pair it lacks is a
+    DataError naming it."""
+    def lookup(qid: str, doc_ids: Sequence[str]) -> list:
+        values = pairs.get(qid, {})
+        try:
+            return [values[doc_id] for doc_id in doc_ids]
+        except KeyError as exc:
+            raise DataError(f"{what} missing pair ({qid}, {exc.args[0]})") from None
+    return lookup
 
 
 def repeated(what: str, lineno: int, noun: str, key: Hashable, first: int,
@@ -224,12 +261,7 @@ def read_run(lines: Iterable[str]) -> Run:
             rank = int(raw_rank)
         except ValueError:
             raise bad_number("run", lineno, "rank", raw_rank, int) from None
-        try:
-            score = float(raw_score)
-        except ValueError:
-            score = nan
-        if not isfinite(score):
-            raise bad_number("run", lineno, "score", raw_score)
+        score = finite(raw_score, "run", lineno, "score")
         ranked.setdefault(qid, []).append((rank, ScoredDoc(docid, score)))
     run: Run = {}
     for qid, entries in ranked.items():
@@ -299,22 +331,15 @@ def read_pair_numbers(lines: Iterable[str], what: str, columns: tuple[str, ...])
             linenos = linenos_of[qid]
         if docid in pairs:
             raise repeated(what, lineno, "pair", (qid, docid), linenos[list(pairs).index(docid)])
-        try:  # the first column inline, off the loop over any further ones
+        try:  # inline: a finite() call here read a 48,640-line score map 9% slower (CPython 3.11)
             value = float(raw)
         except ValueError:
             value = nan
         if not isfinite(value):
             raise bad_number(what, lineno, columns[0], raw)
         if n_fields > 3:
-            value = (value,)
-            for column, raw in zip(columns[1:], fields[3:]):
-                try:
-                    number = float(raw)
-                except ValueError:
-                    number = nan
-                if not isfinite(number):
-                    raise bad_number(what, lineno, column, raw)
-                value += (number,)
+            value = (value, *[finite(raw, what, lineno, column)
+                              for column, raw in zip(columns[1:], fields[3:])])
         pairs[docid] = value
         linenos.append(lineno)
     return by_query
@@ -344,15 +369,8 @@ def _read_query_values(lines: Iterable[str], what: str, verb: str,
 def read_per_query(lines: Iterable[str], what: str) -> dict[str, float]:
     """Per-query values ``query_id<TAB>value``, each a finite number; errors
     name the file as ``what``."""
-    def number(raw: str, lineno: int) -> float:
-        try:
-            value = float(raw)
-        except ValueError:
-            value = nan
-        if not isfinite(value):
-            raise bad_number(what, lineno, "value", raw)
-        return value
-    return _read_query_values(lines, what, "given", number)
+    return _read_query_values(lines, what, "given",
+                              lambda raw, lineno: finite(raw, what, lineno, "value"))
 
 
 def write_per_query(values: dict[str, float]) -> str:

@@ -15,7 +15,8 @@ build tokenizes each document once and counts all postings in one numpy
 pass (``np.unique`` over ``term row * N + ordinal``). The
 dense store is one (N, d) matrix, so a search is one matrix-vector product.
 
-Ties are broken by ascending doc_id so all searches are reproducible.
+Ties are broken by ascending doc_id, in every search and composed rerank, so
+all of them are reproducible.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DataError
-from .io import (NPZ_MAGIC, RECORD_ERRORS, malformed, npz_member, read_pair_numbers, repeated,
-                 replacing)
+from .io import (NPZ_MAGIC, RECORD_ERRORS, malformed, npz_member, pair_lookup, read_pair_numbers,
+                 repeated, replacing)
 from .tokenization import TokenizerConfig, tokenize
-from .types import Document, Run, ScoredDoc, bad_id, is_id, not_a_string, validate_run
+from .types import Document, Run, ScoredDoc, bad_id, is_id, not_a_string
 
 
 class Postings(Mapping):
@@ -425,23 +426,9 @@ def compose_rerank(
     k_pool: int = 100,
     k_out: int = 30,
 ) -> Run:
-    """Reorder the top-k_pool of each query by external scores and keep the top k_out.
+    """Reorder the top-k_pool of each query by external scores and keep the top
+    k_out: `rerank_run` over the score map, so ties break by ascending doc_id."""
+    # imported here, so that retrieval does not load the scorer and scipy
+    from .evaluation import rerank_run
 
-    The sort is stable, so documents with equal external scores keep their
-    base-run order (a score map equal to the base scores is a no-op).
-    """
-    if k_out > k_pool:
-        raise ValueError(f"k_out={k_out} must not exceed k_pool={k_pool}")
-    run: Run = {}
-    for qid, docs in base_run.items():
-        scores = score_map.get(qid, {})
-        rescored: list[ScoredDoc] = []
-        for doc_id, _ in docs[:k_pool]:
-            score = scores.get(doc_id)
-            if score is None:
-                raise DataError(f"score map missing pair ({qid}, {doc_id})")
-            rescored.append(ScoredDoc(doc_id, score))
-        rescored.sort(key=lambda d: -d.score)
-        run[qid] = rescored[:k_out]
-    validate_run(run)
-    return run
+    return rerank_run(base_run, pair_lookup(score_map, "score map"), k_pool, k_out)

@@ -346,14 +346,21 @@ def _ranknet(
     return losses, ds
 
 
+def _ranknet_sum(z: np.ndarray, batch: ExampleStack, strategy: ScoreStrategy,
+                 with_grads: bool) -> tuple[float, np.ndarray | None]:
+    """The RankNet losses of ``batch`` under its logits ``z``, summed in example
+    order, and with ``with_grads`` dL/ds for every row."""
+    losses, ds = _ranknet(_finite(score_batch(z, strategy)), batch, with_grads)
+    total = 0.0
+    for loss in losses.tolist():  # uncompensated, left to right (unlike sum on 3.12+)
+        total += loss
+    return total, ds
+
+
 def batch_loss(params: ScorerParams, batch: ExampleStack, strategy: ScoreStrategy) -> float:
     """Mean over queries of the per-example pair-summed RankNet loss."""
-    _, _, z = forward(params, batch.rows)
-    scores = _finite(score_batch(z, strategy))
-    losses, _ = _ranknet(scores, batch, with_grads=False)
-    total = 0.0
-    for loss in losses.tolist():  # left to right, as batch_loss_and_grads adds them
-        total += loss
+    # only z is kept: the hidden activations are freed before the pair math
+    total, _ = _ranknet_sum(forward(params, batch.rows)[2], batch, strategy, with_grads=False)
     return _finite(total / len(batch), "non-finite loss")
 
 
@@ -362,20 +369,15 @@ def batch_loss_and_grads(
 ) -> tuple[float, list[np.ndarray]]:
     """Loss plus analytic parameter gradients [gw1, gb1, gw2, gb2],
     backpropagated through the scorer in one batched sparse forward and backward."""
-    rows = batch.rows
-    h_pre, h, z = forward(params, rows)
-    scores = _finite(score_batch(z, strategy))
+    h_pre, h, z = forward(params, batch.rows)
+    total, ds = _ranknet_sum(z, batch, strategy, with_grads=True)
     scale = 1.0 / len(batch)
-    losses, ds = _ranknet(scores, batch, with_grads=True)
-    total = 0.0
-    for loss in losses.tolist():  # in example order, uncompensated (unlike sum on 3.12+)
-        total += loss
     ds *= scale
     with np.errstate(over="ignore", invalid="ignore"):  # adamw_step rejects non-finite grads
         # float64 like the scores, narrowed to the forward's dtype for the backward
         dz = (ds[:, None] * score_batch_grad(z, strategy)).astype(z.dtype, copy=False)  # (n, 2)
         dh_pre = (dz @ params.w2.T) * (h_pre > 0.0)
-        grads = [rows.T @ dh_pre, dh_pre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
+        grads = [batch.rows.T @ dh_pre, dh_pre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
     return _finite(total * scale, "non-finite loss"), grads
 
 

@@ -1241,7 +1241,7 @@ class TestPipelineThroughCli(object):
         ]) == 0
         assert out.read_bytes() == self._TIED_OUT[strategy].encode()
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "high"])
     def test_rerank_rejects_non_finite_external_logits(self, workdir, tmp_path, bad):
         run = tmp_path / "run.trec"
         run.write_text("q1 Q0 d1 1 2.0 bm25\nq1 Q0 d2 2 1.0 bm25\n")
@@ -1252,6 +1252,19 @@ class TestPipelineThroughCli(object):
             "rerank", "--run", str(run), "--corpus", str(workdir / "corpus.jsonl"),
             "--external-logits", str(logits), "--k-in", "2", "--out", str(out),
         ]) == 2
+        assert not out.exists()
+
+    def test_rerank_names_a_pair_the_external_logits_lack(self, workdir, tmp_path, capsys):
+        run = tmp_path / "run.trec"
+        run.write_text("q1 Q0 d1 1 3.0 bm25\nq1 Q0 d2 2 2.0 bm25\nq1 Q0 d3 3 1.0 bm25\n")
+        logits = tmp_path / "logits.tsv"
+        logits.write_text("q1\td1\t0.0\t0.0\nq1\td2\t0.5\t0.0\n")
+        out = tmp_path / "ext.trec"
+        assert dispatch([
+            "rerank", "--run", str(run), "--corpus", str(workdir / "corpus.jsonl"),
+            "--external-logits", str(logits), "--k-in", "3", "--out", str(out),
+        ]) == 2
+        assert "external logits missing pair (q1, d3)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rerank_refuses_checkpoint_with_external_logits(self, workdir, tmp_path, capsys):

@@ -307,6 +307,25 @@ def test_output_in_a_missing_directory_names_the_output(tmp_path):
     assert exc.value.filename == str(out)
 
 
+def test_output_reaches_disk_before_it_replaces_the_target(tmp_path, monkeypatch):
+    # a rename that reaches disk before the data may leave an empty file after a power loss
+    calls, fsync, replace = [], os.fsync, os.replace
+
+    def synced(fd):
+        calls.append(("fsync", os.fstat(fd).st_size))
+        fsync(fd)
+
+    def replaced(src, dst):
+        calls.append(("replace", Path(dst).name))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", synced)
+    monkeypatch.setattr(os, "replace", replaced)
+    save_text(tmp_path / "out.tsv", "q1\t0.5\n")
+    assert calls == [("fsync", 7), ("replace", "out.tsv")]
+    assert (tmp_path / "out.tsv").read_text() == "q1\t0.5\n"
+
+
 def test_io_types_and_errors_import_no_numpy_scipy_or_requests():
     # the readers and the nDCG code stay cheap to import; a module they import
     # from the package is checked the same way

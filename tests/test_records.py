@@ -166,3 +166,5 @@ def test_bad_number_words_non_numeric_and_non_finite():
         "q1": [("d2", 4.0), ("d3", 3.0), ("d1", 2.5)]}
     with pytest.raises(DataError, match="run line 1: non-numeric rank '2.0'"):
         io.read_run(["q1 Q0 d1 2.0 1 t\n"])
+    with pytest.raises(DataError, match="run line 1: non-numeric score 'high'"):
+        io.read_run(["q1 Q0 d1 1 high t\n"])

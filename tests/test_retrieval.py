@@ -459,3 +459,9 @@ class TestComposeRerank:
     def test_k_out_exceeding_pool_rejected(self):
         with pytest.raises(ValueError):
             compose_rerank(self.base(), {}, k_pool=2, k_out=3)
+
+    def test_equal_scores_keep_ascending_doc_id_order(self):
+        # as in every other ranked list, not in the base run's order
+        base = {"q1": [ScoredDoc("d3", 3.0), ScoredDoc("d1", 2.0), ScoredDoc("d2", 1.0)]}
+        out = compose_rerank(base, {"q1": {"d1": 0.5, "d2": 0.5, "d3": 0.5}}, k_pool=3, k_out=3)
+        assert [e.doc_id for e in out["q1"]] == ["d1", "d2", "d3"]
