@@ -556,6 +556,7 @@ def _cmd_ablate(args, opts: dict) -> int:
         for query_id, entries in base_run.items():
             if query_id in queries:  # one with no text fails in the first cell's rerank
                 store.rows(queries[query_id], [e.doc_id for e in entries[:k_in]], corpus)
+    store.trim()  # the workers inherit the store as it is at the fork
 
     def run_group(group_no: int) -> tuple[list[tuple[int, str, str, str]], Exception | None]:
         """Each strategy's cell of one (documents, kind, source) group as

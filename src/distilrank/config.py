@@ -47,7 +47,8 @@ OPTIONS: dict[str, Option] = {
     "prompt.passage_word_budget": Option(int, 120, "words kept per passage", flag="--passage-words"),
     "window.size": Option(int, 30, "documents per teacher window", flag="--window"),
     "window.step": Option(int, 30, "stride between teacher windows"),
-    "feature.hash_dim": Option(int, 1 << 18, "hashed feature dimensions"),
+    "feature.hash_dim": Option(int, 1 << 18,
+                               "hashed feature dimensions, a power of two, at most 2^31"),
     "feature.hidden": Option(int, 64, "hidden units of the scorer"),
     "feature.interaction_cap": Option(int, 16, "query tokens crossed with document tokens"),
     "train.batch": Option(int, 32, "queries per training batch"),

@@ -14,7 +14,16 @@ resolves every term and document once. `featurize` is the per-pair reference
 it must match bit for bit. A `FeatureStore` holds the rows it has made as one
 resident CSR (column indices and values in two growing arrays, indexed by one
 growing indptr), so each (query, document) pair is featurized once, and any
-set of pairs comes back as one CSR matrix in a single numpy gather.
+set of pairs comes back as one CSR matrix in one chunked gather.
+
+Layout: every feature matrix the package builds holds 4-byte float32 values
+and 4-byte int32 column indices, 8 bytes per stored feature, which is why
+``hash_dim`` is at most 2**31. Its indptr has the width of its indices: int32
+while the matrix holds fewer than 2**31 features, else int64 for both
+(`_csr`), the width scipy picks, so scipy never copies the indices to widen
+them before a product. A gather from the store copies a run of rows of about
+`GATHER_CHUNK` features at a time straight into the result, so the only
+full-size arrays it makes are the result's.
 
 The batched pass needs no per-key hashing because crc32 is affine over GF(2):
 ``crc32(P + T) == op_n(crc32(P)) ^ crc32(T)`` for any n-byte T, where op_n
@@ -78,6 +87,8 @@ class FeatureConfig:
     def __post_init__(self) -> None:
         if self.hash_dim <= 0 or self.hash_dim & (self.hash_dim - 1):
             raise ValueError(f"hash_dim must be a power of two, got {self.hash_dim}")
+        if self.hash_dim > 1 << 31:  # every column index must fit int32
+            raise ValueError(f"hash_dim must be at most 2**31, got {self.hash_dim}")
         if self.interaction_cap < 0:
             raise ValueError("interaction_cap must be >= 0")
 
@@ -201,16 +212,26 @@ def init_params(
     )
 
 
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+         shape: tuple[int, int]) -> sp.csr_array:
+    """One CSR matrix whose indices and indptr share one width: int32 while
+    its stored entries and its shape fit int32, else int64 for both. That is
+    the width scipy picks for them, so it never copies one to widen it to the
+    other, here or before a product."""
+    dtype = sp.get_index_dtype(maxval=max(int(indptr[-1]), *shape))
+    return sp.csr_array((data, indices.astype(dtype, copy=False),
+                         indptr.astype(dtype, copy=False)), shape=shape)
+
+
 def stack_rows(vectors: Sequence[SparseVector], n_cols: int) -> sp.csr_array:
     """The vectors as the rows of one (len(vectors), n_cols) CSR matrix."""
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    np.cumsum([v.nnz for v in vectors], out=indptr[1:])
+    indptr = _offsets([v.nnz for v in vectors])
     indices = np.concatenate([np.empty(0, dtype=np.int64)] + [v.indices for v in vectors])
     values = np.concatenate([np.empty(0)] + [v.values for v in vectors])
     # scipy trusts the column indices; its products read out of bounds on a bad one
     if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
         raise ValueError(f"feature index outside 0..{n_cols - 1}")
-    return sp.csr_array((values, indices, indptr), shape=(len(vectors), n_cols))
+    return _csr(values, indices, indptr, (len(vectors), n_cols))
 
 
 def forward(
@@ -353,8 +374,7 @@ def featurize_batch(
         raise DataError(f"a feature value of query {query!r} reaches 2**24 in magnitude, "
                         "beyond which float32 does not hold every integer")
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * config.hash_dim)
-    return sp.csr_array((data.astype(np.float32), keys & mask, indptr),
-                        shape=(n, config.hash_dim))
+    return _csr(data.astype(np.float32), keys & mask, indptr, (n, config.hash_dim))
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -372,12 +392,22 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _reserve(array: np.ndarray, size: int) -> np.ndarray:
-    """``array``, or a copy at least twice as long when it holds fewer than ``size``."""
+    """``array``, or a copy half as long again (at least ``size`` long) when it
+    holds fewer than ``size``. The copy is made with ``np.empty``, so its spare
+    room takes no memory until it is written. `FeatureStore` grows its columns,
+    then its values, freeing each old array once copied, so a growth allocates
+    at most 4 + 8 * 1.5 = 16 bytes per stored feature, no more than the gather
+    that follows it holds; doubling would allocate 20."""
     if size <= array.size:
         return array
-    grown = np.empty(max(size, 2 * array.size), dtype=array.dtype)
+    grown = np.empty(max(size, array.size + array.size // 2), dtype=array.dtype)
     grown[: array.size] = array
     return grown
+
+
+# stored features a gather from a `FeatureStore` copies at a time: of runs of
+# 4k to 64k, 8k gathered the ablation grid's training sets fastest
+GATHER_CHUNK = 1 << 13
 
 
 class FeatureStore:
@@ -385,15 +415,20 @@ class FeatureStore:
     each pair featurized once, on its first request, and held as a row of
     one resident CSR.
 
-    The store appends each row's column indices and values to two arrays and
-    keeps one indptr over them, all grown geometrically, plus a map from
-    (query, doc_id) to row id. `ids` hands a request's pairs not yet held to
-    one `featurize_batch` call, over a `TermTable` that resolves each term
-    and document once, and returns the pairs' row ids; `take` gathers rows
-    into one CSR matrix in one numpy pass. One store serves one corpus: a
-    doc_id stands for its text there. It keeps every pair row it has made for
-    as long as it lives, so share one only between callers that request the
-    same pairs again.
+    The store appends each row's column indices (int32) and values (float32)
+    to two arrays, 8 bytes per stored feature, and keeps one int64 indptr
+    over them, plus a map from (query, doc_id) to row id. The arrays grow by
+    half again when full (`_reserve`), and `trim` gives back the room beyond
+    the rows held; call it once a fill ends. Because `trim` resizes them in
+    place, the store never hands out a view of them: every gather copies.
+    `ids` hands a request's pairs not yet held to one `featurize_batch` call,
+    over a `TermTable` that resolves each term and document once, and returns
+    the pairs' row ids. `take` gathers rows into one CSR matrix, a run of
+    about `GATHER_CHUNK` features at a time straight into the result. A
+    column index must fit int32, so ``hash_dim`` is at most 2**31
+    (`FeatureConfig`). One store serves one corpus: a doc_id stands for its
+    text there. It keeps every pair row it has made for as long as it lives,
+    so share one only between callers that request the same pairs again.
 
     `rows` also keeps the matrix of each (query, doc_ids) request it has
     served and hands the same matrix back when that request comes again, in
@@ -411,7 +446,7 @@ class FeatureStore:
         self.config = config
         self._table = TermTable(config)
         self._row_of: dict[tuple[str, str], int] = {}
-        self._indices = np.empty(self.INITIAL_NNZ, dtype=np.int64)
+        self._indices = np.empty(self.INITIAL_NNZ, dtype=np.int32)
         self._data = np.empty(self.INITIAL_NNZ, dtype=np.float32)
         self._indptr = np.zeros(self.INITIAL_ROWS + 1, dtype=np.int64)
         self._served: dict[tuple[str, tuple[str, ...]], sp.csr_array] = {}
@@ -429,13 +464,36 @@ class FeatureStore:
         return np.fromiter((row_of[query, d] for d in doc_ids), dtype=np.int64,
                            count=len(doc_ids))
 
+    def trim(self) -> None:
+        """Give back the room the arrays hold beyond the rows held."""
+        rows = len(self._row_of)
+        self._indices.resize(self._indptr[rows], refcheck=False)
+        self._data.resize(self._indptr[rows], refcheck=False)
+        self._indptr.resize(rows + 1, refcheck=False)
+
     def take(self, ids: np.ndarray) -> sp.csr_array:
-        """The rows ``ids``, in order, as one (len(ids), hash_dim) CSR matrix."""
+        """The rows ``ids``, in order, as one (len(ids), hash_dim) CSR matrix,
+        copied a run of whole rows of about `GATHER_CHUNK` features at a time
+        straight into the result, so the only full-size arrays made are the
+        result's."""
         ids = np.asarray(ids, dtype=np.int64)
-        lo = self._indptr[ids]
-        positions, indptr = _ranges(lo, self._indptr[ids + 1] - lo)
-        return sp.csr_array((self._data[positions], self._indices[positions], indptr),
-                            shape=(ids.size, self.config.hash_dim))
+        starts = self._indptr[ids]
+        lengths = self._indptr[ids + 1] - starts
+        indptr = _offsets(lengths)
+        shift = starts - indptr[:-1]  # a row's store position less its position in the result
+        data = np.empty(indptr[-1], dtype=np.float32)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        # the row holding each GATHER_CHUNK-th feature starts a run (a repeated
+        # start makes an empty one)
+        marks = np.searchsorted(indptr, np.arange(GATHER_CHUNK, indptr[-1], GATHER_CHUNK), "right")
+        cuts = [0, *(marks - 1).tolist(), ids.size]
+        for a, b in zip(cuts, cuts[1:]):
+            lo, hi = indptr[a], indptr[b]
+            at = np.repeat(shift[a:b], lengths[a:b]) + np.arange(lo, hi)
+            # every position is in bounds, and "clip" lets take write into out unbuffered
+            self._data.take(at, out=data[lo:hi], mode="clip")
+            self._indices.take(at, out=indices[lo:hi], mode="clip")
+        return _csr(data, indices, indptr, (ids.size, self.config.hash_dim))
 
     def rows(self, query: str, doc_ids: Sequence[str], corpus: Mapping[str, str]) -> sp.csr_array:
         """The features of ``query`` with each document, as the rows of one

@@ -35,13 +35,20 @@ cannot overflow. A learning rate beyond the largest float32 makes the
 parameters non-finite instead, which the next forward rejects as divergence.
 
 Resident stacks: `prepare_example` resolves an example to the row ids of its
-documents in a `FeatureStore`, and `stack_examples` gathers a whole set
-(train, validation) from the store in one pass, as one `ExampleStack`: a CSR
-matrix of all its documents' rows, compacted to the active block once, each
-example's row bounds, and each row's teacher rank within its example. A batch
-is gathered from the train stack in one vectorised pass, rows and ranks by the
-same row ids, and the history losses run on the whole stacks:
-the forward is ``X @ w1`` and the w1 gradient ``X.T @ dH``. The RankNet pair
+documents in a `FeatureStore`, and a whole set (train, validation) is
+gathered from the store as one `ExampleStack`: a CSR matrix of all its
+documents' rows, each example's row bounds, and each row's teacher rank
+within its example. `prepare_fit` fills the store with both sets and trims
+it, gathers each set from the store a run of rows at a time straight into
+its stack (`FeatureStore.take`), and then renumbers the stack's columns to
+the active block in place, a run at a time (`_compact`). The matrices hold
+4-byte float32 values and 4-byte int32 columns, 8 bytes per feature (a
+column must fit int32, so ``hash_dim`` is at most 2**31), and nothing
+full-size but the two stacks is made beside the store: no second copy of a
+set and no int64 column array. A batch is gathered from the train stack in
+one vectorised pass, rows and ranks by the same row ids, and the history
+losses run on the whole stacks: the forward is ``X @ w1`` and the w1
+gradient ``X.T @ dH``. The RankNet pair
 matrices are built once per batch for each distinct document count m, as
 (examples, m, m) arrays, and give each example's loss and gradient bit for bit
 as the per-list `ranknet_loss` and `ranknet_grad` do. `adamw_step` works in
@@ -57,7 +64,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,6 +73,7 @@ from scipy.special import expit
 
 from .errors import DataError, NonFiniteError
 from .scorer import (
+    GATHER_CHUNK,
     FeatureConfig,
     FeatureStore,
     ScorerParams,
@@ -295,14 +304,19 @@ class ExampleStack:
         return self.bounds.size - 1
 
 
+def _stack(examples: Sequence[DistilledExample], ids: list[np.ndarray],
+           store: FeatureStore) -> ExampleStack:
+    """The examples as one stack of their `FeatureStore` rows ``ids``."""
+    ranks = np.array([r for ex in examples for r in ex.llm_ranking], dtype=np.int64)
+    rows = store.take(np.concatenate([np.empty(0, dtype=np.int64)] + ids))
+    return ExampleStack(rows, _offsets([ex.m for ex in examples]), ranks)
+
+
 def stack_examples(
     examples: Sequence[DistilledExample], corpus: Mapping[str, str], store: FeatureStore
 ) -> ExampleStack:
     """The examples' rows, in order, gathered from ``store`` as one stack."""
-    ids = [prepare_example(ex, corpus, store) for ex in examples]
-    ranks = np.array([r for ex in examples for r in ex.llm_ranking], dtype=np.int64)
-    rows = store.take(np.concatenate([np.empty(0, dtype=np.int64)] + ids))
-    return ExampleStack(rows, _offsets([ex.m for ex in examples]), ranks)
+    return _stack(examples, [prepare_example(ex, corpus, store) for ex in examples], store)
 
 
 def take_examples(stack: ExampleStack, picks: Sequence[int]) -> ExampleStack:
@@ -313,12 +327,21 @@ def take_examples(stack: ExampleStack, picks: Sequence[int]) -> ExampleStack:
     return ExampleStack(stack.rows[row_ids], bounds, stack.ranks[row_ids])
 
 
+def _runs_of(array: np.ndarray) -> Iterator[np.ndarray]:
+    """``array`` as consecutive views of `GATHER_CHUNK` entries, so that an
+    operation over it makes no full-size temporary."""
+    return (array[lo: lo + GATHER_CHUNK] for lo in range(0, array.size, GATHER_CHUNK))
+
+
 def _compact(stack: ExampleStack, position: np.ndarray, n_active: int) -> ExampleStack:
-    """``stack`` with its feature columns renumbered to rows of the active block."""
+    """``stack`` with its feature columns renumbered to rows of the active
+    block: column c becomes ``position[c]``. The renumbering is done in place,
+    a run at a time, so use only the stack returned."""
     rows = stack.rows
-    compacted = sp.csr_array(
-        (rows.data, position[rows.indices], rows.indptr), shape=(rows.shape[0], n_active)
-    )
+    for part in _runs_of(rows.indices):
+        part[...] = position.take(part)  # faster than position[part] for int32 parts
+    compacted = sp.csr_array((rows.data, rows.indices, rows.indptr),
+                             shape=(rows.shape[0], n_active))
     return replace(stack, rows=compacted)
 
 
@@ -423,13 +446,18 @@ def prepare_fit(
             for ex in examples
         ]
 
-    train = stack_examples(reduce_all(train_filtered, rng_train), corpus, store)
-    val = stack_examples(reduce_all(val_examples, rng_val), corpus, store)
+    train = reduce_all(train_filtered, rng_train)
+    val = reduce_all(val_examples, rng_val)
+    # fill the store with both sets and trim it before either is gathered
+    train_ids = [prepare_example(ex, corpus, store) for ex in train]
+    val_ids = [prepare_example(ex, corpus, store) for ex in val]
+    store.trim()
+    train, val = _stack(train, train_ids, store), _stack(val, val_ids, store)
 
     # the loop runs on the active rows of w1 only; see the module docstring
     touched = np.zeros(store.config.hash_dim, dtype=bool)
-    touched[train.rows.indices] = True
-    touched[val.rows.indices] = True
+    for part in chain(_runs_of(train.rows.indices), _runs_of(val.rows.indices)):
+        touched[part.astype(np.intp)] = True  # numpy indexes faster with intp
     active = np.flatnonzero(touched)
     position = np.cumsum(touched) - 1  # row of w1 -> its row in the active block
     return (_compact(train, position, active.size), _compact(val, position, active.size),

@@ -866,10 +866,12 @@ _RERANK = ["rerank", "--run", "absent.trec", "--corpus", "absent.jsonl", "--quer
      "k_out=10 must not exceed k_in=5"),
     ([*_TRAIN, "--lr", "-1"], "learning rate must be finite and positive, got -1.0"),
     ([*_TRAIN, "--hash-dim", "3"], "hash_dim must be a power of two, got 3"),
+    ([*_TRAIN, "--hash-dim", "4294967296"], "hash_dim must be at most 2**31, got 4294967296"),
     ([*_TRAIN, "--hidden", "0"], "hidden must be >= 1, got 0"),
     ([*_TRAIN, "--strategy", "bogus"], "unknown ScoreStrategy 'bogus'"),
     ([*_ABLATE, "--lr", "-1"], "learning rate must be finite and positive, got -1.0"),
     ([*_ABLATE, "--hash-dim", "3"], "hash_dim must be a power of two, got 3"),
+    ([*_ABLATE, "--hash-dim", "4294967296"], "hash_dim must be at most 2**31, got 4294967296"),
     ([*_ABLATE, "--hidden", "0"], "hidden must be >= 1, got 0"),
     ([*_ABLATE, "--k-in", "0"], "k_in and k_out must be >= 1, got k_in=0, k_out=0"),
     ([*_ABLATE, "--k", "0"], "k must be >= 1, got 0"),
@@ -886,9 +888,10 @@ _RERANK = ["rerank", "--run", "absent.trec", "--corpus", "absent.jsonl", "--quer
     (["augment", "load-generated", "--pool", "absent.tsv", "--out", "out.tsv", "--n", "-1"],
      "n must be >= 0, got -1"),
 ], ids=["retrieve-k", "rerank-k-in", "rerank-k-out", "rerank-k-out-above-k-in", "train-lr",
-        "train-hash-dim", "train-hidden", "train-strategy", "ablate-lr", "ablate-hash-dim",
-        "ablate-hidden", "ablate-k-in", "ablate-k", "ndcg-k", "intersection-n", "index-k1",
-        "split-odd", "split-negative", "load-generated-n"])
+        "train-hash-dim", "train-hash-dim-above-2**31", "train-hidden", "train-strategy",
+        "ablate-lr", "ablate-hash-dim", "ablate-hash-dim-above-2**31", "ablate-hidden",
+        "ablate-k-in", "ablate-k", "ndcg-k", "intersection-n", "index-k1", "split-odd",
+        "split-negative", "load-generated-n"])
 def test_bad_option_value_comes_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv,
                                                         message):
     # every input is missing, so reading any of them first would name that file instead
@@ -1047,6 +1050,53 @@ def test_perfbench_traced_workload_runs(tmp_path, workload):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["problems"] == [] and result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload, multiplied", [
+    ("pipeline-small", {("train", "forward"), ("train", "backward"), ("rerank", "forward")}),
+    ("ablate-grid", {("ablate", "forward"), ("ablate", "backward")}),
+])
+def test_every_matrix_multiplied_has_int32_indices(tmp_path, monkeypatch, capsys, workload,
+                                                    multiplied):
+    # with an indptr of another width than its indices, scipy copies both to
+    # int64 before every product; runs a perfbench workload at its tiny scale
+    # in this process and records each CSR matrix the forward and the w1
+    # gradient multiply
+    from distilrank import evaluation, training
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import worker
+
+    seen, command = set(), [None]
+    forward, backward, real_dispatch = (scorer.forward, training.batch_loss_and_grads,
+                                        cli.dispatch)
+
+    def dispatching(argv):
+        command[0] = argv[0]
+        return real_dispatch(argv)
+
+    def recording_forward(params, rows):
+        seen.add((command[0], "forward", rows.indices.dtype, rows.indptr.dtype))
+        return forward(params, rows)
+
+    def recording_backward(params, batch, strategy):
+        transposed = batch.rows.T  # what the w1 gradient multiplies
+        seen.add((command[0], "backward", transposed.indices.dtype, transposed.indptr.dtype))
+        return backward(params, batch, strategy)
+
+    monkeypatch.setattr(cli, "dispatch", dispatching)
+    monkeypatch.setattr(training, "forward", recording_forward)
+    monkeypatch.setattr(evaluation, "forward", recording_forward)
+    monkeypatch.setattr(training, "batch_loss_and_grads", recording_backward)
+    _usable_cpus(monkeypatch, 1)  # ablate's cells run here, where the recorders are
+    monkeypatch.setattr(sys, "argv", [
+        "worker.py", "--workload", workload, "--scale", "tiny", "--seed", "7", "--mode", "run",
+        "--reference", "0", "--dir", str(tmp_path / "work"), "--t0", repr(time.monotonic())])
+    worker.main()
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["problems"] == [] and result["failed"] == 0
+    assert {(name, kind) for name, kind, _, _ in seen} == multiplied
+    assert {(indices, indptr) for _, _, indices, indptr in seen} == {(np.dtype(np.int32),) * 2}
 
 
 class TestPipelineThroughCli(object):

@@ -67,6 +67,12 @@ class TestFeaturize:
         with pytest.raises(ValueError):
             FeatureConfig(hash_dim=1000)
 
+    def test_hash_dim_is_at_most_2_to_the_31(self):
+        # every column index must fit int32
+        assert FeatureConfig(hash_dim=1 << 31).hash_dim == 1 << 31
+        with pytest.raises(ValueError, match=r"at most 2\*\*31, got 4294967296"):
+            FeatureConfig(hash_dim=1 << 32)
+
 
 def tiny_params(w1_fill=0.0, b2=(0.0, 0.0)):
     config = FeatureConfig(hash_dim=4, interaction_cap=0)
@@ -339,6 +345,37 @@ class TestFeatureStore:
         assert nnz > FeatureStore.INITIAL_NNZ
         for query in queries:  # the rows made before each growth, read back after it
             assert_rows_match_per_pair(store, query, list(corpus)[::-1], corpus, SMALL)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+    def test_trimmed_store_gathers_in_runs(self, monkeypatch, chunk):
+        # runs of one feature, runs that end inside a row, and one run for all
+        monkeypatch.setattr(scorer, "GATHER_CHUNK", chunk)
+        corpus = {f"d{i}": " ".join(WORDS[i % 7:] + WORDS[: i % 5]) for i in range(40)}
+        store = FeatureStore(SMALL)
+        assert_rows_match_per_pair(store, "cat café bb", list(corpus), corpus, SMALL)
+        store.trim()
+        # a store grows again after a trim, and trims twice
+        assert_rows_match_per_pair(store, "日本 x9 Ω straße", list(corpus)[::-1], corpus, SMALL)
+        store.trim()
+        store.trim()
+        for query in ("cat café bb", "日本 x9 Ω straße"):  # every row, read back after the trims
+            assert_rows_match_per_pair(store, query, list(corpus)[1::2], corpus, SMALL)
+        assert len(store) == 80
+
+    def test_index_width_follows_the_entries_and_the_shape(self):
+        # int32 indices and indptr, or int64 for both where scipy would widen one:
+        # a matrix of 2**31 columns
+        corpus = {"d1": "beta gamma", "d2": "gamma delta epsilon"}
+        for hash_dim, width in [(1 << 30, np.int32), (1 << 31, np.int64)]:
+            config = FeatureConfig(hash_dim=hash_dim)
+            store = FeatureStore(config)
+            rows = store.take(store.ids("alpha gamma", ["d1", "d2"], corpus))
+            batch = featurize_batch("alpha gamma", ["d1", "d2"], corpus, TermTable(config))
+            per_pair = stack_rows([featurize("alpha gamma", corpus[d], config) for d in corpus],
+                                  hash_dim)
+            for matrix in (rows, batch, per_pair):
+                assert matrix.indices.dtype == matrix.indptr.dtype == width
+                np.testing.assert_array_equal(matrix.indices, batch.indices)
 
     def test_take_nothing(self):
         rows = FeatureStore(SMALL).take(np.empty(0, dtype=np.int64))

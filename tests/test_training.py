@@ -25,6 +25,7 @@ from distilrank.scorer import (
     score_batch_grad,
     stack_rows,
 )
+from distilrank.synthetic import synth_benchmark
 from distilrank.training import (
     AdamState,
     ExampleStack,
@@ -849,3 +850,58 @@ def test_history_tsv_format():
     lines = text.splitlines()
     assert lines[0] == "epoch\ttrain_loss\tval_loss"
     assert lines[1] == "0\t1.500000\t2.000000"
+
+
+def test_every_gathered_matrix_has_int32_indices():
+    """Every CSR matrix training builds holds int32 column indices and an
+    int32 indptr: with indptr of another width, scipy copies both to int64
+    before every product."""
+    corpus, examples = tiny_corpus_and_examples()
+    store = FeatureStore(tiny_feature())
+    stack = stack_examples(examples, corpus, store)
+    ids = np.arange(len(store))
+    train, val, active, _ = prepare_fit(TrainConfig(docs_per_query=3), examples, examples[:2],
+                                        corpus, store)
+    matrices = {
+        "take": store.take(ids),
+        "stack_examples": stack.rows,
+        "take_examples": take_examples(stack, [2, 0, 2]).rows,
+        "_compact by an int64 position": _compact(stack_examples(examples, corpus, store),
+                                                  np.arange(tiny_feature().hash_dim),
+                                                  tiny_feature().hash_dim).rows,
+        "prepare_fit train": train.rows,
+        "prepare_fit val": val.rows,
+        "take_examples, compacted": take_examples(train, [1, 0]).rows,
+        "the backward's transpose": take_examples(train, [1, 0]).rows.T,
+    }
+    for name, matrix in matrices.items():
+        assert (matrix.indices.dtype, matrix.indptr.dtype) == (np.int32, np.int32), name
+    assert train.rows.shape[1] == val.rows.shape[1] == active.size
+
+
+def test_prepare_fit_holds_at_most_20_bytes_per_stored_feature():
+    """`prepare_fit`'s traced peak, per feature the store holds once it is
+    filled: the store's int32 columns and float32 values (8 B), the compacted
+    stacks gathered from it (8 B for the same features), and the row map, the
+    gather's runs and the featurizer's scratch. A growth of the store, which
+    allocates at most 16 B, stays below that wherever the fill ends. Int64
+    columns, or a gathered copy of a set kept beside the store while it is
+    compacted, go past 20 B."""
+    bench = synth_benchmark(8, 400, 264, 0, seed=7)
+    corpus = {d.doc_id: d.text for d in bench.corpus}
+    examples = [DistilledExample(q.query_id, q.text, q.kind, Source.BM25,
+                                 tuple(sorted(bench.qrels.by_query[q.query_id])[:30]),
+                                 tuple(range(1, 31)))
+                for q in bench.train_queries]
+    store = FeatureStore(FeatureConfig(hash_dim=1 << 14))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        prepared = prepare_fit(TrainConfig(), examples[:256], examples[256:], corpus, store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = store.take(np.arange(len(store))).nnz
+    assert stored > 500_000
+    assert prepared[1].rows.nnz > 0
+    assert (peak - base) / stored <= 20, (peak - base) / stored
