@@ -552,11 +552,16 @@ def _cmd_ablate(args, opts: dict) -> int:
     store = FeatureStore(feature)
     for example in train_examples:
         store.ids(example.query_text, example.doc_ids, corpus)
-    if any(trainable):
-        for query_id, entries in base_run.items():
-            if query_id in queries:  # one with no text fails in the first cell's rerank
-                store.rows(queries[query_id], [e.doc_id for e in entries[:k_in]], corpus)
+    # the evaluation lists join the fill and are gathered once the store is trimmed,
+    # as in prepare_fit, so that their matrices never sit beside a growth of the
+    # store; a query with no text fails in the first cell's rerank
+    lists = [(queries[query_id], [e.doc_id for e in entries[:k_in]])
+             for query_id, entries in base_run.items() if query_id in queries and any(trainable)]
+    for query, doc_ids in lists:
+        store.ids(query, doc_ids, corpus)
     store.trim()  # the workers inherit the store as it is at the fork
+    for query, doc_ids in lists:
+        store.rows(query, doc_ids, corpus)
 
     def run_group(group_no: int) -> tuple[list[tuple[int, str, str, str]], Exception | None]:
         """Each strategy's cell of one (documents, kind, source) group as

@@ -14,16 +14,20 @@ resolves every term and document once. `featurize` is the per-pair reference
 it must match bit for bit. A `FeatureStore` holds the rows it has made as one
 resident CSR (column indices and values in two growing arrays, indexed by one
 growing indptr), so each (query, document) pair is featurized once, and any
-set of pairs comes back as one CSR matrix in one chunked gather.
+set of pairs comes back as one CSR matrix in one gather.
 
 Layout: every feature matrix the package builds holds 4-byte float32 values
 and 4-byte int32 column indices, 8 bytes per stored feature, which is why
 ``hash_dim`` is at most 2**31. Its indptr has the width of its indices: int32
 while the matrix holds fewer than 2**31 features, else int64 for both
 (`_csr`), the width scipy picks, so scipy never copies the indices to widen
-them before a product. A gather from the store copies a run of rows of about
-`GATHER_CHUNK` features at a time straight into the result, so the only
-full-size arrays it makes are the result's.
+them before a product. There is one row gather, scipy's CSR row indexing:
+`FeatureStore.take` indexes a view of the rows the store holds, and
+`training.take_examples` a stack. It copies each row straight into the
+result, so the only full-size arrays it makes are the result's. One trade is
+taken on purpose: once a store holds 2**31 features or more (16 GiB of
+store), its view is int64, so each gather copies the store's column indices
+to int64 and returns a matrix with int64 indices.
 
 The batched pass needs no per-key hashing because crc32 is affine over GF(2):
 ``crc32(P + T) == op_n(crc32(P)) ^ crc32(T)`` for any n-byte T, where op_n
@@ -384,30 +388,19 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The concatenated ranges ``starts[i] + arange(lengths[i])``, and the
-    offset of each range in the result."""
-    offsets = _offsets(lengths)
-    return np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1]), offsets
-
-
 def _reserve(array: np.ndarray, size: int) -> np.ndarray:
     """``array``, or a copy half as long again (at least ``size`` long) when it
     holds fewer than ``size``. The copy is made with ``np.empty``, so its spare
     room takes no memory until it is written. `FeatureStore` grows its columns,
     then its values, freeing each old array once copied, so a growth allocates
-    at most 4 + 8 * 1.5 = 16 bytes per stored feature, no more than the gather
-    that follows it holds; doubling would allocate 20."""
+    at most 4 + 8 * 1.5 = 16 bytes per stored feature, no more than the store
+    and the stacks `prepare_fit` gathers from it (scipy's row indexing, in
+    `take`) hold together, 8 + 8 bytes; doubling would allocate 20."""
     if size <= array.size:
         return array
     grown = np.empty(max(size, array.size + array.size // 2), dtype=array.dtype)
     grown[: array.size] = array
     return grown
-
-
-# stored features a gather from a `FeatureStore` copies at a time: of runs of
-# 4k to 64k, 8k gathered the ablation grid's training sets fastest
-GATHER_CHUNK = 1 << 13
 
 
 class FeatureStore:
@@ -423,8 +416,11 @@ class FeatureStore:
     place, the store never hands out a view of them: every gather copies.
     `ids` hands a request's pairs not yet held to one `featurize_batch` call,
     over a `TermTable` that resolves each term and document once, and returns
-    the pairs' row ids. `take` gathers rows into one CSR matrix, a run of
-    about `GATHER_CHUNK` features at a time straight into the result. A
+    the pairs' row ids. `take` gathers rows into one CSR matrix with scipy's
+    row indexing over a transient `_csr` view of the rows held. Besides the
+    result, it makes per-row scratch and an int32 copy of the held rows'
+    indptr (4 bytes per held row); past 2**31 stored features the view is
+    int64 and it copies the column indices too (module docstring). A
     column index must fit int32, so ``hash_dim`` is at most 2**31
     (`FeatureConfig`). One store serves one corpus: a doc_id stands for its
     text there. It keeps every pair row it has made for as long as it lives,
@@ -472,28 +468,13 @@ class FeatureStore:
         self._indptr.resize(rows + 1, refcheck=False)
 
     def take(self, ids: np.ndarray) -> sp.csr_array:
-        """The rows ``ids``, in order, as one (len(ids), hash_dim) CSR matrix,
-        copied a run of whole rows of about `GATHER_CHUNK` features at a time
-        straight into the result, so the only full-size arrays made are the
-        result's."""
-        ids = np.asarray(ids, dtype=np.int64)
-        starts = self._indptr[ids]
-        lengths = self._indptr[ids + 1] - starts
-        indptr = _offsets(lengths)
-        shift = starts - indptr[:-1]  # a row's store position less its position in the result
-        data = np.empty(indptr[-1], dtype=np.float32)
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        # the row holding each GATHER_CHUNK-th feature starts a run (a repeated
-        # start makes an empty one)
-        marks = np.searchsorted(indptr, np.arange(GATHER_CHUNK, indptr[-1], GATHER_CHUNK), "right")
-        cuts = [0, *(marks - 1).tolist(), ids.size]
-        for a, b in zip(cuts, cuts[1:]):
-            lo, hi = indptr[a], indptr[b]
-            at = np.repeat(shift[a:b], lengths[a:b]) + np.arange(lo, hi)
-            # every position is in bounds, and "clip" lets take write into out unbuffered
-            self._data.take(at, out=data[lo:hi], mode="clip")
-            self._indices.take(at, out=indices[lo:hi], mode="clip")
-        return _csr(data, indices, indptr, (ids.size, self.config.hash_dim))
+        """The rows ``ids``, in order, as one (len(ids), hash_dim) CSR matrix:
+        scipy's row indexing over a transient view of the rows held, which
+        copies them straight into the result. An id at or past ``len(self)``
+        raises `IndexError`."""
+        view = _csr(self._data, self._indices, self._indptr[: len(self) + 1],
+                    (len(self), self.config.hash_dim))
+        return view[ids]
 
     def rows(self, query: str, doc_ids: Sequence[str], corpus: Mapping[str, str]) -> sp.csr_array:
         """The features of ``query`` with each document, as the rows of one

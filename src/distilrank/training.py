@@ -39,14 +39,14 @@ documents in a `FeatureStore`, and a whole set (train, validation) is
 gathered from the store as one `ExampleStack`: a CSR matrix of all its
 documents' rows, each example's row bounds, and each row's teacher rank
 within its example. `prepare_fit` fills the store with both sets and trims
-it, gathers each set from the store a run of rows at a time straight into
-its stack (`FeatureStore.take`), and then renumbers the stack's columns to
-the active block in place, a run at a time (`_compact`). The matrices hold
+it, gathers each set from the store straight into its stack with scipy's
+row indexing (`FeatureStore.take`), and then renumbers the stack's columns
+to the active block in place, a run at a time (`_compact`). The matrices hold
 4-byte float32 values and 4-byte int32 columns, 8 bytes per feature (a
 column must fit int32, so ``hash_dim`` is at most 2**31), and nothing
 full-size but the two stacks is made beside the store: no second copy of a
-set and no int64 column array. A batch is gathered from the train stack in
-one vectorised pass, rows and ranks by the same row ids, and the history
+set and no int64 column array. A batch is gathered from the train stack by
+the same row indexing, rows and ranks by the same row ids, and the history
 losses run on the whole stacks: the forward is ``X @ w1`` and the w1
 gradient ``X.T @ dH``. The RankNet pair
 matrices are built once per batch for each distinct document count m, as
@@ -73,13 +73,11 @@ from scipy.special import expit
 
 from .errors import DataError, NonFiniteError
 from .scorer import (
-    GATHER_CHUNK,
     FeatureConfig,
     FeatureStore,
     ScorerParams,
     ScoreStrategy,
     _offsets,
-    _ranges,
     forward,
     score_batch,
     score_batch_grad,
@@ -319,6 +317,13 @@ def stack_examples(
     return _stack(examples, [prepare_example(ex, corpus, store) for ex in examples], store)
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ranges ``starts[i] + arange(lengths[i])``, and the
+    offset of each range in the result."""
+    offsets = _offsets(lengths)
+    return np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1]), offsets
+
+
 def take_examples(stack: ExampleStack, picks: Sequence[int]) -> ExampleStack:
     """The picked examples of ``stack``, in pick order, gathered as one stack."""
     picks = np.asarray(picks, dtype=np.int64)
@@ -327,10 +332,15 @@ def take_examples(stack: ExampleStack, picks: Sequence[int]) -> ExampleStack:
     return ExampleStack(stack.rows[row_ids], bounds, stack.ranks[row_ids])
 
 
+# column indices `_compact` renumbers, and `prepare_fit` marks, at a time: in one
+# call over a whole stack, numpy makes an 8-byte intp copy of every column index
+COLUMN_RUN = 1 << 13
+
+
 def _runs_of(array: np.ndarray) -> Iterator[np.ndarray]:
-    """``array`` as consecutive views of `GATHER_CHUNK` entries, so that an
+    """``array`` as consecutive views of `COLUMN_RUN` entries, so that an
     operation over it makes no full-size temporary."""
-    return (array[lo: lo + GATHER_CHUNK] for lo in range(0, array.size, GATHER_CHUNK))
+    return (array[lo: lo + COLUMN_RUN] for lo in range(0, array.size, COLUMN_RUN))
 
 
 def _compact(stack: ExampleStack, position: np.ndarray, n_active: int) -> ExampleStack:

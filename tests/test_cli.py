@@ -1506,6 +1506,29 @@ class TestPipelineThroughCli(object):
         assert len(calls) == len(pairs)
         assert set(calls) == {(text, corpus[d]) for text, d in pairs}
 
+    def test_ablate_gathers_each_evaluation_list_once_from_the_trimmed_store(
+            self, workdir, tmp_path, monkeypatch):
+        # the lists' matrices are made after the fill, so none sits beside a growth
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+        events = []
+        trim, take = scorer.FeatureStore.trim, scorer.FeatureStore.take
+
+        def counted_trim(store):
+            events.append("trim")
+            return trim(store)
+
+        def counted_take(store, ids):
+            events.append("take")
+            return take(store, ids)
+
+        monkeypatch.setattr(scorer.FeatureStore, "trim", counted_trim)
+        monkeypatch.setattr(scorer.FeatureStore, "take", counted_take)
+        _usable_cpus(monkeypatch, 1)  # the recorders see the calls made in this process only
+        assert self._ablate(workdir, distilled, base_run, tmp_path / "grid.tsv") == 0
+        # ablate's own trim, its gathers, then the first group's prepare_fit trims again
+        lists = len(io.load_run(base_run))
+        assert events[: lists + 2] == ["trim"] + ["take"] * lists + ["trim"]
+
     @staticmethod
     def _ablate(workdir, distilled, base_run, grid, *extra):
         return dispatch([

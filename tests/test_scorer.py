@@ -346,10 +346,7 @@ class TestFeatureStore:
         for query in queries:  # the rows made before each growth, read back after it
             assert_rows_match_per_pair(store, query, list(corpus)[::-1], corpus, SMALL)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
-    def test_trimmed_store_gathers_in_runs(self, monkeypatch, chunk):
-        # runs of one feature, runs that end inside a row, and one run for all
-        monkeypatch.setattr(scorer, "GATHER_CHUNK", chunk)
+    def test_trimmed_store_grows_and_reads_back(self):
         corpus = {f"d{i}": " ".join(WORDS[i % 7:] + WORDS[: i % 5]) for i in range(40)}
         store = FeatureStore(SMALL)
         assert_rows_match_per_pair(store, "cat café bb", list(corpus), corpus, SMALL)
@@ -361,6 +358,30 @@ class TestFeatureStore:
         for query in ("cat café bb", "日本 x9 Ω straße"):  # every row, read back after the trims
             assert_rows_match_per_pair(store, query, list(corpus)[1::2], corpus, SMALL)
         assert len(store) == 80
+
+    def test_take_refuses_a_row_the_store_does_not_hold(self):
+        # the indptr holds spare room past the rows held until a trim
+        corpus = {"d1": "beta gamma", "d2": "gamma delta epsilon"}
+        store = FeatureStore(SMALL)
+        store.ids("alpha gamma", ["d1", "d2"], corpus)
+        for _ in range(2):  # before and after a trim
+            for ids in ([2], [0, 2], [FeatureStore.INITIAL_ROWS]):
+                with pytest.raises(IndexError):
+                    store.take(np.array(ids, dtype=np.int64))
+            assert store.take(np.array([1, 0], dtype=np.int64)).shape == (2, SMALL.hash_dim)
+            store.trim()
+
+    def test_gathered_rows_share_no_memory_with_the_store(self):
+        # `trim` resizes the store's arrays in place, so a gather must copy them
+        corpus = {f"d{i}": " ".join(WORDS[i % 7:] + WORDS[: i % 5]) for i in range(40)}
+        store = FeatureStore(SMALL)
+        ids = store.ids("cat café bb", list(corpus), corpus)
+        for _ in range(2):  # before and after a trim
+            rows = store.take(ids[::-1])
+            for got in (rows.data, rows.indices, rows.indptr):
+                for held in (store._data, store._indices, store._indptr):
+                    assert not np.shares_memory(got, held)
+            store.trim()
 
     def test_index_width_follows_the_entries_and_the_shape(self):
         # int32 indices and indptr, or int64 for both where scipy would widen one:

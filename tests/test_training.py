@@ -905,3 +905,29 @@ def test_prepare_fit_holds_at_most_20_bytes_per_stored_feature():
     assert stored > 500_000
     assert prepared[1].rows.nnz > 0
     assert (peak - base) / stored <= 20, (peak - base) / stored
+
+
+def test_one_gather_holds_its_result_and_a_few_bytes_per_row():
+    """One `FeatureStore.take` of an ablate-sized training set (1,913 of 2,400
+    held rows, about 220k features): its traced peak is the result's own
+    arrays plus scipy's per-row scratch (the ids as int32, each row's length
+    and start) and the int32 copy of the held rows' indptr that its view of
+    the store makes. Scratch that grows with the gathered features, such as
+    a copy of them or an array of their positions, goes past the bound."""
+    bench = synth_benchmark(8, 400, 80, 0, seed=7)
+    corpus = {d.doc_id: d.text for d in bench.corpus}
+    store = FeatureStore(FeatureConfig(hash_dim=1 << 12))
+    ids = np.concatenate([store.ids(q.text, sorted(bench.qrels.by_query[q.query_id])[:30], corpus)
+                          for q in bench.train_queries])
+    store.trim()
+    picks = np.random.default_rng(7).permutation(ids)[:1913]
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        rows = store.take(picks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 2400 and rows.nnz > 200_000
+    result = rows.data.nbytes + rows.indices.nbytes + rows.indptr.nbytes
+    assert peak - base <= result + 32 * picks.size + 8 * len(store), peak - base - result
