@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
@@ -358,6 +359,22 @@ class TestFeatureStore:
         for query in ("cat café bb", "日本 x9 Ω straße"):  # every row, read back after the trims
             assert_rows_match_per_pair(store, query, list(corpus)[1::2], corpus, SMALL)
         assert len(store) == 80
+
+    @pytest.mark.parametrize("run", [1, 7, 1 << 14])
+    def test_trimmed_store_gathers_in_runs(self, run):
+        # gathers of one row, of runs that end inside the list, and of every row at once
+        corpus = {f"d{i}": " ".join(WORDS[i % 7:] + WORDS[: i % 5]) for i in range(40)}
+        doc_ids = list(corpus)[::-1]
+        store = FeatureStore(SMALL)
+        ids = store.ids("cat café bb", doc_ids, corpus)
+        store.trim()
+        want = stack_rows([featurize("cat café bb", corpus[d], SMALL) for d in doc_ids],
+                          SMALL.hash_dim)
+        got = sp.vstack([store.take(ids[i:i + run]) for i in range(0, len(ids), run)],
+                        format="csr")
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_take_refuses_a_row_the_store_does_not_hold(self):
         # the indptr holds spare room past the rows held until a trim
