@@ -61,10 +61,12 @@ from .scorer import (
     FeatureConfig,
     FeatureStore,
     ScoreStrategy,
+    forward,
     init_params,
     load_checkpoint,
     load_external_logits,
     save_checkpoint,
+    score_batch,
 )
 from .training import KindFilter, TrainConfig, filter_examples, fit, prepare_fit, write_history
 from .types import SOURCES, Query, Run, Source, is_id, validate_run
@@ -547,21 +549,24 @@ def _cmd_ablate(args, opts: dict) -> int:
               for source in _ABLATION_SOURCES]
     n_cells = len(_ABLATION_STRATEGIES) * len(groups)
     trainable = [bool(filter_examples(train_examples, kind, source)) for _, kind, source in groups]
+    # every trained cell reranks each ranked query's top k_in, so a query with no
+    # text is refused before any cell trains
+    ranked = base_run if any(trainable) else {}
+    for query_id in ranked:
+        if query_id not in queries:
+            raise DataError(f"query {query_id!r} has no text available for scoring")
     # the cells train and rerank on the same pairs: featurize each once, before any
-    # cell runs, so that the cells, here or in forked workers, only read the store
+    # cell runs, so that the cells, here or in forked workers, only read what the
+    # fill made
     store = FeatureStore(feature)
     for example in train_examples:
         store.ids(example.query_text, example.doc_ids, corpus)
     # the evaluation lists join the fill and are gathered once the store is trimmed,
-    # as in prepare_fit, so that their matrices never sit beside a growth of the
-    # store; a query with no text fails in the first cell's rerank
-    lists = [(queries[query_id], [e.doc_id for e in entries[:k_in]])
-             for query_id, entries in base_run.items() if query_id in queries and any(trainable)]
-    for query, doc_ids in lists:
-        store.ids(query, doc_ids, corpus)
+    # as in prepare_fit, so that their matrices never sit beside a growth of the store
+    ids = {query_id: store.ids(queries[query_id], [e.doc_id for e in entries[:k_in]], corpus)
+           for query_id, entries in ranked.items()}
     store.trim()  # the workers inherit the store as it is at the fork
-    for query, doc_ids in lists:
-        store.rows(query, doc_ids, corpus)
+    evaluation = {query_id: store.take(row_ids) for query_id, row_ids in ids.items()}
 
     def run_group(group_no: int) -> tuple[list[tuple[int, str, str, str]], Exception | None]:
         """Each strategy's cell of one (documents, kind, source) group as
@@ -586,8 +591,10 @@ def _cmd_ablate(args, opts: dict) -> int:
                     # the grid reads the final loss only, so fit evaluates no other epoch
                     params, history = fit(config, prepared, copy.deepcopy(initial), False)
                     stage = "in the rerank, "
-                    score_fn = model_score_fn(params, strategy, queries, corpus, store)
-                    reranked = rerank_run(base_run, score_fn, k_in=k_in, k_out=k_in)
+                    # the rerank of `rerank`, over the lists gathered before the fork: one
+                    # forward per list, so every score has the bits of a per-list forward
+                    reranked = rerank_run(base_run, lambda query_id, _: score_batch(
+                        forward(params, evaluation[query_id])[2], strategy), k_in=k_in, k_out=k_in)
                 except NonFiniteError as exc:  # a diverged cell fails alone, like a skipped one
                     cells.append((cell_no, f"{cell}\tnan\tnan\n", "failed",
                                   f"[{cell_no}/{n_cells}] failed, {stage}{exc}: {cell}\n"))

@@ -20,7 +20,6 @@ from scipy import special
 from .errors import DataError
 from .io import pair_lookup
 from .scorer import (
-    FeatureStore,
     ScorerParams,
     ScoreStrategy,
     TermTable,
@@ -198,30 +197,22 @@ def model_score_fn(
     strategy: ScoreStrategy,
     queries: Mapping[str, str],
     corpus: Mapping[str, str],
-    store: FeatureStore | None = None,
 ) -> ScoreFn:
     """Score function that featurizes a query's documents and forwards them
     through the trained scorer as one batch: float32 rows through the float32
     parameters of a checkpoint, so no product widens, then float64 scores
     (`score_batch`).
 
-    ``store`` must use ``params.feature``; pass one to reuse features across
-    score functions. Without one, the function keeps a `TermTable` for its
-    whole life, so each term and document is resolved once across queries,
-    but it keeps no pair rows: its memory is bounded by the corpus, not by the
-    number of pairs scored.
+    The function keeps a `TermTable` for its whole life, so each term and
+    document is resolved once across queries, but it keeps no pair rows: its
+    memory is bounded by the corpus, not by the number of pairs scored.
     """
-    if store is not None and store.config != params.feature:
-        raise ValueError("the feature store and the scorer use different feature configs")
-    table = TermTable(params.feature) if store is None else None
+    table = TermTable(params.feature)
 
     def fn(query_id: str, doc_ids: Sequence[str]) -> np.ndarray:
         if query_id not in queries:
             raise DataError(f"query {query_id!r} has no text available for scoring")
-        query = queries[query_id]
-        rows = (store.rows(query, doc_ids, corpus) if store is not None
-                else featurize_batch(query, doc_ids, corpus, table))
-        _, _, z = forward(params, rows)
+        _, _, z = forward(params, featurize_batch(queries[query_id], doc_ids, corpus, table))
         return score_batch(z, strategy)
 
     return fn

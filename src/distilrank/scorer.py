@@ -409,30 +409,25 @@ class FeatureStore:
     one resident CSR.
 
     The store appends each row's column indices (int32) and values (float32)
-    to two arrays, 8 bytes per stored feature, and keeps one int64 indptr
-    over them, plus a map from (query, doc_id) to row id. The arrays grow by
-    half again when full (`_reserve`), and `trim` gives back the room beyond
-    the rows held; call it once a fill ends. Because `trim` resizes them in
+    to two arrays, 8 bytes per stored feature, and keeps one indptr over
+    them, plus a map from (query, doc_id) to row id. The indptr has the width
+    `_csr` picks for the rows held: int32 until the store holds 2**31
+    features (or from the start when ``hash_dim`` is 2**31), then int64, so a
+    view of the rows held copies no index array. The arrays grow by half
+    again when full (`_reserve`), and `trim` gives back the room beyond the
+    rows held; call it once a fill ends. Because `trim` resizes them in
     place, the store never hands out a view of them: every gather copies.
     `ids` hands a request's pairs not yet held to one `featurize_batch` call,
     over a `TermTable` that resolves each term and document once, and returns
     the pairs' row ids. `take` gathers rows into one CSR matrix with scipy's
-    row indexing over a transient `_csr` view of the rows held. Besides the
-    result, it makes per-row scratch and an int32 copy of the held rows'
-    indptr (4 bytes per held row); past 2**31 stored features the view is
-    int64 and it copies the column indices too (module docstring). A
-    column index must fit int32, so ``hash_dim`` is at most 2**31
-    (`FeatureConfig`). One store serves one corpus: a doc_id stands for its
-    text there. It keeps every pair row it has made for as long as it lives,
-    so share one only between callers that request the same pairs again.
-
-    `rows` also keeps the matrix of each (query, doc_ids) request it has
-    served and hands the same matrix back when that request comes again, in
-    the same document order; callers must not modify it. `ablate` relies on
-    this: every cell's `model_score_fn` asks for the same evaluation lists,
-    which `ablate` gathers once, before its first cell. The memo holds a second copy of
-    the requested rows, so it suits a caller that repeats few requests many
-    times; training gathers through `ids` and `take` and adds nothing to it.
+    row indexing over a transient `_csr` view of the rows held, so besides
+    the result it makes only per-row scratch of the rows it gathers; past
+    2**31 stored features the view is int64 and it copies the column indices
+    too (module docstring). A column index must fit int32, so ``hash_dim`` is
+    at most 2**31 (`FeatureConfig`). One store serves one corpus: a doc_id
+    stands for its text there. It keeps every pair row it has made for as
+    long as it lives, so share one only between callers that request the
+    same pairs again.
     """
 
     INITIAL_ROWS = 64
@@ -444,8 +439,8 @@ class FeatureStore:
         self._row_of: dict[tuple[str, str], int] = {}
         self._indices = np.empty(self.INITIAL_NNZ, dtype=np.int32)
         self._data = np.empty(self.INITIAL_NNZ, dtype=np.float32)
-        self._indptr = np.zeros(self.INITIAL_ROWS + 1, dtype=np.int64)
-        self._served: dict[tuple[str, tuple[str, ...]], sp.csr_array] = {}
+        self._indptr = np.zeros(self.INITIAL_ROWS + 1,
+                                dtype=sp.get_index_dtype(maxval=config.hash_dim))
 
     def __len__(self) -> int:
         """The number of pair rows held."""
@@ -476,28 +471,22 @@ class FeatureStore:
                     (len(self), self.config.hash_dim))
         return view[ids]
 
-    def rows(self, query: str, doc_ids: Sequence[str], corpus: Mapping[str, str]) -> sp.csr_array:
-        """The features of ``query`` with each document, as the rows of one
-        CSR matrix; a repeated request gets the matrix it got before."""
-        key = (query, tuple(doc_ids))
-        rows = self._served.get(key)
-        if rows is None:
-            rows = self._served[key] = self.take(self.ids(query, doc_ids, corpus))
-        return rows
-
     def _append(self, query: str, doc_ids: list[str], block: sp.csr_array) -> None:
         # scipy trusts the column indices; its products read out of bounds on a bad one
         if block.nnz and (block.indices.min() < 0 or block.indices.max() >= self.config.hash_dim):
             raise ValueError(f"feature index outside 0..{self.config.hash_dim - 1}")
         first = len(self._row_of)
-        at = self._indptr[first]
+        at = int(self._indptr[first])
         end_row, end = first + len(doc_ids), at + block.nnz
+        # widen the indptr, as `_csr` would, before it holds an offset past int32
+        width = sp.get_index_dtype(maxval=max(end, end_row, self.config.hash_dim))
         self._indices = _reserve(self._indices, end)
         self._data = _reserve(self._data, end)
-        self._indptr = _reserve(self._indptr, end_row + 1)
+        self._indptr = _reserve(self._indptr.astype(width, copy=False), end_row + 1)
         self._indices[at:end] = block.indices
         self._data[at:end] = block.data
-        self._indptr[first + 1:end_row + 1] = at + block.indptr[1:]
+        np.add(block.indptr[1:], at, out=self._indptr[first + 1:end_row + 1],
+               dtype=self._indptr.dtype)
         self._row_of.update(zip([(query, d) for d in doc_ids], range(first, end_row)))
 
 

@@ -1061,7 +1061,7 @@ def test_every_matrix_multiplied_has_int32_indices(tmp_path, monkeypatch, capsys
     # with an indptr of another width than its indices, scipy copies both to
     # int64 before every product; runs a perfbench workload at its tiny scale
     # in this process and records each CSR matrix the forward and the w1
-    # gradient multiply
+    # gradient multiply, and that its values are float32
     from distilrank import evaluation, training
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -1075,18 +1075,21 @@ def test_every_matrix_multiplied_has_int32_indices(tmp_path, monkeypatch, capsys
         command[0] = argv[0]
         return real_dispatch(argv)
 
+    def record(kind, matrix):
+        seen.add((command[0], kind, matrix.indices.dtype, matrix.indptr.dtype, matrix.data.dtype))
+
     def recording_forward(params, rows):
-        seen.add((command[0], "forward", rows.indices.dtype, rows.indptr.dtype))
+        record("forward", rows)
         return forward(params, rows)
 
     def recording_backward(params, batch, strategy):
-        transposed = batch.rows.T  # what the w1 gradient multiplies
-        seen.add((command[0], "backward", transposed.indices.dtype, transposed.indptr.dtype))
+        record("backward", batch.rows.T)  # what the w1 gradient multiplies
         return backward(params, batch, strategy)
 
     monkeypatch.setattr(cli, "dispatch", dispatching)
     monkeypatch.setattr(training, "forward", recording_forward)
     monkeypatch.setattr(evaluation, "forward", recording_forward)
+    monkeypatch.setattr(cli, "forward", recording_forward)  # ablate's rerank
     monkeypatch.setattr(training, "batch_loss_and_grads", recording_backward)
     _usable_cpus(monkeypatch, 1)  # ablate's cells run here, where the recorders are
     monkeypatch.setattr(sys, "argv", [
@@ -1095,8 +1098,9 @@ def test_every_matrix_multiplied_has_int32_indices(tmp_path, monkeypatch, capsys
     worker.main()
     result = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert result["problems"] == [] and result["failed"] == 0
-    assert {(name, kind) for name, kind, _, _ in seen} == multiplied
-    assert {(indices, indptr) for _, _, indices, indptr in seen} == {(np.dtype(np.int32),) * 2}
+    assert {entry[:2] for entry in seen} == multiplied
+    int32, float32 = np.dtype(np.int32), np.dtype(np.float32)
+    assert {entry[2:] for entry in seen} == {(int32, int32, float32)}  # indices, indptr, data
 
 
 class TestPipelineThroughCli(object):
@@ -1529,6 +1533,43 @@ class TestPipelineThroughCli(object):
         lists = len(io.load_run(base_run))
         assert events[: lists + 2] == ["trim"] + ["take"] * lists + ["trim"]
 
+    def test_ablate_scores_each_list_as_rerank_does(self, workdir, tmp_path, monkeypatch):
+        # every cell's scores have the bits of `rerank`'s score function over the
+        # model the cell fitted: one forward per evaluation list. At hidden 32,
+        # ablate's default, a row's head product depends on where the row falls
+        # in a forward over several lists stacked together
+        from distilrank.evaluation import model_score_fn
+
+        distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
+        queries = {q.query_id: q.text for q in io.load_queries(workdir / "queries-eval.tsv")}
+        corpus = {d.doc_id: d.text for d in io.load_corpus(workdir / "corpus.jsonl")}
+        fit, rerank_run = cli.fit, cli.rerank_run
+        fitted, compared = [], []
+
+        def recording_fit(config, *args):
+            params, history = fit(config, *args)
+            fitted.append((params, config.strategy))
+            return params, history
+
+        def comparing_rerank_run(run, score_fn, k_in, k_out):
+            params, strategy = fitted[-1]
+            want_fn = model_score_fn(params, strategy, queries, corpus)
+            for query_id, entries in run.items():
+                doc_ids = [e.doc_id for e in entries[:k_in]]
+                got, want = score_fn(query_id, doc_ids), want_fn(query_id, doc_ids)
+                assert got.dtype == want.dtype == np.float64
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            compared.append(len(run))
+            return rerank_run(run, score_fn, k_in=k_in, k_out=k_out)
+
+        monkeypatch.setattr(cli, "fit", recording_fit)
+        monkeypatch.setattr(cli, "rerank_run", comparing_rerank_run)
+        _usable_cpus(monkeypatch, 1)  # the cells run here, where the recorders are
+        assert self._ablate(workdir, distilled, base_run, tmp_path / "grid.tsv",
+                            "--hidden", "32") == 0
+        assert len(compared) == len(fitted) > 0
+        assert set(compared) == {len(io.load_run(base_run))}
+
     @staticmethod
     def _ablate(workdir, distilled, base_run, grid, *extra):
         return dispatch([
@@ -1669,19 +1710,29 @@ class TestPipelineThroughCli(object):
 
     def test_ablate_names_a_ranked_query_without_text(
             self, workdir, tmp_path, monkeypatch, capsys):
-        # the store skips the query's candidates, and the first cell's rerank reports it
+        # every cell would rerank the query, so ablate refuses it before any cell trains
         distilled, base_run = self._distill_and_retrieve(workdir, tmp_path)
         doc_id = base_run.read_text().split()[2]
         base_run.write_text(base_run.read_text() + f"q-untexted Q0 {doc_id} 1 1.000000 bm25\n")
+        fit, fitted_in = cli.fit, tmp_path / "pids.txt"
+
+        def recording_fit(*args):  # a forked worker's call shows in the file
+            with open(fitted_in, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\n")
+            return fit(*args)
+
+        monkeypatch.setattr(cli, "fit", recording_fit)
         grid = tmp_path / "grid.tsv"
         for cpus in (1, 2):
             _usable_cpus(monkeypatch, cpus)
+            fitted_in.write_text("")
             capsys.readouterr()
             assert self._ablate(workdir, distilled, base_run, grid, "--verbose") == 2
             assert multiprocessing.active_children() == []
             assert not grid.exists()
             assert capsys.readouterr().err == (
                 "error: query 'q-untexted' has no text available for scoring\n")
+            assert fitted_in.read_text() == ""
 
     def test_ablate_output_is_the_same_in_forked_workers(
             self, workdir, tmp_path, monkeypatch, capsys):

@@ -18,7 +18,6 @@ from distilrank.evaluation import (
 from distilrank.io import write_per_query
 from distilrank.scorer import (
     FeatureConfig,
-    FeatureStore,
     ScoreStrategy,
     featurize,
     forward,
@@ -243,19 +242,17 @@ class TestRerankRun:
         corpus = self.corpus() | {"empty": ""}
         queries = {"q1": "document body 3", "q2": "body"}
         doc_ids = ["d3", "empty", "d0", "d4", "d1", "d2"]
-        store = FeatureStore(params.feature)
-        for fn in (model_score_fn(params, strategy, queries, corpus),
-                   model_score_fn(params, strategy, queries, corpus, store)):
-            for qid, text in queries.items():
-                batched = fn(qid, doc_ids)
-                per_pair = score_batch(np.array([
-                    forward(params, stack_rows([featurize(text, corpus[d], params.feature)],
-                                               params.feature.hash_dim))[2][0]
-                    for d in doc_ids
-                ]), strategy)
-                # equal up to BLAS rounding: the head's dense product sums in
-                # an order that depends on the number of rows
-                np.testing.assert_allclose(batched, per_pair, rtol=1e-12, atol=1e-15)
+        fn = model_score_fn(params, strategy, queries, corpus)
+        for qid, text in queries.items():
+            batched = fn(qid, doc_ids)
+            per_pair = score_batch(np.array([
+                forward(params, stack_rows([featurize(text, corpus[d], params.feature)],
+                                           params.feature.hash_dim))[2][0]
+                for d in doc_ids
+            ]), strategy)
+            # equal up to BLAS rounding: the head's dense product sums in
+            # an order that depends on the number of rows
+            np.testing.assert_allclose(batched, per_pair, rtol=1e-12, atol=1e-15)
 
     def test_missing_document_named(self):
         run = run_of({"q1": ["d0", "nope"]})

@@ -280,7 +280,7 @@ class TestFloat32Features:
                     featurize_batch(query, ["d"], corpus, TermTable(config))
                 store = FeatureStore(config)
                 with pytest.raises(DataError, match=r"reaches 2\*\*24 in magnitude"):
-                    store.rows(query, ["d"], corpus)
+                    store.take(store.ids(query, ["d"], corpus))
                 assert len(store) == 0
 
     # one block of w1 rows, and four
@@ -308,9 +308,9 @@ class TestFeatureStore:
         monkeypatch.setattr(scorer, "featurize_batch", counted)
         corpus = {"d1": "beta gamma", "d2": "gamma delta epsilon", "d3": ""}
         store = FeatureStore(SMALL)
-        first = store.rows("alpha gamma", ["d1", "d2", "d1"], corpus)
-        again = store.rows("alpha gamma", ["d3", "d2"], corpus)
-        store.rows("other query", ["d1"], corpus)
+        first = store.take(store.ids("alpha gamma", ["d1", "d2", "d1"], corpus))
+        again = store.take(store.ids("alpha gamma", ["d3", "d2"], corpus))
+        store.take(store.ids("other query", ["d1"], corpus))
         assert calls == [("alpha gamma", "beta gamma"), ("alpha gamma", "gamma delta epsilon"),
                          ("alpha gamma", ""), ("other query", "beta gamma")]
         expected = stack_rows(
@@ -322,14 +322,14 @@ class TestFeatureStore:
 
     def test_missing_document_named(self):
         with pytest.raises(DataError, match="nope"):
-            FeatureStore(SMALL).rows("q", ["nope"], {})
+            FeatureStore(SMALL).ids("q", ["nope"], {})
 
     def test_missing_document_leaves_the_store_unchanged(self):
         corpus = {"d1": "beta gamma", "d2": "gamma delta epsilon", "d3": "alpha"}
         store = FeatureStore(SMALL)
-        store.rows("alpha gamma", ["d1"], corpus)
+        store.take(store.ids("alpha gamma", ["d1"], corpus))
         with pytest.raises(DataError, match="nope"):
-            store.rows("alpha gamma", ["d2", "nope", "d1"], corpus)
+            store.take(store.ids("alpha gamma", ["d2", "nope", "d1"], corpus))
         assert len(store) == 1
         # the pair made before the failure and the pairs the failed request held back
         assert_rows_match_per_pair(store, "alpha gamma", ["d2", "d1", "d3"], corpus, SMALL)
@@ -342,7 +342,7 @@ class TestFeatureStore:
         for query in queries:
             assert_rows_match_per_pair(store, query, list(corpus), corpus, SMALL)
         assert len(store) == 120 > FeatureStore.INITIAL_ROWS
-        nnz = sum(store.rows(query, list(corpus), corpus).nnz for query in queries)
+        nnz = sum(store.take(store.ids(query, list(corpus), corpus)).nnz for query in queries)
         assert nnz > FeatureStore.INITIAL_NNZ
         for query in queries:  # the rows made before each growth, read back after it
             assert_rows_match_per_pair(store, query, list(corpus)[::-1], corpus, SMALL)
@@ -419,33 +419,20 @@ class TestFeatureStore:
         rows = FeatureStore(SMALL).take(np.empty(0, dtype=np.int64))
         assert rows.shape == (0, SMALL.hash_dim) and rows.nnz == 0
 
-    def test_repeated_request_gathers_nothing(self, monkeypatch):
-        # ablate's cells all request the same evaluation lists through model_score_fn
-        corpus = {"d1": "beta gamma", "d2": "gamma delta epsilon", "d3": "alpha"}
-        store = FeatureStore(SMALL)
-        first = store.rows("alpha gamma", ["d1", "d2", "d3"], corpus)
-        store.rows("other query", ["d2"], corpus)  # grows the store between the requests
-        takes = []
-        monkeypatch.setattr(store, "take", lambda ids: takes.append(ids))
-        again = store.rows("alpha gamma", ("d1", "d2", "d3"), corpus)
-        assert takes == []
-        for name in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(again, name), getattr(first, name))
-
     def test_other_document_order_gets_its_own_rows(self):
         corpus = {"d1": "beta gamma", "d2": "gamma delta epsilon", "d3": "alpha"}
         store = FeatureStore(SMALL)
-        store.rows("alpha gamma", ["d1", "d2", "d3"], corpus)
+        store.take(store.ids("alpha gamma", ["d1", "d2", "d3"], corpus))
         assert_rows_match_per_pair(store, "alpha gamma", ["d3", "d1", "d2"], corpus, SMALL)
         assert_rows_match_per_pair(store, "alpha gamma", ["d3", "d1"], corpus, SMALL)
         assert len(store) == 3
 
 
 def assert_rows_match_per_pair(store, query, doc_ids, corpus, config):
-    """``store.rows`` equals the stacked per-pair `featurize` rows: the same
-    structure and the same values, held as float32 where the per-pair rows
-    hold float64."""
-    got = store.rows(query, doc_ids, corpus)
+    """The store's rows of ``query`` with ``doc_ids`` equal the stacked
+    per-pair `featurize` rows: the same structure and the same values, held
+    as float32 where the per-pair rows hold float64."""
+    got = store.take(store.ids(query, doc_ids, corpus))
     want = stack_rows([featurize(query, corpus[d], config) for d in doc_ids], config.hash_dim)
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):

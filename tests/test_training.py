@@ -838,10 +838,8 @@ def test_float32_params_keep_every_hot_path_array_float32(monkeypatch, strategy)
 
     monkeypatch.setattr(evaluation, "forward", recording)
     queries = {ex.query_id: ex.query_text for ex in examples}
-    for fn in (model_score_fn(trained, strategy, queries, corpus),
-               model_score_fn(trained, strategy, queries, corpus, store)):
-        fn(ex.query_id, ex.doc_ids)
-    assert multiplied == [f32, f32]
+    model_score_fn(trained, strategy, queries, corpus)(ex.query_id, ex.doc_ids)
+    assert multiplied == [f32]
 
 
 def test_history_tsv_format():
@@ -907,20 +905,9 @@ def test_prepare_fit_holds_at_most_20_bytes_per_stored_feature():
     assert (peak - base) / stored <= 20, (peak - base) / stored
 
 
-def test_one_gather_holds_its_result_and_a_few_bytes_per_row():
-    """One `FeatureStore.take` of an ablate-sized training set (1,913 of 2,400
-    held rows, about 220k features): its traced peak is the result's own
-    arrays plus scipy's per-row scratch (the ids as int32, each row's length
-    and start) and the int32 copy of the held rows' indptr that its view of
-    the store makes. Scratch that grows with the gathered features, such as
-    a copy of them or an array of their positions, goes past the bound."""
-    bench = synth_benchmark(8, 400, 80, 0, seed=7)
-    corpus = {d.doc_id: d.text for d in bench.corpus}
-    store = FeatureStore(FeatureConfig(hash_dim=1 << 12))
-    ids = np.concatenate([store.ids(q.text, sorted(bench.qrels.by_query[q.query_id])[:30], corpus)
-                          for q in bench.train_queries])
-    store.trim()
-    picks = np.random.default_rng(7).permutation(ids)[:1913]
+def traced_take(store, picks):
+    """``store.take(picks)`` and the traced bytes its call held at its peak
+    beyond the result's own arrays."""
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
@@ -928,6 +915,38 @@ def test_one_gather_holds_its_result_and_a_few_bytes_per_row():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return rows, peak - base - (rows.data.nbytes + rows.indices.nbytes + rows.indptr.nbytes)
+
+
+def test_one_gather_holds_its_result_and_a_few_bytes_per_row():
+    """One `FeatureStore.take` of an ablate-sized training set (1,913 of 2,400
+    held rows, about 220k features): its traced peak is the result's own
+    arrays plus scipy's per-row scratch (the ids as int32, each row's length
+    and start). Scratch that grows with the gathered features, such as a
+    copy of them or an array of their positions, goes past the bound."""
+    bench = synth_benchmark(8, 400, 80, 0, seed=7)
+    corpus = {d.doc_id: d.text for d in bench.corpus}
+    store = FeatureStore(FeatureConfig(hash_dim=1 << 12))
+    ids = np.concatenate([store.ids(q.text, sorted(bench.qrels.by_query[q.query_id])[:30], corpus)
+                          for q in bench.train_queries])
+    store.trim()
+    picks = np.random.default_rng(7).permutation(ids)[:1913]
+    rows, extra = traced_take(store, picks)
     assert len(store) == 2400 and rows.nnz > 200_000
-    result = rows.data.nbytes + rows.indices.nbytes + rows.indptr.nbytes
-    assert peak - base <= result + 32 * picks.size + 8 * len(store), peak - base - result
+    assert extra <= 32 * picks.size, extra
+
+
+def test_a_small_gather_holds_nothing_per_held_row():
+    """One 30-row `FeatureStore.take` from a store of 24,000 rows, as `ablate`
+    gathers each evaluation list: its traced peak is the result's own arrays,
+    scipy's per-row scratch and a few fixed allocations. Its view of the store
+    copies no array of the rows held, such as their indptr (96 KB here)."""
+    corpus = {f"d{i}": f"w{i % 97} w{i % 89} shared" for i in range(1000)}
+    store = FeatureStore(FeatureConfig(hash_dim=1 << 12))
+    for q in range(24):
+        store.ids(f"w{q} shared", list(corpus), corpus)
+    store.trim()
+    picks = np.arange(len(store) - 30, len(store))
+    rows, extra = traced_take(store, picks)
+    assert len(store) == 24_000 and rows.shape[0] == 30
+    assert extra <= 32 * picks.size + 4096, extra
